@@ -23,7 +23,7 @@ from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients, write_coefficients_csv
 from .oracle import (OracleConfig, af_numeric_grid, rdcf_numeric,
                      rms_bandwidth_numeric, rms_pulselength_numeric)
-from .sidelobes import metric_surface, sidelobe_report, write_scan_csv
+from .sidelobes import metric_surface, report_from_acf, write_scan_csv
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, sample_times, save_spec,
                        wrap_phase)
@@ -128,9 +128,11 @@ def cmd_analyze(args) -> int:
         write_spectrum_csv(samples, path)
         outputs.append(path.name)
 
-    if args.acf:
+    if args.acf or args.sidelobes:
         tau, R = acf_uniform(spec, n_tau=args.acf_n, tol=args.tol,
                              coeffs=coeffs)
+
+    if args.acf:
         path = out_dir / "acf.csv"
         if cfg is None:
             write_acf_csv(tau, R, path)
@@ -148,9 +150,10 @@ def cmd_analyze(args) -> int:
 
     if args.af is not None:
         tau_n, nu_n = args.af
-        tau = np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n)
-        nu = np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n)
-        surf = af_surface(spec, tau, nu, tol=args.tol, coeffs=coeffs)
+        surf = af_surface(spec,
+                          np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n),
+                          np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n),
+                          tol=args.tol, coeffs=coeffs)
         path = out_dir / "af.csv"
         write_surface_csv(surf, path)
         outputs.append(path.name)
@@ -197,7 +200,7 @@ def cmd_analyze(args) -> int:
             outputs.append(path.name)
 
     if args.sidelobes:
-        rep = sidelobe_report(spec, n_tau=args.acf_n, tol=args.tol)
+        rep = report_from_acf(tau, R)
         path = out_dir / "sidelobes.json"
         with open(path, "w") as fh:
             json.dump({"delta_tau": rep.delta_tau,

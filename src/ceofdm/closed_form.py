@@ -1,28 +1,44 @@
 """Closed-form spectrum, ambiguity function and autocorrelation.
 
-With c_m the coefficients of the periodic phase factor (see gbf),
+With c_m the coefficients of the periodic phase factor (see gbf), the pulse is
+s(t) = T^(-1/2) sum_m c_m exp(j 2 pi m t / T) on |t| <= T/2, so
 
-    S(f) = sqrt(T) sum_m c_m sinc(pi T (f - m/T)),
+    S(f) = sqrt(T) sum_m c_m sinc(T f - m),
 
-    chi(tau, nu) = (1 - |tau|/T) sum_{m,n} c_m conj(c_n)
-                   exp(-j pi (m + n) tau / T)
-                   sinc(pi (1 - |tau|/T) (nu T + m - n)),
+where sinc x = sin(pi x) / (pi x).  Integrating each harmonic pair over the
+overlap of the two shifted pulses gives, for 0 <= tau <= T and A = 1 - tau/T,
 
-for |tau| <= T, zero outside, where sinc x = sin x / x.  The sign of the
-exp(-j pi (m+n) tau / T) factor follows from substituting the coefficient
-series into int s(t - tau/2) conj(s(t + tau/2)) exp(j 2 pi nu t) dt and is
-pinned against the quadrature oracle by the test suite.  The autocorrelation
-is R(tau) = chi(tau, 0).
+    chi(tau, nu) = A sum_{m,n} c_m conj(c_n) exp(-j pi (m + n) tau / T)
+                   sinc(A x),   x = m - n + nu T,
 
-The double sum is never evaluated naively: grouping by lag k = m - n makes
-the sinc factor depend on k alone,
+with chi(-tau, -nu) = conj(chi(tau, nu)) and chi = 0 for |tau| >= T.  The
+autocorrelation is R(tau) = chi(tau, 0).
 
-    chi(tau, nu) = A sum_k G_k(tau) sinc(pi A (nu T + k)),   A = 1 - |tau|/T,
-    G_k(tau) = sum_n c_{n+k} conj(c_n) exp(-j pi (2n + k) tau / T),
+The double sum is never evaluated pairwise.  Writing
+A sinc(A x) = (exp(j pi A x) - exp(-j pi A x)) / (j 2 pi x) splits every term
+with x != 0 into one exponential in tau carried by m and one carried by n:
 
-so one correlation per tau serves every nu (O(M) per grid point).  On a
-uniform tau grid the G_k become zero-padded DFTs over n and are batched
-through one FFT per lag block (acf_uniform).
+    chi = exp(-j pi nu tau) sum_m u_m z_m - exp(j pi nu tau) sum_n v_n z_n
+          + A sinc(A x0) exp(-j pi k0 tau / T) sum_n g_n z_n,
+
+    z_m = exp(-j 2 pi m tau / T),
+    u_m = c_m sum_n p_{m-n} conj(c_n),     p_k = exp(j pi x_k) / (j 2 pi x_k),
+    v_n = conj(c_n) sum_m q_{m-n} c_m,     q_k = exp(-j pi x_k) / (j 2 pi x_k),
+    g_n = c_{n+k0} conj(c_n),              x_k = k + nu T.
+
+k0 is the lag nearest -nu T.  It is the one lag where x can vanish and the
+two exponentials cancel, so it is left out of p and q and kept in the direct
+sinc form; every other lag has |x_k| >= 1/2.  u and v are two convolutions
+over the 4M + 1 lags, one FFT product each, so a Doppler costs O(M log M)
+and every delay after that O(M).  Since q_k(nu) = -p_{-k}(-nu), both use
+the same kernel.
+
+At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
+
+    R(tau) = A sum_m |c_m|^2 z_m + sum_m (u_m - v_m) z_m.
+
+On the grid tau_j = j T / N, z_m depends on m mod N alone, so after binning
+the harmonics each sum is one length-N FFT.  The binning is exact for any N.
 """
 
 from __future__ import annotations
@@ -32,11 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gbf import GbfCoefficients, compute_coefficients
-from .waveform import OutOfSupport, WaveformSpec, spec_digest
+from .waveform import OutOfSupport, WaveformSpec
 
-# Sign of the residual linear-phase factor exp(j SIGMA pi (m+n) tau / T),
-# fixed empirically against the quadrature oracle (see tests).
-SIGMA = -1.0
+# af_surface works on blocks of _NU_BLOCK Dopplers, and its delay sums on
+# temporaries of at most _CHUNK complex elements, so memory stays bounded.
+_NU_BLOCK = 64
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,31 +96,59 @@ def spectrum(spec: WaveformSpec, f_grid, tol: float = 1e-12,
                            spec_hash=coeffs.spec_hash)
 
 
-def _lag_sums(coeffs: GbfCoefficients, T: float, tau: float) -> np.ndarray:
-    """G_k(tau) for k = -2M..2M via one full correlation."""
-    m = coeffs.m_index
-    rot = np.exp(-1j * np.pi * m * tau / T)
-    p = coeffs.c * rot
-    q = coeffs.c * np.conj(rot)
-    # correlate conjugates its second argument; output index k runs -2M..2M
-    return np.correlate(p, q, mode="full")
+def _lag_conv(d: np.ndarray, M: int, nuT: np.ndarray) -> np.ndarray:
+    """sum_n p_{m-n} d_n for m = -M..M, one row per Doppler nu T.
+
+    p_k = exp(j pi x) / (j 2 pi x), x = k + nu T, over k = -2M..2M with the
+    lag nearest -nu T left out.  A circular length of at least 4M + 1 keeps
+    the wrapped tail of the full convolution off the slice returned.
+    """
+    k = np.arange(-2 * M, 2 * M + 1)
+    x = k + nuT[:, None]
+    near = k == -np.rint(nuT)[:, None]
+    x[near] = 1.0
+    p = np.exp(1j * np.pi * x) / (2j * np.pi * x)
+    p[near] = 0.0
+    n = 1 << (4 * M).bit_length()
+    full = np.fft.ifft(np.fft.fft(p, n) * np.fft.fft(d, n))
+    return full[:, 2 * M:4 * M + 1]
 
 
-def _chi_row(coeffs: GbfCoefficients, T: float, tau: float,
-             nus: np.ndarray) -> np.ndarray:
-    """chi(tau, nu) for one delay and many Dopplers."""
-    A = (T - abs(tau)) / T
-    if A <= 0.0:
-        return np.zeros(len(nus), dtype=complex)
-    G = _lag_sums(coeffs, T, tau)
-    k = np.arange(-2 * coeffs.M, 2 * coeffs.M + 1)
-    out = np.empty(len(nus), dtype=complex)
-    step = max(1, (1 << 22) // len(k))
-    for i in range(0, len(nus), step):
-        blk = nus[i:i + step]
-        snc = np.sinc(A * (blk[:, None] * T + k[None, :]))
-        out[i:i + step] = np.sum(snc * G[None, :], axis=1)
-    return A * out
+def _harmonic_weights(c: np.ndarray, M: int, nuT: np.ndarray):
+    """u, v, g and k0 of the module docstring, one row per Doppler nu T."""
+    k0 = -np.rint(nuT)
+    u = c * _lag_conv(np.conj(c), M, nuT)
+    v = -np.conj(c) * _lag_conv(c, M, -nuT)
+    src = np.arange(2 * M + 1) + k0.astype(int)[:, None]
+    inside = (src >= 0) & (src <= 2 * M)
+    g = np.where(inside, c[np.clip(src, 0, 2 * M)], 0.0) * np.conj(c)
+    return u, v, g, k0
+
+
+def _chi_causal(c: np.ndarray, M: int, s: np.ndarray,
+                nuT: np.ndarray) -> np.ndarray:
+    """chi at delays s = tau / T in [0, 1] and Dopplers nu T.
+
+    Each delay sum is a pairwise sum over the harmonics of one row, so an
+    entry does not depend on the rest of the grid: a single point equals the
+    same point inside any surface, bit for bit.
+    """
+    u, v, g, k0 = _harmonic_weights(c, M, nuT)
+    W = np.stack([u, v, g], axis=1).reshape(3 * len(nuT), 2 * M + 1)
+    m = np.arange(-M, M + 1)
+    S = np.empty((len(s), len(W)), dtype=complex)
+    step = max(1, _CHUNK // W.size)
+    for i in range(0, len(s), step):
+        z = np.exp(-2j * np.pi * np.outer(s[i:i + step], m))
+        S[i:i + step] = np.sum(z[:, None, :] * W, axis=2)
+    S = S.reshape(len(s), len(nuT), 3)
+    A = (1.0 - s)[:, None]
+    chi = (np.exp(-1j * np.pi * np.outer(s, nuT)) * S[:, :, 0]
+           - np.exp(1j * np.pi * np.outer(s, nuT)) * S[:, :, 1]
+           + A * np.sinc(A * (k0 + nuT)) * np.exp(-1j * np.pi * np.outer(s, k0))
+           * S[:, :, 2])
+    chi[s >= 1.0] = 0.0
+    return chi
 
 
 def ambiguity(spec: WaveformSpec, tau: float, nu: float, tol: float = 1e-12,
@@ -112,130 +157,61 @@ def ambiguity(spec: WaveformSpec, tau: float, nu: float, tol: float = 1e-12,
 
     Raises OutOfSupport for |tau| > T; chi(+-T, nu) = 0 exactly.
     """
-    if abs(tau) > spec.T * (1.0 + 1e-12):
-        raise OutOfSupport(f"|tau| = {abs(tau)} exceeds pulse length {spec.T}")
-    coeffs = _resolve_coeffs(spec, tol, coeffs)
-    return complex(_chi_row(coeffs, spec.T, float(tau), np.array([float(nu)]))[0])
-
-
-def acf(spec: WaveformSpec, tau: float, tol: float = 1e-12,
-        coeffs: GbfCoefficients | None = None) -> complex:
-    """Autocorrelation R(tau) = chi(tau, 0)."""
-    return ambiguity(spec, tau, 0.0, tol, coeffs)
+    surf = af_surface(spec, [tau], [nu], tol, coeffs)
+    return complex(surf.chi[0, 0])
 
 
 def af_surface(spec: WaveformSpec, tau_grid, nu_grid, tol: float = 1e-12,
                coeffs: GbfCoefficients | None = None) -> AmbiguitySurface:
     """chi on the outer product of tau_grid and nu_grid.
 
-    Fill order is row-major over tau with a fixed reduction order, so the
-    result is reproducible bit for bit across runs.
+    Negative delays come from chi(tau, nu) = conj(chi(-tau, -nu)).  Every
+    entry is computed with a fixed reduction order of its own, so the result
+    is reproducible bit for bit across runs and across grid shapes.
     """
     coeffs = _resolve_coeffs(spec, tol, coeffs)
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
     if np.any(np.abs(taus) > spec.T * (1.0 + 1e-12)):
         raise OutOfSupport("tau grid extends beyond the pulse length")
+    s = taus / spec.T
+    neg = s < 0
     chi = np.empty((len(taus), len(nus)), dtype=complex)
-    for i, tau in enumerate(taus):
-        chi[i] = _chi_row(coeffs, spec.T, float(tau), nus)
+    for j in range(0, len(nus), _NU_BLOCK):
+        nuT = nus[j:j + _NU_BLOCK] * spec.T
+        if np.any(~neg):
+            chi[~neg, j:j + _NU_BLOCK] = _chi_causal(coeffs.c, coeffs.M,
+                                                     s[~neg], nuT)
+        if np.any(neg):
+            chi[neg, j:j + _NU_BLOCK] = np.conj(
+                _chi_causal(coeffs.c, coeffs.M, -s[neg], -nuT))
     return AmbiguitySurface(tau=taus, nu=nus, chi=chi,
                             spec_hash=coeffs.spec_hash)
 
 
 def acf_uniform(spec: WaveformSpec, n_tau: int = 4096, tol: float = 1e-12,
-                coeffs: GbfCoefficients | None = None,
-                weights: "AcfGridWeights | None" = None):
+                coeffs: GbfCoefficients | None = None):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
-    The grid includes tau = T, where R vanishes identically.  Lag sums are
-    evaluated for all grid points at once by batched FFT; precomputed
-    weights for a given (M, n_tau) pairing can be supplied to amortize the
-    trigonometric factors across many codes.
+    The grid includes tau = T, where R vanishes identically.  Each harmonic
+    sum is binned by m mod n_tau and evaluated with one length-n_tau FFT.
 
     Returns:
         (tau, R): arrays of length n_tau + 1.
     """
     coeffs = _resolve_coeffs(spec, tol, coeffs)
-    T = spec.T
-    tau = np.arange(n_tau + 1) * (T / n_tau)
-    if n_tau < 2 * coeffs.M + 1:
-        # grid too coarse for collision-free FFT binning; fall back to rows
-        R = np.array([_chi_row(coeffs, T, float(tv), np.array([0.0]))[0]
-                      for tv in tau])
-        return tau, R
-    if weights is not None and (weights.M != coeffs.M or weights.n_tau != n_tau):
-        weights = None
-    if weights is None:
-        body = _apply_lag_weights(coeffs.c, coeffs.M, n_tau, None)
-    else:
-        body = weights.apply(coeffs.c)
-    R = np.concatenate([body, [0.0]])
-    return tau, R
+    u, v, g, _ = _harmonic_weights(coeffs.c, coeffs.M, np.zeros(1))
+    bins = coeffs.m_index % n_tau
 
+    def dft(w):
+        folded = (np.bincount(bins, w.real, n_tau)
+                  + 1j * np.bincount(bins, w.imag, n_tau))
+        return np.fft.fft(folded)
 
-_WEIGHT_CHUNK = 256
-
-
-def _weight_block(kblk: np.ndarray, n_tau: int) -> np.ndarray:
-    """w_k(tau_j) exp(-j pi k tau_j / T) on the uniform grid, one lag block.
-
-    At tau_j = j T / n_tau the window factor A sinc(pi A k) collapses to
-    -(-1)^k sin(pi k j / n_tau) / (pi k) for k != 0 and to 1 - j/n_tau for
-    k = 0, independent of T.
-    """
-    frac = np.arange(n_tau) / n_tau
-    x = np.pi * np.outer(kblk, frac)
-    sx = np.sin(x)
-    cx = np.cos(x)
-    sgn = np.where(kblk % 2 == 0, 1.0, -1.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = -sgn * sx / (np.pi * kblk[:, None])
-    zero = kblk == 0
-    if np.any(zero):
-        w[zero, :] = 1.0 - frac
-    return w * (cx - 1j * sx)
-
-
-def _apply_lag_weights(c: np.ndarray, M: int, n_tau: int, blocks) -> np.ndarray:
-    """sum_k weight_k(tau_j) G_k(tau_j) over all lags, batched FFT per block."""
-    n = np.arange(-M, M + 1)
-    cpad = np.concatenate([np.zeros(2 * M, complex), c, np.zeros(2 * M, complex)])
-    out = np.zeros(n_tau, dtype=complex)
-    ks = np.arange(-2 * M, 2 * M + 1)
-    for i, start in enumerate(range(0, len(ks), _WEIGHT_CHUNK)):
-        kblk = ks[start:start + _WEIGHT_CHUNK]
-        wblk = blocks[i] if blocks is not None else _weight_block(kblk, n_tau)
-        idx = (kblk[:, None] + n[None, :]) + 3 * M
-        W = cpad[idx] * np.conj(c)[None, :]
-        Wp = np.zeros((len(kblk), n_tau), dtype=complex)
-        Wp[:, n % n_tau] = W
-        B = np.fft.fft(Wp, axis=1)
-        out += np.sum(wblk * B, axis=0)
-    return out
-
-
-class AcfGridWeights:
-    """Stored weight blocks for acf_uniform, reusable across many codes.
-
-    Worth building only when evaluating a batch of codes that share the
-    truncation order M, e.g. the phase-pair scan; costs
-    (4M + 1) x n_tau complex doubles of memory.
-    """
-
-    def __init__(self, M: int, n_tau: int):
-        self.M = M
-        self.n_tau = n_tau
-        ks = np.arange(-2 * M, 2 * M + 1)
-        self._blocks = [
-            _weight_block(ks[s:s + _WEIGHT_CHUNK], n_tau)
-            for s in range(0, len(ks), _WEIGHT_CHUNK)
-        ]
-
-    def apply(self, c: np.ndarray) -> np.ndarray:
-        if len(c) != 2 * self.M + 1:
-            raise ValueError("coefficient length does not match weight order")
-        return _apply_lag_weights(c, self.M, self.n_tau, self._blocks)
+    A = 1.0 - np.arange(n_tau) / n_tau
+    body = A * dft(g[0]) + dft(u[0] - v[0])
+    tau = np.arange(n_tau + 1) * (spec.T / n_tau)
+    return tau, np.concatenate([body, [0.0]])
 
 
 def write_spectrum_csv(samples: SpectrumSamples, path) -> None:

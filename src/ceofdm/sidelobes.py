@@ -3,8 +3,9 @@
 The mainlobe boundary delta_tau is the first local minimum of |R(tau)|^2 for
 tau > 0, refined by a three-point parabola through the neighboring samples.
 A monotone |R|^2 (for example the h = 0 triangle) has no null; delta_tau then
-falls back to T and the report is flagged so the 0 dB peak sidelobe ratio is
-recognizable as degenerate rather than trusted.
+falls back to T, PSLR reads the -300 dB floor because no sample lies beyond
+it, and the report is flagged so that value is recognizable as degenerate
+rather than trusted.
 
 PSLR is the largest sampled |R|^2 at or beyond delta_tau (the mainlobe peak
 is |R(0)|^2 = 1).  ISL is the sidelobe-to-mainlobe energy ratio with both
@@ -14,19 +15,15 @@ nearest the refined null.  Ratios of zero are floored at -300 dB.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
-from .closed_form import AcfGridWeights, acf_uniform
-from .gbf import compute_coefficients
+from .closed_form import acf_uniform
 from .waveform import PskCode, WaveformSpec, wrap_phase
 
 DB_FLOOR = -300.0
-THREADS_ENV = "CEOFDM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -110,19 +107,6 @@ def sidelobe_report(spec: WaveformSpec, n_tau: int = 4096,
     return report_from_acf(tau, R)
 
 
-def worker_count() -> int:
-    """Worker processes for grid scans, capped by the CEOFDM_THREADS variable."""
-    cap = os.environ.get(THREADS_ENV)
-    available = os.cpu_count() or 1
-    if cap is None:
-        return available
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}")
-    return max(1, min(cap, available))
-
-
 @dataclass(frozen=True)
 class MetricSurface:
     """ISL and PSLR over a two-subcarrier phase grid."""
@@ -133,48 +117,27 @@ class MetricSurface:
     pslr_db: np.ndarray
 
 
-_SCAN_STATE: dict = {}
-
-
-def _scan_point(args):
-    T, h, p1, p2, n_tau, tol = args
-    code = PskCode(L=2, gamma=np.ones(2), phi=wrap_phase(np.array([p1, p2])))
-    spec = WaveformSpec(T=T, h=h, code=code)
-    coeffs = compute_coefficients(spec, tol)
-    weights = _SCAN_STATE.get(coeffs.M)
-    if weights is None or weights.n_tau != n_tau:
-        weights = AcfGridWeights(coeffs.M, n_tau)
-        _SCAN_STATE[coeffs.M] = weights
-    tau, R = acf_uniform(spec, n_tau=n_tau, tol=tol, coeffs=coeffs,
-                         weights=weights)
-    rep = report_from_acf(tau, R)
-    return rep.isl_db, rep.pslr_db
-
-
 def metric_surface(T: float, h: float, grid_n: int, n_tau: int = 4096,
                    tol: float = 1e-12) -> MetricSurface:
     """Scan ISL and PSLR over (phi_1, phi_2) in [-pi, pi)^2 for L = 2.
 
     The grid is uniform and endpoint-exclusive, phi_i = -pi + 2 pi k / grid_n,
     which is closed under phase negation modulo 2 pi; the scan order (and the
-    output layout) is row-major in (phi_1, phi_2).  Work is spread over
-    worker processes when more than one is available, with results reassembled
-    in grid order so the output does not depend on scheduling.
+    output layout) is row-major in (phi_1, phi_2).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     phis = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
-    jobs = [(T, h, p1, p2, n_tau, tol) for p1 in phis for p2 in phis]
-    nw = worker_count()
-    if nw <= 1 or len(jobs) < 4:
-        results = [_scan_point(j) for j in jobs]
-    else:
-        chunk = max(1, len(jobs) // (8 * nw))
-        with ProcessPoolExecutor(max_workers=nw) as pool:
-            results = list(pool.map(_scan_point, jobs, chunksize=chunk))
-    arr = np.asarray(results, dtype=float).reshape(grid_n, grid_n, 2)
-    return MetricSurface(phi1=phis, phi2=phis,
-                         isl_db=arr[:, :, 0], pslr_db=arr[:, :, 1])
+    isl_db = np.empty((grid_n, grid_n))
+    pslr_db = np.empty((grid_n, grid_n))
+    for i, p1 in enumerate(phis):
+        for j, p2 in enumerate(phis):
+            code = PskCode(L=2, gamma=np.ones(2),
+                           phi=wrap_phase(np.array([p1, p2])))
+            rep = sidelobe_report(WaveformSpec(T=T, h=h, code=code),
+                                  n_tau=n_tau, tol=tol)
+            isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
+    return MetricSurface(phi1=phis, phi2=phis, isl_db=isl_db, pslr_db=pslr_db)
 
 
 def write_scan_csv(surface: MetricSurface, path) -> None:

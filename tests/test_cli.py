@@ -5,6 +5,7 @@ import pytest
 
 from ceofdm import __version__
 from ceofdm.cli import main
+from ceofdm.sidelobes import sidelobe_report
 from ceofdm.waveform import load_spec, wrap_phase
 
 
@@ -96,10 +97,15 @@ def test_analyze_sidelobes_and_manifest(tmp_path):
     out = tmp_path / "g"
     _run("gen", "--L", 2, "--tbp", 200, "--seed", 1, "--out", out)
     rep = tmp_path / "r"
-    assert _run("analyze", "--spec", out / "spec.json", "--sidelobes",
-                "--acf-n", 1024, "--out", rep) == 0
+    assert _run("analyze", "--spec", out / "spec.json", "--acf", "--af", 5, 5,
+                "--sidelobes", "--acf-n", 1024, "--out", rep) == 0
     side = json.loads((rep / "sidelobes.json").read_text())
     assert side["null_found"] and side["pslr_db"] < 0
+    # the report reuses the --acf delays, not the --af ones
+    ref = sidelobe_report(load_spec(out / "spec.json"), n_tau=1024)
+    assert (side["delta_tau"], side["pslr_db"], side["isl_db"]) == \
+        (ref.delta_tau, ref.pslr_db, ref.isl_db)
+    assert side["tau_max"] == 1.0
     manifest = json.loads((rep / "manifest.json").read_text())
     assert manifest["command"] == "analyze"
     assert manifest["tool_version"] == __version__
@@ -116,8 +122,7 @@ def test_scan_rejects_other_carrier_counts(tmp_path):
     assert _run("scan", "--L", 3, "--h", 1.0, "--out", tmp_path) == 2
 
 
-def test_scan_small_grid_symmetry(tmp_path, monkeypatch):
-    monkeypatch.setenv("CEOFDM_THREADS", "1")
+def test_scan_small_grid_symmetry(tmp_path):
     out = tmp_path / "s"
     assert _run("scan", "--L", 2, "--tbp", 200, "--grid-n", 4,
                 "--acf-n", 1024, "--out", out) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceofdm.closed_form import (acf_uniform, af_surface, ambiguity, spectrum,
                                 write_acf_csv, write_spectrum_csv,
@@ -7,7 +9,7 @@ from ceofdm.closed_form import (acf_uniform, af_surface, ambiguity, spectrum,
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import OracleConfig, af_numeric
 from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
-                             random_psk_code, spec_digest)
+                             random_psk_code, spec_digest, wrap_phase)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1):
@@ -22,6 +24,30 @@ def _naive_chi(coeffs, T, tau, nu):
     snc = np.sinc(A * (nu * T + m[:, None] - m[None, :]))
     w = coeffs.c[:, None] * np.conj(coeffs.c)[None, :]
     return A * np.sum(w * phase * snc)
+
+
+# derandomized so that every run draws the same examples, and nothing is
+# stored between runs
+_PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
+                     database=None)
+
+
+@st.composite
+def _specs(draw):
+    # h is capped so that the truncation order, and with it the cost of the
+    # pairwise reference, stays near a few hundred harmonics
+    L = draw(st.integers(1, 24))
+    T = draw(st.floats(0.25, 4.0))
+    h = draw(st.floats(0.0, 1.0)) * min(6.0, 70.0 / (L * (L + 1)))
+    phi = draw(st.lists(st.floats(-np.pi, np.pi), min_size=L, max_size=L))
+    return WaveformSpec(T=T, h=h, code=PskCode(L=L, gamma=np.ones(L),
+                                               phi=np.array(phi)))
+
+
+def _negated(spec):
+    code = PskCode(L=spec.L, gamma=spec.code.gamma,
+                   phi=wrap_phase(-spec.code.phi))
+    return WaveformSpec(T=spec.T, h=spec.h, code=code)
 
 
 def test_constant_waveform_spectrum_is_sinc():
@@ -94,8 +120,11 @@ def test_ambiguity_point_symmetry():
 
 
 def test_ambiguity_support_boundary():
-    spec = _spec()
-    assert ambiguity(spec, spec.T, 3.0) == 0
+    for spec in (_spec(), _spec(L=1, h=2.5, T=1.5, seed=12),
+                 _spec(L=24, h=0.1856, seed=12)):
+        for tau in (-spec.T, spec.T):
+            for nu in (0.0, 3.0, -2.5 / spec.T, 7.3):
+                assert ambiguity(spec, tau, nu) == 0
     with pytest.raises(OutOfSupport):
         ambiguity(spec, 1.5 * spec.T, 0.0)
 
@@ -126,13 +155,16 @@ def test_acf_uniform_matches_pointwise_ambiguity():
 
 
 def test_acf_uniform_small_grid_fallback_agrees():
-    # n_tau below the coefficient span takes the per-row path
+    # n_tau below the coefficient span folds several harmonics into each bin
     spec = _spec(L=2, h=5.0, seed=9)
     co = compute_coefficients(spec)
-    assert 2 * co.M + 1 > 64
-    tau, R = acf_uniform(spec, n_tau=64, coeffs=co)
-    ref = np.array([ambiguity(spec, t, 0.0, coeffs=co) for t in tau])
-    np.testing.assert_allclose(R, ref, atol=1e-10)
+    for n_tau in (64, 97):
+        assert 2 * co.M + 1 > n_tau
+        tau, R = acf_uniform(spec, n_tau=n_tau, coeffs=co)
+        ref = np.array([ambiguity(spec, t, 0.0, coeffs=co) for t in tau])
+        np.testing.assert_allclose(R, ref, atol=1e-10)
+        naive = [_naive_chi(co, spec.T, t, 0.0) for t in tau]
+        np.testing.assert_allclose(R, naive, rtol=0, atol=1e-12)
 
 
 def test_acf_mainlobe_narrows_with_modulation_index():
@@ -184,3 +216,73 @@ def test_csv_exports_round_trip(tmp_path):
     write_acf_csv(tg, R, path)
     data = np.genfromtxt(path, delimiter=",", names=True)
     np.testing.assert_allclose(data["abs2"], np.abs(R) ** 2, atol=1e-16)
+
+
+@_PROPERTY
+@given(spec=_specs(),
+       s=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       nuT=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3))
+def test_af_surface_matches_naive_double_sum_property(spec, s, nuT):
+    co = compute_coefficients(spec)
+    tau = np.array(s) * spec.T
+    nu = np.array(nuT) / spec.T
+    chi = af_surface(spec, tau, nu, coeffs=co).chi
+    ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
+    np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)
+
+
+@_PROPERTY
+@given(spec=_specs(), n_tau=st.integers(3, 700))
+def test_acf_uniform_matches_naive_double_sum_property(spec, n_tau):
+    co = compute_coefficients(spec)
+    tau, R = acf_uniform(spec, n_tau=n_tau, coeffs=co)
+    idx = np.unique(np.linspace(0, n_tau, 5).astype(int))
+    ref = [_naive_chi(co, spec.T, tau[j], 0.0) for j in idx]
+    np.testing.assert_allclose(R[idx], ref, rtol=0, atol=1e-12)
+    assert abs(R[0] - 1.0) < 1e-12 and R[-1] == 0.0
+
+
+@_PROPERTY
+@given(spec=_specs(), nuT=st.floats(-30.0, 30.0))
+def test_phase_negation_conjugates_chi_property(spec, nuT):
+    # negating the phases reverses the pulse in time, which conjugates chi;
+    # at tau = 0 the point symmetry is not built in and is checked directly
+    neg = _negated(spec)
+    tau = np.array([0.0, 0.3, -0.7]) * spec.T
+    nu = np.array([nuT, -nuT]) / spec.T
+    a = af_surface(spec, tau, nu).chi
+    b = af_surface(neg, tau, nu).chi
+    np.testing.assert_allclose(b, np.conj(a), rtol=0, atol=1e-12)
+    assert abs(a[0, 0] - np.conj(a[0, 1])) < 1e-12
+    n_tau = 256
+    np.testing.assert_allclose(acf_uniform(neg, n_tau)[1],
+                               np.conj(acf_uniform(spec, n_tau)[1]),
+                               rtol=0, atol=1e-12)
+
+
+def test_unmodulated_pulse_is_a_triangle():
+    code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
+    spec = WaveformSpec(T=2.0, h=0.0, code=code)
+    tau, R = acf_uniform(spec, n_tau=100)
+    np.testing.assert_allclose(R, 1.0 - tau / spec.T, rtol=0, atol=1e-15)
+    taus = np.array([-1.5, -0.5, 0.0, 0.7, 2.0])
+    nus = np.array([-3.0, -0.25, 0.0, 1.0, 2.2])
+    A = 1.0 - np.abs(taus) / spec.T
+    ref = A[:, None] * np.sinc(A[:, None] * nus[None, :] * spec.T)
+    chi = af_surface(spec, taus, nus).chi
+    np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("L, h", [(1, 2.5), (3, 1.2)])
+def test_chi_at_and_near_integer_doppler(L, h):
+    # nu T on an integer makes one lag's bracket cancel exactly; 2.5 is the
+    # tie between two nearest lags
+    spec = _spec(L=L, h=h, T=0.8, seed=14)
+    co = compute_coefficients(spec)
+    tau = np.array([-0.6, 0.0, 0.25, 0.79]) * spec.T
+    nuT = np.array([0.0, 1e-12, -1e-12, 4.0, 4.0 + 1e-12, -7.0 + 1e-12,
+                    2.5, -2.5])
+    nu = nuT / spec.T
+    chi = af_surface(spec, tau, nu, coeffs=co).chi
+    ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
+    np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)

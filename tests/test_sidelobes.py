@@ -5,7 +5,7 @@ from ceofdm.closed_form import acf_uniform
 from ceofdm.oracle import OracleConfig, af_numeric_grid
 from ceofdm.sidelobes import (DB_FLOOR, isl, mainlobe_null, metric_surface,
                               pslr, report_from_acf, sidelobe_report,
-                              worker_count, write_scan_csv)
+                              write_scan_csv)
 from ceofdm.waveform import (PskCode, WaveformSpec, random_psk_code,
                              wrap_phase)
 
@@ -110,18 +110,7 @@ def test_metrics_match_quadrature_acf():
     assert abs(a.isl_db - b.isl_db) < 0.01
 
 
-def test_worker_count_env_cap(monkeypatch):
-    monkeypatch.setenv("CEOFDM_THREADS", "1")
-    assert worker_count() == 1
-    monkeypatch.setenv("CEOFDM_THREADS", "junk")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("CEOFDM_THREADS")
-    assert worker_count() >= 1
-
-
-def test_metric_surface_symmetry_and_export(tmp_path, monkeypatch):
-    monkeypatch.setenv("CEOFDM_THREADS", "1")
+def test_metric_surface_symmetry_and_export(tmp_path):
     n = 8
     surf = metric_surface(1.0, 5.8116, n, n_tau=1024)
     assert surf.isl_db.shape == (n, n)
