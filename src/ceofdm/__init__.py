@@ -6,7 +6,7 @@ from .eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                   ellipse_tilt, eoa_closed_form, h_for_tbp,
                   max_coupling_code, rho_norm_max)
 from .gbf import (GbfCoefficients, TruncationFailure, compute_coefficients,
-                  ordinary_bessel, resynthesize, truncation_order)
+                  ordinary_bessel, resynthesize)
 from .oracle import (OracleConfig, af_numeric, af_numeric_grid, config_for,
                      rdcf_numeric, rms_bandwidth_numeric,
                      rms_pulselength_numeric, spectrum_numeric)
@@ -34,6 +34,5 @@ __all__ = [
     "oversample_floor", "phase_at", "psk_alphabet", "random_psk_code",
     "rdcf_numeric", "resynthesize", "rho_norm_max", "rms_bandwidth_numeric",
     "rms_pulselength_numeric", "sample", "sample_times", "save_spec",
-    "sidelobe_report", "spectrum", "spectrum_numeric", "truncation_order",
-    "wrap_phase",
+    "sidelobe_report", "spectrum", "spectrum_numeric", "wrap_phase",
 ]

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed_form import (acf_uniform, af_surface, spectrum, write_acf_csv,
-                          write_spectrum_csv, write_surface_csv)
+from .closed_form import acf_uniform, af_surface, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
-from .gbf import compute_coefficients, write_coefficients_csv
-from .oracle import (OracleConfig, af_numeric_grid, rdcf_numeric,
-                     rms_bandwidth_numeric, rms_pulselength_numeric)
-from .sidelobes import metric_surface, report_from_acf, write_scan_csv
+from .gbf import compute_coefficients
+from .oracle import (OracleConfig, _dft, _nodes, af_numeric_grid,
+                     rdcf_numeric, rms_bandwidth_numeric,
+                     rms_pulselength_numeric)
+from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, sample_times, save_spec,
                        wrap_phase)
@@ -46,6 +46,27 @@ def _write_manifest(out_dir: Path, command: str, spec_file, outputs,
     with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, header: str, columns) -> None:
+    """Write equal-size columns as CSV rows, every value as "%.17g".
+
+    Columns of more than one dimension are flattened in row-major order.  A
+    complex column expands to three: real part, imaginary part and squared
+    magnitude.  header names the columns after that expansion.
+    """
+    cols = []
+    for col in columns:
+        col = np.ravel(col)
+        if np.iscomplexobj(col):
+            # hypot then pow reproduces abs(v) ** 2 of each complex scalar
+            # bit for bit; np.abs(col) ** 2 does not.
+            cols += [col.real, col.imag,
+                     np.float_power(np.hypot(col.real, col.imag), 2.0)]
+        else:
+            cols.append(col)
+    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header=header, comments="")
 
 
 def _parameters(args) -> dict:
@@ -95,10 +116,7 @@ def cmd_gen(args) -> int:
     t = sample_times(spec, fs)
     s = sample(spec, fs)
     samples_path = out_dir / "samples.csv"
-    with open(samples_path, "w") as fh:
-        fh.write("t,re,im\n")
-        for ti, si in zip(t, s):
-            fh.write(f"{ti:.17g},{si.real:.17g},{si.imag:.17g}\n")
+    write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
 
     _write_manifest(out_dir, "gen", spec_path,
                     [spec_path.name, samples_path.name], _parameters(args))
@@ -114,7 +132,7 @@ def cmd_analyze(args) -> int:
     outputs = []
 
     coeff_path = out_dir / "coefficients.csv"
-    write_coefficients_csv(coeffs, coeff_path)
+    write_csv(coeff_path, "m,re,im,abs2", [coeffs.m_index, coeffs.c])
     outputs.append(coeff_path.name)
 
     cfg = OracleConfig(fs=_oracle_fs(spec)) if args.oracle else None
@@ -125,7 +143,7 @@ def cmd_analyze(args) -> int:
         f = np.linspace(-f_max, f_max, args.f_n)
         samples = spectrum(spec, f, tol=args.tol, coeffs=coeffs)
         path = out_dir / "spectrum.csv"
-        write_spectrum_csv(samples, path)
+        write_csv(path, "f,re,im,abs2", [samples.f, samples.values])
         outputs.append(path.name)
 
     if args.acf or args.sidelobes:
@@ -135,17 +153,13 @@ def cmd_analyze(args) -> int:
     if args.acf:
         path = out_dir / "acf.csv"
         if cfg is None:
-            write_acf_csv(tau, R, path)
+            write_csv(path, "tau,re,im,abs2", [tau, R])
         else:
             ref = af_numeric_grid(spec, tau, np.zeros(1), cfg)[:, 0]
-            with open(path, "w") as fh:
-                fh.write("tau,re,im,abs2,oracle_re,oracle_im,abs_err\n")
-                for j in range(len(tau)):
-                    err = abs(R[j] - ref[j])
-                    fh.write(f"{tau[j]:.17g},{R[j].real:.17g},"
-                             f"{R[j].imag:.17g},{abs(R[j])**2:.17g},"
-                             f"{ref[j].real:.17g},{ref[j].imag:.17g},"
-                             f"{err:.17g}\n")
+            err = R - ref
+            write_csv(path, "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
+                      [tau, R, ref.real, ref.imag,
+                       np.hypot(err.real, err.imag)])
         outputs.append(path.name)
 
     if args.af is not None:
@@ -155,7 +169,8 @@ def cmd_analyze(args) -> int:
                           np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n),
                           tol=args.tol, coeffs=coeffs)
         path = out_dir / "af.csv"
-        write_surface_csv(surf, path)
+        write_csv(path, "tau,nu,re,im,abs2",
+                  [*np.meshgrid(surf.tau, surf.nu, indexing="ij"), surf.chi])
         outputs.append(path.name)
 
     if args.eoa:
@@ -228,25 +243,12 @@ def cmd_scan(args) -> int:
     surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n,
                           tol=args.tol)
     path = out_dir / "scan.csv"
-    write_scan_csv(surf, path)
+    write_csv(path, "phi1,phi2,isl_db,pslr_db",
+              [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
+               surf.isl_db, surf.pslr_db])
     _write_manifest(out_dir, "scan", None, [path.name], _parameters(args))
     print(f"wrote {path} ({args.grid_n * args.grid_n} rows, h = {h:.6g})")
     return 0
-
-
-def _lfm_spectrum(T: float, delta_f: float, f_grid, fs: float):
-    """Numeric spectrum of the unit-energy LFM chirp with sweep delta_f."""
-    n = max(int(round(fs * T)), 4)
-    d = T / n
-    t = -T / 2 + (np.arange(n) + 0.5) * d
-    s = np.exp(1j * np.pi * (delta_f / T) * t * t) / np.sqrt(T)
-    out = np.empty(len(f_grid), dtype=complex)
-    chunk = max(1, (1 << 22) // max(n, 1))
-    for lo in range(0, len(f_grid), chunk):
-        fblk = np.asarray(f_grid[lo:lo + chunk])
-        out[lo:lo + len(fblk)] = (
-            np.exp(-2j * np.pi * fblk[:, None] * t[None, :]) @ s) * d
-    return out
 
 
 def _oob_fraction(f, abs2, half_band: float) -> float:
@@ -268,21 +270,17 @@ def cmd_compare_lfm(args) -> int:
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, args.f_n)
     ce = spectrum(spec, f, tol=args.tol)
     ce_path = out_dir / "ce_spectrum.csv"
-    write_spectrum_csv(ce, ce_path)
+    write_csv(ce_path, "f,re,im,abs2", [ce.f, ce.values])
 
-    fs = max(8.0 * delta_f, 64.0 / args.T)
-    lfm = _lfm_spectrum(args.T, delta_f, f, fs)
+    # the unit-energy LFM chirp with sweep delta_f, on a midpoint grid
+    t, d = _nodes(-args.T / 2.0, args.T / 2.0,
+                  max(8.0 * delta_f, 64.0 / args.T), "midpoint")
+    lfm = _dft(np.exp(1j * np.pi * (delta_f / args.T) * t * t)
+               / np.sqrt(args.T), t, d, f)
     lfm_path = out_dir / "lfm_spectrum.csv"
-    with open(lfm_path, "w") as fh:
-        fh.write("f,re,im,abs2\n")
-        for fi, si in zip(f, lfm):
-            fh.write(f"{fi:.17g},{si.real:.17g},{si.imag:.17g},"
-                     f"{abs(si)**2:.17g}\n")
+    write_csv(lfm_path, "f,re,im,abs2", [f, lfm])
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0
-    n = max(int(round(fs * args.T)), 4)
-    d = args.T / n
-    t = -args.T / 2 + (np.arange(n) + 0.5) * d
     lfm_beta2_numeric = float(
         (2.0 * np.pi * delta_f / args.T) ** 2 * np.sum(t * t) * d / args.T)
     summary = {

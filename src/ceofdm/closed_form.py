@@ -50,8 +50,9 @@ import numpy as np
 from .gbf import GbfCoefficients, compute_coefficients
 from .waveform import OutOfSupport, WaveformSpec
 
-# af_surface works on blocks of _NU_BLOCK Dopplers, and its delay sums on
-# temporaries of at most _CHUNK complex elements, so memory stays bounded.
+# af_surface works on blocks of _NU_BLOCK Dopplers, and spectrum and the
+# delay sums on temporaries of at most _CHUNK elements, so memory stays
+# bounded.
 _NU_BLOCK = 64
 _CHUNK = 1 << 20
 
@@ -88,7 +89,7 @@ def spectrum(spec: WaveformSpec, f_grid, tol: float = 1e-12,
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     m = coeffs.m_index
     vals = np.zeros(len(f), dtype=complex)
-    step = max(1, (1 << 22) // max(len(m), 1))
+    step = max(1, _CHUNK // max(len(m), 1))
     for i in range(0, len(f), step):
         blk = f[i:i + step]
         vals[i:i + step] = np.sinc(spec.T * blk[:, None] - m[None, :]) @ coeffs.c
@@ -212,28 +213,3 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096, tol: float = 1e-12,
     body = A * dft(g[0]) + dft(u[0] - v[0])
     tau = np.arange(n_tau + 1) * (spec.T / n_tau)
     return tau, np.concatenate([body, [0.0]])
-
-
-def write_spectrum_csv(samples: SpectrumSamples, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("f,re,im,abs2\n")
-        for f, v in zip(samples.f, samples.values):
-            fh.write(f"{f:.17g},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}\n")
-
-
-def write_surface_csv(surface: AmbiguitySurface, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("tau,nu,re,im,abs2\n")
-        for i, tau in enumerate(surface.tau):
-            for j, nu in enumerate(surface.nu):
-                v = surface.chi[i, j]
-                fh.write(f"{tau:.17g},{nu:.17g},{v.real:.17g},"
-                         f"{v.imag:.17g},{abs(v) ** 2:.17g}\n")
-
-
-def write_acf_csv(tau: np.ndarray, R: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("tau,re,im,abs2\n")
-        for tv, rv in zip(tau, R):
-            rv = complex(rv)
-            fh.write(f"{tv:.17g},{rv.real:.17g},{rv.imag:.17g},{abs(rv) ** 2:.17g}\n")

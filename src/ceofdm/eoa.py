@@ -126,10 +126,3 @@ def ellipse_contour(params: EoaParameters, xi: float,
     unit = np.stack([np.cos(ang), np.sin(ang)])
     pts = V @ (unit * np.sqrt(xi / w)[:, None])
     return pts.T
-
-
-def write_ellipse_csv(points: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("tau,nu\n")
-        for tau, nu in points:
-            fh.write(f"{tau:.17g},{nu:.17g}\n")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import WaveformSpec, spec_digest
+from .waveform import WaveformSpec, _harmonic_sum, spec_digest
 
 M_CAP = 1 << 20
 
@@ -71,11 +71,7 @@ def _coefficients_at_order(spec: WaveformSpec, M: int) -> tuple[np.ndarray, floa
     while nfft < 4 * (2 * M + 1):
         nfft *= 2
     theta = 2.0 * np.pi * np.arange(nfft) / nfft
-    ell = np.arange(1, spec.L + 1, dtype=float)
-    ph = 2.0 * np.pi * spec.h * np.sum(
-        spec.code.gamma[:, None] * np.cos(np.outer(ell, theta) + spec.code.phi[:, None]),
-        axis=0)
-    g = np.exp(1j * ph)
+    g = np.exp(1j * (2.0 * np.pi * spec.h * _harmonic_sum(spec.code, theta)))
     G = np.fft.fft(g) / nfft
     m = np.arange(-M, M + 1)
     c = G[m % nfft]
@@ -110,11 +106,6 @@ def compute_coefficients(spec: WaveformSpec, tol: float = 1e-12) -> GbfCoefficie
         M *= 2
 
 
-def truncation_order(spec: WaveformSpec, tol: float = 1e-12) -> int:
-    """Smallest scheduled M whose Parseval residual is below tol."""
-    return compute_coefficients(spec, tol).M
-
-
 def resynthesize(coeffs: GbfCoefficients, T: float, t) -> np.ndarray:
     """Evaluate sum_m c_m exp(j 2 pi m t / T) on the given times."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -126,14 +117,6 @@ def resynthesize(coeffs: GbfCoefficients, T: float, t) -> np.ndarray:
         blk = m[i:i + step]
         out += coeffs.c[i:i + step] @ np.exp(2j * np.pi * np.outer(blk, t) / T)
     return out
-
-
-def write_coefficients_csv(coeffs: GbfCoefficients, path) -> None:
-    """Dump m, Re c_m, Im c_m, |c_m|^2 rows at full precision."""
-    with open(path, "w") as fh:
-        fh.write("m,re,im,abs2\n")
-        for m, cm in zip(coeffs.m_index, coeffs.c):
-            fh.write(f"{m},{cm.real:.17g},{cm.imag:.17g},{abs(cm) ** 2:.17g}\n")
 
 
 def ordinary_bessel(m: int, z: float) -> float:

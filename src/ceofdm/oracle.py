@@ -12,6 +12,9 @@ that are full-period trigonometric polynomials (the squared frequency
 deviation) are then integrated to machine precision by either rule; odd
 moments carrying a bare t factor converge at the polynomial rate of the rule
 (O(1/fs^2) midpoint, O(1/fs^4) Simpson), so Simpson is the default.
+
+Simpson is waveform.simpson, the arithmetic of scipy.integrate.simpson
+(including its Cartwright rule for an even node count) kept in-package.
 """
 
 from __future__ import annotations
@@ -19,22 +22,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .closed_form import SpectrumSamples
 from .waveform import (TWO_PI, OutOfSupport, WaveformSpec, freq_mod_at,
-                       oversample_floor, phase_at, spec_digest)
+                       oversample_floor, phase_at, simpson, spec_digest)
 
 QUAD_RULES = ("midpoint", "simpson")
+
+# _dft works on blocks of at most this many (frequency, node) pairs.
+_DFT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Quadrature setup: sample rate, rule, and reporting tolerance."""
+    """Quadrature setup: sample rate and rule."""
 
     fs: float
     quad_rule: str = "simpson"
-    tol_report: float = 1e-6
 
     def __post_init__(self):
         if self.quad_rule not in QUAD_RULES:
@@ -65,8 +69,20 @@ def _integrate(y: np.ndarray, t: np.ndarray, d: float, rule: str):
     if rule == "midpoint":
         return np.sum(y) * d
     if np.iscomplexobj(y):
-        return simpson(y.real, x=t) + 1j * simpson(y.imag, x=t)
-    return simpson(y, x=t)
+        return simpson(y.real, t) + 1j * simpson(y.imag, t)
+    return simpson(y, t)
+
+
+def _dft(s: np.ndarray, t: np.ndarray, d: float, f) -> np.ndarray:
+    """d sum_n s_n exp(-j 2 pi f t_n) at each frequency f: the Fourier
+    integral of samples s on midpoint nodes t with spacing d."""
+    out = np.empty(len(f), dtype=complex)
+    step = max(1, _DFT_CHUNK // max(len(t), 1))
+    for i in range(0, len(f), step):
+        blk = f[i:i + step]
+        out[i:i + step] = (np.exp(-2j * np.pi * blk[:, None] * t[None, :])
+                           @ s) * d
+    return out
 
 
 def af_numeric(spec: WaveformSpec, tau: float, nu: float,
@@ -162,9 +178,5 @@ def spectrum_numeric(spec: WaveformSpec, cfg: OracleConfig,
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     t, d = _nodes(-T / 2.0, T / 2.0, cfg.fs, "midpoint")
     s = np.exp(1j * phase_at(spec, t)) / np.sqrt(T)
-    vals = np.zeros(len(f), dtype=complex)
-    step = max(1, (1 << 22) // max(len(t), 1))
-    for i in range(0, len(f), step):
-        blk = f[i:i + step]
-        vals[i:i + step] = np.exp(-2j * np.pi * np.outer(blk, t)) @ s * d
-    return SpectrumSamples(f=f, values=vals, spec_hash=spec_digest(spec))
+    return SpectrumSamples(f=f, values=_dft(s, t, d, f),
+                           spec_hash=spec_digest(spec))

@@ -10,7 +10,10 @@ rather than trusted.
 PSLR is the largest sampled |R|^2 at or beyond delta_tau (the mainlobe peak
 is |R(0)|^2 = 1).  ISL is the sidelobe-to-mainlobe energy ratio with both
 areas taken by composite Simpson on the stored grid, split at the grid node
-nearest the refined null.  Ratios of zero are floored at -300 dB.
+nearest the refined null.  Simpson is waveform.simpson, which reproduces
+scipy.integrate.simpson bit for bit, including its Cartwright correction of
+the last interval when a part has an even number of nodes.  Ratios of zero
+are floored at -300 dB.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .closed_form import acf_uniform
-from .waveform import PskCode, WaveformSpec, wrap_phase
+from .waveform import PskCode, WaveformSpec, simpson, wrap_phase
 
 DB_FLOOR = -300.0
 
@@ -81,8 +83,8 @@ def isl(tau_grid, acf_abs2, delta_tau: float) -> float:
     y = np.asarray(acf_abs2, dtype=float)
     split = int(np.argmin(np.abs(tau - delta_tau)))
     split = min(max(split, 1), len(tau) - 2)
-    main = float(simpson(y[:split + 1], x=tau[:split + 1]))
-    side = float(simpson(y[split:], x=tau[split:]))
+    main = float(simpson(y[:split + 1], tau[:split + 1]))
+    side = float(simpson(y[split:], tau[split:]))
     floor = 10.0 ** (DB_FLOOR / 10.0)
     return 10.0 * np.log10(max(side, floor * main) / main)
 
@@ -138,12 +140,3 @@ def metric_surface(T: float, h: float, grid_n: int, n_tau: int = 4096,
                                   n_tau=n_tau, tol=tol)
             isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
     return MetricSurface(phi1=phis, phi2=phis, isl_db=isl_db, pslr_db=pslr_db)
-
-
-def write_scan_csv(surface: MetricSurface, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("phi1,phi2,isl_db,pslr_db\n")
-        for i, p1 in enumerate(surface.phi1):
-            for j, p2 in enumerate(surface.phi2):
-                fh.write(f"{p1:.17g},{p2:.17g},"
-                         f"{surface.isl_db[i, j]:.17g},{surface.pslr_db[i, j]:.17g}\n")

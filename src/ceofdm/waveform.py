@@ -65,6 +65,39 @@ def wrap_phase(phi):
     return out
 
 
+def simpson(y, x):
+    """Composite Simpson integral of the samples y over the 1-d nodes x.
+
+    The arithmetic is that of scipy.integrate.simpson, so results agree bit
+    for bit: Simpson's rule for unequal spacings over each pair of
+    intervals and, for an even number of samples, Cartwright's correction
+    for the last interval (the trapezoid for two samples).  x must be
+    strictly increasing.
+    """
+    y = np.asarray(y)
+    x = np.asarray(x, dtype=float)
+    n = len(y)
+    h = np.diff(x)
+    if n == 2:
+        return 0.5 * h[-1] * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2:
+        return result
+    # Length-1 slices, not scalars: a float64 scalar cube can round
+    # differently from an array cube.
+    a, b = h[-2:-1], h[-1:]
+    alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
+    beta = (b ** 2 + 3.0 * a * b) / (6 * a)
+    eta = (1 * b ** 3) / (6 * a * (a + b))
+    return (result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0]
+
+
 @dataclass(frozen=True)
 class PskCode:
     """Per-subcarrier amplitudes and phases driving the phase series.
@@ -201,30 +234,19 @@ def random_psk_code(L: int, m_psk: int, seed: int) -> PskCode:
     return PskCode(L=L, gamma=np.ones(L), phi=phi, m_psk=m_psk)
 
 
-def _harmonic_cos_sum(code: PskCode, x: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """sum_l gamma_l cos(l x + phi_l), evaluated in bounded-memory chunks."""
+def _harmonic_sum(code: PskCode, x, derivative: bool = False,
+                  chunk: int = 1 << 16) -> np.ndarray:
+    """sum_l gamma_l cos(l x + phi_l), or, with derivative=True, minus its
+    x-derivative sum_l l gamma_l sin(l x + phi_l); evaluated in
+    bounded-memory chunks."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ell = np.arange(1, code.L + 1, dtype=float)
+    w, fn = (ell * code.gamma, np.sin) if derivative else (code.gamma, np.cos)
     out = np.empty_like(x)
     for i in range(0, len(x), chunk):
         blk = x[i:i + chunk]
         out[i:i + chunk] = np.sum(
-            code.gamma[:, None] * np.cos(np.outer(ell, blk) + code.phi[:, None]),
-            axis=0)
-    return out
-
-
-def _harmonic_sin_sum_weighted(code: PskCode, x: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """sum_l l gamma_l sin(l x + phi_l), evaluated in bounded-memory chunks."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ell = np.arange(1, code.L + 1, dtype=float)
-    w = ell * code.gamma
-    out = np.empty_like(x)
-    for i in range(0, len(x), chunk):
-        blk = x[i:i + chunk]
-        out[i:i + chunk] = np.sum(
-            w[:, None] * np.sin(np.outer(ell, blk) + code.phi[:, None]),
-            axis=0)
+            w[:, None] * fn(np.outer(ell, blk) + code.phi[:, None]), axis=0)
     return out
 
 
@@ -243,7 +265,7 @@ def phase_at(spec: WaveformSpec, t):
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_support(spec, arr)
-    out = TWO_PI * spec.h * _harmonic_cos_sum(spec.code, TWO_PI * arr / spec.T)
+    out = TWO_PI * spec.h * _harmonic_sum(spec.code, TWO_PI * arr / spec.T)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -251,8 +273,8 @@ def freq_mod_at(spec: WaveformSpec, t):
     """Instantaneous frequency deviation m(t) = phi'(t)/(2 pi) in Hz."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_support(spec, arr)
-    out = -(TWO_PI * spec.h / spec.T) * _harmonic_sin_sum_weighted(
-        spec.code, TWO_PI * arr / spec.T)
+    out = -(TWO_PI * spec.h / spec.T) * _harmonic_sum(
+        spec.code, TWO_PI * arr / spec.T, derivative=True)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ceofdm
 from ceofdm import __version__
-from ceofdm.cli import main
+from ceofdm.cli import main, write_csv
 from ceofdm.sidelobes import sidelobe_report
 from ceofdm.waveform import load_spec, wrap_phase
 
@@ -154,3 +159,29 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         _run("frobnicate")
     assert exc.value.code == 2
+
+
+def test_write_csv_matches_per_row_format(tmp_path):
+    rng = np.random.default_rng(3)
+    m = np.arange(-40, 41)
+    x = rng.normal(size=m.size)
+    x[0] = -0.0
+    z = (rng.normal(size=m.size) + 1j * rng.normal(size=m.size)) \
+        * 10.0 ** rng.uniform(-9.0, 1.0, m.size)
+    z[:2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    # the squared magnitude must follow abs(v) ** 2, not np.abs(z) ** 2
+    assert np.any(np.abs(z) ** 2 != [abs(v) ** 2 for v in z])
+    path = tmp_path / "data.csv"
+    write_csv(path, "m,x,re,im,abs2", [m, x, z])
+    ref = "m,x,re,im,abs2\n" + "".join(
+        f"{mi},{xi:.17g},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}\n"
+        for mi, xi, v in zip(m, x, z))
+    assert path.read_bytes() == ref.encode()
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(ceofdm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ceofdm; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceofdm.closed_form import (acf_uniform, af_surface, ambiguity, spectrum,
-                                write_acf_csv, write_spectrum_csv,
-                                write_surface_csv)
+from ceofdm.cli import write_csv
+from ceofdm.closed_form import acf_uniform, af_surface, ambiguity, spectrum
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import OracleConfig, af_numeric
 from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
@@ -196,7 +195,7 @@ def test_csv_exports_round_trip(tmp_path):
     f = np.linspace(-3, 3, 11)
     s = spectrum(spec, f)
     path = tmp_path / "spectrum.csv"
-    write_spectrum_csv(s, path)
+    write_csv(path, "f,re,im,abs2", [s.f, s.values])
     data = np.genfromtxt(path, delimiter=",", names=True)
     np.testing.assert_allclose(data["re"] + 1j * data["im"], s.values,
                                atol=1e-16)
@@ -205,7 +204,8 @@ def test_csv_exports_round_trip(tmp_path):
     nu = np.linspace(-2, 2, 3)
     surf = af_surface(spec, tau, nu)
     path = tmp_path / "af.csv"
-    write_surface_csv(surf, path)
+    write_csv(path, "tau,nu,re,im,abs2",
+              [*np.meshgrid(tau, nu, indexing="ij"), surf.chi])
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert len(data) == 9
     np.testing.assert_allclose(
@@ -213,7 +213,7 @@ def test_csv_exports_round_trip(tmp_path):
 
     tg, R = acf_uniform(spec, n_tau=16)
     path = tmp_path / "acf.csv"
-    write_acf_csv(tg, R, path)
+    write_csv(path, "tau,re,im,abs2", [tg, R])
     data = np.genfromtxt(path, delimiter=",", names=True)
     np.testing.assert_allclose(data["abs2"], np.abs(R) ** 2, atol=1e-16)
 

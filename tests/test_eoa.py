@@ -5,7 +5,7 @@ import pytest
 
 from ceofdm.eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                         ellipse_tilt, eoa_closed_form, h_for_tbp,
-                        max_coupling_code, rho_norm_max, write_ellipse_csv)
+                        max_coupling_code, rho_norm_max)
 from ceofdm.oracle import OracleConfig, rdcf_numeric, rms_bandwidth_numeric
 from ceofdm.waveform import (PskCode, WaveformSpec, freq_mod_at,
                              random_psk_code)
@@ -155,12 +155,3 @@ def test_degenerate_ellipse_rejected():
         ellipse_contour(params, 1.0)
     with pytest.raises(ValueError):
         ellipse_contour(eoa_closed_form(_spec()), -1.0)
-
-
-def test_ellipse_csv(tmp_path):
-    params = eoa_closed_form(_spec(seed=7))
-    pts = ellipse_contour(params, 0.01, n_points=16)
-    path = tmp_path / "ellipse.csv"
-    write_ellipse_csv(pts, path)
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    np.testing.assert_allclose(data["tau"], pts[:, 0], atol=1e-16)

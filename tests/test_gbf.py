@@ -2,9 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from ceofdm.cli import write_csv
 from ceofdm.gbf import (GbfCoefficients, TruncationFailure,
-                        compute_coefficients, ordinary_bessel, resynthesize,
-                        truncation_order)
+                        compute_coefficients, ordinary_bessel, resynthesize)
 from ceofdm.waveform import (PskCode, WaveformSpec, phase_at,
                              random_psk_code, wrap_phase)
 
@@ -93,8 +93,8 @@ def test_phase_negation_flips_coefficient_index():
 
 
 def test_truncation_order_grows_with_h():
-    assert truncation_order(_spec(L=2, h=0.1)) < truncation_order(
-        _spec(L=2, h=5.0))
+    assert compute_coefficients(_spec(L=2, h=0.1)).M < compute_coefficients(
+        _spec(L=2, h=5.0)).M
 
 
 def test_truncation_cap_enforced():
@@ -123,10 +123,9 @@ def test_coefficient_accessor_bounds():
 
 
 def test_coefficient_csv_round_trip(tmp_path):
-    from ceofdm.gbf import write_coefficients_csv
     co = compute_coefficients(_spec(L=3, h=0.6, seed=4))
     path = tmp_path / "coeffs.csv"
-    write_coefficients_csv(co, path)
+    write_csv(path, "m,re,im,abs2", [co.m_index, co.c])
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert len(data) == 2 * co.M + 1
     np.testing.assert_allclose(data["re"] + 1j * data["im"], co.c,

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from ceofdm.cli import write_csv
 from ceofdm.closed_form import acf_uniform
 from ceofdm.oracle import OracleConfig, af_numeric_grid
 from ceofdm.sidelobes import (DB_FLOOR, isl, mainlobe_null, metric_surface,
-                              pslr, report_from_acf, sidelobe_report,
-                              write_scan_csv)
+                              pslr, report_from_acf, sidelobe_report)
 from ceofdm.waveform import (PskCode, WaveformSpec, random_psk_code,
                              wrap_phase)
 
@@ -124,7 +124,9 @@ def test_metric_surface_symmetry_and_export(tmp_path):
             assert surf.pslr_db[i, j] == pytest.approx(surf.pslr_db[ii, jj],
                                                        abs=1e-9)
     path = tmp_path / "scan.csv"
-    write_scan_csv(surf, path)
+    write_csv(path, "phi1,phi2,isl_db,pslr_db",
+              [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
+               surf.isl_db, surf.pslr_db])
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert len(data) == n * n
     np.testing.assert_allclose(data["isl_db"].reshape(n, n), surf.isl_db,
