@@ -6,7 +6,7 @@ from .eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                   ellipse_tilt, eoa_closed_form, h_for_tbp,
                   max_coupling_code, rho_norm_max)
 from .gbf import (GbfCoefficients, TruncationFailure, compute_coefficients,
-                  ordinary_bessel, resynthesize)
+                  resynthesize)
 from .oracle import (OracleConfig, af_numeric, af_numeric_grid, config_for,
                      rdcf_numeric, rms_bandwidth_numeric,
                      rms_pulselength_numeric, spectrum_numeric)
@@ -30,9 +30,9 @@ __all__ = [
     "af_numeric_grid", "af_surface", "ambiguity", "code_from_symbols",
     "compute_coefficients", "config_for", "ellipse_contour", "ellipse_tilt",
     "eoa_closed_form", "freq_mod_at", "h_for_tbp", "load_spec",
-    "max_coupling_code", "metric_surface", "ordinary_bessel",
-    "oversample_floor", "phase_at", "psk_alphabet", "random_psk_code",
-    "rdcf_numeric", "resynthesize", "rho_norm_max", "rms_bandwidth_numeric",
-    "rms_pulselength_numeric", "sample", "sample_times", "save_spec",
-    "sidelobe_report", "spectrum", "spectrum_numeric", "wrap_phase",
+    "max_coupling_code", "metric_surface", "oversample_floor", "phase_at",
+    "psk_alphabet", "random_psk_code", "rdcf_numeric", "resynthesize",
+    "rho_norm_max", "rms_bandwidth_numeric", "rms_pulselength_numeric",
+    "sample", "sample_times", "save_spec", "sidelobe_report", "spectrum",
+    "spectrum_numeric", "wrap_phase",
 ]

@@ -1,14 +1,16 @@
 """Command-line front end: generate, analyze, scan, compare-lfm.
 
-Every run writes its data files plus a manifest.json into --out.  Data files
-are pure functions of the inputs, so re-running a command reproduces them
-byte for byte; only the manifest timestamp changes.
+main creates --out, runs one command and then writes manifest.json there.  A
+command writes its data files, prints one line and returns its spec file and
+the names of the files it wrote, which the manifest lists.  Data files are
+pure functions of the inputs, so re-running a command reproduces them byte
+for byte; only the manifest timestamp changes.  A failed command writes no
+manifest.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from datetime import datetime, timezone
@@ -26,26 +28,7 @@ from .oracle import (OracleConfig, _dft, _nodes, af_numeric_grid,
 from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, sample_times, save_spec,
-                       wrap_phase)
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _write_manifest(out_dir: Path, command: str, spec_file, outputs,
-                    parameters) -> None:
-    manifest = {
-        "command": command,
-        "spec_file": str(spec_file) if spec_file is not None else None,
-        "outputs": sorted(str(p) for p in outputs),
-        "parameters": parameters,
-        "tool_version": __version__,
-        "timestamp": _utc_now(),
-    }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+                       wrap_phase, write_json)
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -92,9 +75,7 @@ def _resolve_h(args, L: int) -> float:
     return h_for_tbp(args.T, args.tbp / args.T, L)
 
 
-def cmd_gen(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_gen(args) -> tuple[Path | None, list[str]]:
     h = _resolve_h(args, args.L)
     if args.phi_file is not None:
         phi = np.loadtxt(args.phi_file, dtype=float, ndmin=1)
@@ -109,31 +90,30 @@ def cmd_gen(args) -> int:
                        phi=np.zeros(args.L), m_psk=args.mpsk)
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
-    spec_path = out_dir / "spec.json"
+    spec_path = args.out / "spec.json"
     save_spec(spec, spec_path)
 
     fs = args.fs if args.fs is not None else 2.0 * oversample_floor(spec)
     t = sample_times(spec, fs)
     s = sample(spec, fs)
-    samples_path = out_dir / "samples.csv"
+    samples_path = args.out / "samples.csv"
     write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
 
-    _write_manifest(out_dir, "gen", spec_path,
-                    [spec_path.name, samples_path.name], _parameters(args))
     print(f"wrote {spec_path} (h = {h:.6g}) and {samples_path}")
-    return 0
+    return spec_path, [spec_path.name, samples_path.name]
 
 
-def cmd_analyze(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_analyze(args) -> tuple[Path | None, list[str]]:
     spec = load_spec(args.spec)
     coeffs = compute_coefficients(spec, args.tol)
     outputs = []
 
-    coeff_path = out_dir / "coefficients.csv"
-    write_csv(coeff_path, "m,re,im,abs2", [coeffs.m_index, coeffs.c])
-    outputs.append(coeff_path.name)
+    def out(name: str) -> Path:
+        outputs.append(name)
+        return args.out / name
+
+    write_csv(out("coefficients.csv"), "m,re,im,abs2",
+              [coeffs.m_index, coeffs.c])
 
     cfg = OracleConfig(fs=_oracle_fs(spec)) if args.oracle else None
 
@@ -142,25 +122,23 @@ def cmd_analyze(args) -> int:
             else (2.0 * spec.L + 8.0) / spec.T
         f = np.linspace(-f_max, f_max, args.f_n)
         samples = spectrum(spec, f, tol=args.tol, coeffs=coeffs)
-        path = out_dir / "spectrum.csv"
-        write_csv(path, "f,re,im,abs2", [samples.f, samples.values])
-        outputs.append(path.name)
+        write_csv(out("spectrum.csv"), "f,re,im,abs2",
+                  [samples.f, samples.values])
 
     if args.acf or args.sidelobes:
         tau, R = acf_uniform(spec, n_tau=args.acf_n, tol=args.tol,
                              coeffs=coeffs)
 
     if args.acf:
-        path = out_dir / "acf.csv"
         if cfg is None:
-            write_csv(path, "tau,re,im,abs2", [tau, R])
+            write_csv(out("acf.csv"), "tau,re,im,abs2", [tau, R])
         else:
             ref = af_numeric_grid(spec, tau, np.zeros(1), cfg)[:, 0]
             err = R - ref
-            write_csv(path, "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
+            write_csv(out("acf.csv"),
+                      "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
                       [tau, R, ref.real, ref.imag,
                        np.hypot(err.real, err.imag)])
-        outputs.append(path.name)
 
     if args.af is not None:
         tau_n, nu_n = args.af
@@ -168,87 +146,60 @@ def cmd_analyze(args) -> int:
                           np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n),
                           np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n),
                           tol=args.tol, coeffs=coeffs)
-        path = out_dir / "af.csv"
-        write_csv(path, "tau,nu,re,im,abs2",
+        write_csv(out("af.csv"), "tau,nu,re,im,abs2",
                   [*np.meshgrid(surf.tau, surf.nu, indexing="ij"), surf.chi])
-        outputs.append(path.name)
 
     if args.eoa:
-        params = eoa_closed_form(spec)
-        report = {
-            "beta2": params.beta2,
-            "tau2": params.tau2,
-            "rho": params.rho,
-            "rho_norm": params.rho_norm,
-            "rho_norm_max": rho_norm_max(spec.L),
-            "f0": params.f0,
-            "h": spec.h,
-            "L": spec.L,
-            "T": spec.T,
-        }
-        path = out_dir / "eoa.json"
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(path.name)
+        closed = eoa_closed_form(spec).as_dict()
+        write_json(out("eoa.json"),
+                   {**closed,
+                    "rho_norm_max": rho_norm_max(spec.L),
+                    "h": spec.h,
+                    "L": spec.L,
+                    "T": spec.T})
         if cfg is not None:
-            closed = {"beta2": params.beta2, "tau2": params.tau2,
-                      "rho": params.rho}
             numeric = {"beta2": rms_bandwidth_numeric(spec, cfg),
                        "tau2": rms_pulselength_numeric(spec, cfg),
                        "rho": rdcf_numeric(spec, cfg)}
             rows = []
-            for name in ("beta2", "tau2", "rho"):
-                err = abs(closed[name] - numeric[name])
+            for name, value in numeric.items():
+                err = abs(closed[name] - value)
                 scale = max(abs(closed[name]), 1e-300)
                 rows.append({"quantity": name,
                              "closed_form": closed[name],
-                             "numeric": numeric[name],
+                             "numeric": value,
                              "abs_err": err,
                              "rel_err": err / scale,
                              "fs": cfg.fs,
                              "rule": cfg.quad_rule})
-            path = out_dir / "oracle_eoa.json"
-            with open(path, "w") as fh:
-                json.dump(rows, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            outputs.append(path.name)
+            write_json(out("oracle_eoa.json"), rows)
 
     if args.sidelobes:
         rep = report_from_acf(tau, R)
-        path = out_dir / "sidelobes.json"
-        with open(path, "w") as fh:
-            json.dump({"delta_tau": rep.delta_tau,
-                       "pslr_db": rep.pslr_db,
-                       "isl_db": rep.isl_db,
-                       "null_found": rep.null_found,
-                       "n_tau": args.acf_n,
-                       "tau_max": float(rep.tau_grid[-1])},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(path.name)
+        write_json(out("sidelobes.json"),
+                   {"delta_tau": rep.delta_tau,
+                    "pslr_db": rep.pslr_db,
+                    "isl_db": rep.isl_db,
+                    "null_found": rep.null_found,
+                    "n_tau": args.acf_n,
+                    "tau_max": float(tau[-1])})
 
-    _write_manifest(out_dir, "analyze", args.spec, outputs,
-                    _parameters(args))
-    print(f"wrote {len(outputs)} files to {out_dir}")
-    return 0
+    print(f"wrote {len(outputs)} files to {args.out}")
+    return args.spec, outputs
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple[Path | None, list[str]]:
     if args.L != 2:
         raise ValueError(f"scan supports L = 2 only, got L = {args.L}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     h = _resolve_h(args, args.L)
     surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n,
                           tol=args.tol)
-    path = out_dir / "scan.csv"
+    path = args.out / "scan.csv"
     write_csv(path, "phi1,phi2,isl_db,pslr_db",
               [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
                surf.isl_db, surf.pslr_db])
-    _write_manifest(out_dir, "scan", None, [path.name], _parameters(args))
     print(f"wrote {path} ({args.grid_n * args.grid_n} rows, h = {h:.6g})")
-    return 0
+    return None, [path.name]
 
 
 def _oob_fraction(f, abs2, half_band: float) -> float:
@@ -259,9 +210,7 @@ def _oob_fraction(f, abs2, half_band: float) -> float:
     return 1.0 - inband
 
 
-def cmd_compare_lfm(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.T, delta_f, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
@@ -269,16 +218,14 @@ def cmd_compare_lfm(args) -> int:
 
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, args.f_n)
     ce = spectrum(spec, f, tol=args.tol)
-    ce_path = out_dir / "ce_spectrum.csv"
-    write_csv(ce_path, "f,re,im,abs2", [ce.f, ce.values])
+    write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
 
     # the unit-energy LFM chirp with sweep delta_f, on a midpoint grid
     t, d = _nodes(-args.T / 2.0, args.T / 2.0,
                   max(8.0 * delta_f, 64.0 / args.T), "midpoint")
     lfm = _dft(np.exp(1j * np.pi * (delta_f / args.T) * t * t)
                / np.sqrt(args.T), t, d, f)
-    lfm_path = out_dir / "lfm_spectrum.csv"
-    write_csv(lfm_path, "f,re,im,abs2", [f, lfm])
+    write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0
     lfm_beta2_numeric = float(
@@ -300,18 +247,12 @@ def cmd_compare_lfm(args) -> int:
     }
     summary["oob_ratio"] = (summary["ce_oob_fraction"]
                             / max(summary["lfm_oob_fraction"], 1e-300))
-    json_path = out_dir / "comparison.json"
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(args.out / "comparison.json", summary)
 
-    _write_manifest(out_dir, "compare-lfm", None,
-                    [ce_path.name, lfm_path.name, json_path.name],
-                    _parameters(args))
-    print(f"wrote comparison to {out_dir} "
+    print(f"wrote comparison to {args.out} "
           f"(CE OOB {summary['ce_oob_fraction']:.4f}, "
           f"LFM OOB {summary['lfm_oob_fraction']:.4f})")
-    return 0
+    return None, ["ce_spectrum.csv", "lfm_spectrum.csv", "comparison.json"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,13 +326,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    created = not args.out.exists()
     try:
-        return args.func(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        spec_file, outputs = args.func(args)
+        write_json(args.out / "manifest.json", {
+            "command": args.command,
+            "spec_file": None if spec_file is None else str(spec_file),
+            "outputs": sorted(outputs),
+            "parameters": _parameters(args),
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat(
+                timespec="seconds"),
+        })
     except Exception as exc:
+        # a rejected command leaves no empty directory of its own behind
+        if created and args.out.is_dir() and not any(args.out.iterdir()):
+            args.out.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

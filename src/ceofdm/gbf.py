@@ -118,70 +118,3 @@ def resynthesize(coeffs: GbfCoefficients, T: float, t) -> np.ndarray:
         out += coeffs.c[i:i + step] @ np.exp(2j * np.pi * np.outer(blk, t) / T)
     return out
 
-
-def ordinary_bessel(m: int, z: float) -> float:
-    """Ordinary Bessel function J_m(z) for integer m and real |z| < 700.
-
-    Ascending power series for |z| <= 12, backward (Miller) recurrence with
-    the J_0 + 2 sum J_2k = 1 normalization otherwise.  Accurate to about
-    1e-12 absolute; independent of the FFT coefficient path.
-    """
-    m = int(m)
-    z = float(z)
-    if abs(z) >= 700.0:
-        raise ValueError(f"|z| must be < 700, got {z}")
-    sign = 1.0
-    if m < 0:
-        m = -m
-        if m % 2:
-            sign = -sign
-    if z < 0:
-        z = -z
-        if m % 2:
-            sign = -sign
-    if z == 0.0:
-        return sign if m == 0 else 0.0
-    if z <= 12.0:
-        return sign * _bessel_series(m, z)
-    return sign * _bessel_miller(m, z)
-
-
-def _bessel_series(m: int, z: float) -> float:
-    # J_m(z) = sum_k (-1)^k (z/2)^{m+2k} / (k! (m+k)!)
-    half = z / 2.0
-    term = half ** m / math.factorial(m)
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -(half * half) / (k * (m + k))
-        total += term
-        if abs(term) < 1e-18 * max(abs(total), 1e-30) or k > 200:
-            return total
-
-
-def _bessel_miller(m: int, z: float) -> float:
-    # downward recurrence J_{k-1} = (2k/z) J_k - J_{k+1} from a start order
-    # far enough above both m and z that the seed error has decayed away
-    start = max(m, int(z)) + 2 * int(math.sqrt(40.0 * max(m, int(z)))) + 30
-    if start % 2:
-        start += 1
-    jp = 0.0
-    jc = 1e-30
-    norm = 0.0
-    result = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / z) * jc - jp
-        jp = jc
-        jc = jm
-        if k - 1 == m:
-            result = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-    norm += jc  # J_0 term
-    return result / norm

@@ -30,13 +30,11 @@ DB_FLOOR = -300.0
 
 @dataclass(frozen=True)
 class SidelobeReport:
-    """Sidelobe metrics together with the ACF they were measured on."""
+    """Mainlobe null and sidelobe metrics of one sampled ACF."""
 
     delta_tau: float
     pslr_db: float
     isl_db: float
-    tau_grid: np.ndarray
-    acf_abs2: np.ndarray
     null_found: bool = True
 
 
@@ -97,8 +95,6 @@ def report_from_acf(tau_grid, acf_values) -> SidelobeReport:
     return SidelobeReport(delta_tau=dt,
                           pslr_db=pslr(tau_grid, y, dt),
                           isl_db=isl(tau_grid, y, dt),
-                          tau_grid=np.asarray(tau_grid, dtype=float),
-                          acf_abs2=y,
                           null_found=found)
 
 

@@ -345,10 +345,15 @@ def spec_from_dict(d: dict) -> WaveformSpec:
     return WaveformSpec(T=float(d["T"]), h=float(d["h"]), code=code)
 
 
-def save_spec(spec: WaveformSpec, path) -> None:
+def write_json(path, obj) -> None:
+    """Write obj as JSON, indented by 2 with sorted keys and a final newline."""
     with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_spec(spec: WaveformSpec, path) -> None:
+    write_json(path, spec_to_dict(spec))
 
 
 def load_spec(path) -> WaveformSpec:

@@ -121,10 +121,36 @@ def test_analyze_sidelobes_and_manifest(tmp_path):
 def test_analyze_missing_spec(tmp_path):
     assert _run("analyze", "--spec", tmp_path / "nope.json", "--eoa",
                 "--out", tmp_path) == 2
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_scan_rejects_other_carrier_counts(tmp_path):
-    assert _run("scan", "--L", 3, "--h", 1.0, "--out", tmp_path) == 2
+    out = tmp_path / "s"
+    assert _run("scan", "--L", 3, "--h", 1.0, "--out", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "analyze", "scan",
+                                     "compare-lfm"])
+def test_manifest_lists_every_output(tmp_path, command):
+    spec = tmp_path / "g" / "spec.json"
+    _run("gen", "--L", 2, "--h", 0.5, "--out", spec.parent)
+    out = tmp_path / "out"
+    argv = {
+        "gen": ["--L", 2, "--h", 0.5, "--seed", 1],
+        "analyze": ["--spec", spec, "--spectrum", "--acf", "--af", 3, 3,
+                    "--eoa", "--sidelobes", "--oracle", "--acf-n", 64,
+                    "--f-n", 33],
+        "scan": ["--h", 0.5, "--grid-n", 2, "--acf-n", 64],
+        "compare-lfm": ["--tbp", 20, "--L", 2, "--f-n", 65],
+    }[command]
+    assert _run(command, *argv, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == sorted(
+        p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert manifest["spec_file"] == {
+        "gen": str(out / "spec.json"), "analyze": str(spec)}.get(command)
 
 
 def test_scan_small_grid_symmetry(tmp_path):
