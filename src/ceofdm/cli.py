@@ -11,7 +11,6 @@ manifest.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -22,9 +21,8 @@ from . import __version__
 from .closed_form import acf_uniform, af_surface, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients
-from .oracle import (OracleConfig, _dft, _nodes, af_numeric_grid,
-                     rdcf_numeric, rms_bandwidth_numeric,
-                     rms_pulselength_numeric)
+from .oracle import (_dft, _nodes, af_numeric_grid, oracle_fs, rdcf_numeric,
+                     rms_bandwidth_numeric, rms_pulselength_numeric)
 from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, sample_times, save_spec,
@@ -60,13 +58,6 @@ def _parameters(args) -> dict:
             continue
         out[key] = str(val) if isinstance(val, Path) else val
     return out
-
-
-def _oracle_fs(spec: WaveformSpec) -> float:
-    # Snap the node count to a power of two at or above both twice the
-    # sampling floor and 8192 so Simpson grids stay clean across reruns.
-    n = max(2.0 * oversample_floor(spec) * spec.T, 8192.0)
-    return float(2 ** math.ceil(math.log2(n))) / spec.T
 
 
 def _resolve_h(args, L: int) -> float:
@@ -105,7 +96,7 @@ def cmd_gen(args) -> tuple[Path | None, list[str]]:
 
 def cmd_analyze(args) -> tuple[Path | None, list[str]]:
     spec = load_spec(args.spec)
-    coeffs = compute_coefficients(spec, args.tol)
+    coeffs = compute_coefficients(spec)
     outputs = []
 
     def out(name: str) -> Path:
@@ -115,25 +106,24 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
     write_csv(out("coefficients.csv"), "m,re,im,abs2",
               [coeffs.m_index, coeffs.c])
 
-    cfg = OracleConfig(fs=_oracle_fs(spec)) if args.oracle else None
+    fs = oracle_fs(spec) if args.oracle else None
 
     if args.spectrum:
         f_max = args.f_max if args.f_max is not None \
             else (2.0 * spec.L + 8.0) / spec.T
         f = np.linspace(-f_max, f_max, args.f_n)
-        samples = spectrum(spec, f, tol=args.tol, coeffs=coeffs)
+        samples = spectrum(spec, f, coeffs=coeffs)
         write_csv(out("spectrum.csv"), "f,re,im,abs2",
                   [samples.f, samples.values])
 
     if args.acf or args.sidelobes:
-        tau, R = acf_uniform(spec, n_tau=args.acf_n, tol=args.tol,
-                             coeffs=coeffs)
+        tau, R = acf_uniform(spec, n_tau=args.acf_n, coeffs=coeffs)
 
     if args.acf:
-        if cfg is None:
+        if fs is None:
             write_csv(out("acf.csv"), "tau,re,im,abs2", [tau, R])
         else:
-            ref = af_numeric_grid(spec, tau, np.zeros(1), cfg)[:, 0]
+            ref = af_numeric_grid(spec, tau, np.zeros(1), fs)[:, 0]
             err = R - ref
             write_csv(out("acf.csv"),
                       "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
@@ -145,7 +135,7 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
         surf = af_surface(spec,
                           np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n),
                           np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n),
-                          tol=args.tol, coeffs=coeffs)
+                          coeffs=coeffs)
         write_csv(out("af.csv"), "tau,nu,re,im,abs2",
                   [*np.meshgrid(surf.tau, surf.nu, indexing="ij"), surf.chi])
 
@@ -157,10 +147,10 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                     "h": spec.h,
                     "L": spec.L,
                     "T": spec.T})
-        if cfg is not None:
-            numeric = {"beta2": rms_bandwidth_numeric(spec, cfg),
-                       "tau2": rms_pulselength_numeric(spec, cfg),
-                       "rho": rdcf_numeric(spec, cfg)}
+        if fs is not None:
+            numeric = {"beta2": rms_bandwidth_numeric(spec, fs),
+                       "tau2": rms_pulselength_numeric(spec, fs),
+                       "rho": rdcf_numeric(spec, fs)}
             rows = []
             for name, value in numeric.items():
                 err = abs(closed[name] - value)
@@ -170,8 +160,8 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                              "numeric": value,
                              "abs_err": err,
                              "rel_err": err / scale,
-                             "fs": cfg.fs,
-                             "rule": cfg.quad_rule})
+                             "fs": fs,
+                             "rule": "simpson"})
             write_json(out("oracle_eoa.json"), rows)
 
     if args.sidelobes:
@@ -192,8 +182,7 @@ def cmd_scan(args) -> tuple[Path | None, list[str]]:
     if args.L != 2:
         raise ValueError(f"scan supports L = 2 only, got L = {args.L}")
     h = _resolve_h(args, args.L)
-    surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n,
-                          tol=args.tol)
+    surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n)
     path = args.out / "scan.csv"
     write_csv(path, "phi1,phi2,isl_db,pslr_db",
               [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
@@ -217,12 +206,12 @@ def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, args.f_n)
-    ce = spectrum(spec, f, tol=args.tol)
+    ce = spectrum(spec, f)
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
 
     # the unit-energy LFM chirp with sweep delta_f, on a midpoint grid
     t, d = _nodes(-args.T / 2.0, args.T / 2.0,
-                  max(8.0 * delta_f, 64.0 / args.T), "midpoint")
+                  max(8.0 * delta_f, 64.0 / args.T), midpoint=True)
     lfm = _dft(np.exp(1j * np.pi * (delta_f / args.T) * t * t)
                / np.sqrt(args.T), t, d, f)
     write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
@@ -293,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--acf-n", type=int, default=4096)
     ana.add_argument("--f-max", type=float)
     ana.add_argument("--f-n", type=int, default=1025)
-    ana.add_argument("--tol", type=float, default=1e-12)
     ana.add_argument("--out", type=Path, default=Path("."))
     ana.set_defaults(func=cmd_analyze)
 
@@ -306,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     hgrp.add_argument("--tbp", type=float)
     scan.add_argument("--grid-n", type=int, default=64)
     scan.add_argument("--acf-n", type=int, default=4096)
-    scan.add_argument("--tol", type=float, default=1e-12)
     scan.add_argument("--out", type=Path, default=Path("."))
     scan.set_defaults(func=cmd_scan)
 
@@ -318,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--mpsk", type=int, default=32)
     cmp_.add_argument("--f-n", type=int, default=4001)
-    cmp_.add_argument("--tol", type=float, default=1e-12)
     cmp_.add_argument("--out", type=Path, default=Path("."))
     cmp_.set_defaults(func=cmd_compare_lfm)
 

@@ -63,7 +63,6 @@ class SpectrumSamples:
 
     f: np.ndarray
     values: np.ndarray
-    spec_hash: str
 
 
 @dataclass(frozen=True)
@@ -73,19 +72,16 @@ class AmbiguitySurface:
     tau: np.ndarray
     nu: np.ndarray
     chi: np.ndarray
-    spec_hash: str
 
 
-def _resolve_coeffs(spec, tol, coeffs):
-    if coeffs is None:
-        return compute_coefficients(spec, tol)
-    return coeffs
+def _resolve_coeffs(spec, coeffs):
+    return compute_coefficients(spec) if coeffs is None else coeffs
 
 
-def spectrum(spec: WaveformSpec, f_grid, tol: float = 1e-12,
+def spectrum(spec: WaveformSpec, f_grid,
              coeffs: GbfCoefficients | None = None) -> SpectrumSamples:
     """Evaluate S(f) on f_grid (Hz)."""
-    coeffs = _resolve_coeffs(spec, tol, coeffs)
+    coeffs = _resolve_coeffs(spec, coeffs)
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     m = coeffs.m_index
     vals = np.zeros(len(f), dtype=complex)
@@ -93,8 +89,7 @@ def spectrum(spec: WaveformSpec, f_grid, tol: float = 1e-12,
     for i in range(0, len(f), step):
         blk = f[i:i + step]
         vals[i:i + step] = np.sinc(spec.T * blk[:, None] - m[None, :]) @ coeffs.c
-    return SpectrumSamples(f=f, values=np.sqrt(spec.T) * vals,
-                           spec_hash=coeffs.spec_hash)
+    return SpectrumSamples(f=f, values=np.sqrt(spec.T) * vals)
 
 
 def _lag_conv(d: np.ndarray, M: int, nuT: np.ndarray) -> np.ndarray:
@@ -152,17 +147,17 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray,
     return chi
 
 
-def ambiguity(spec: WaveformSpec, tau: float, nu: float, tol: float = 1e-12,
+def ambiguity(spec: WaveformSpec, tau: float, nu: float,
               coeffs: GbfCoefficients | None = None) -> complex:
     """chi(tau, nu) at a single delay/Doppler point.
 
     Raises OutOfSupport for |tau| > T; chi(+-T, nu) = 0 exactly.
     """
-    surf = af_surface(spec, [tau], [nu], tol, coeffs)
+    surf = af_surface(spec, [tau], [nu], coeffs)
     return complex(surf.chi[0, 0])
 
 
-def af_surface(spec: WaveformSpec, tau_grid, nu_grid, tol: float = 1e-12,
+def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
                coeffs: GbfCoefficients | None = None) -> AmbiguitySurface:
     """chi on the outer product of tau_grid and nu_grid.
 
@@ -170,7 +165,7 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid, tol: float = 1e-12,
     entry is computed with a fixed reduction order of its own, so the result
     is reproducible bit for bit across runs and across grid shapes.
     """
-    coeffs = _resolve_coeffs(spec, tol, coeffs)
+    coeffs = _resolve_coeffs(spec, coeffs)
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
     if np.any(np.abs(taus) > spec.T * (1.0 + 1e-12)):
@@ -186,11 +181,10 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid, tol: float = 1e-12,
         if np.any(neg):
             chi[neg, j:j + _NU_BLOCK] = np.conj(
                 _chi_causal(coeffs.c, coeffs.M, -s[neg], -nuT))
-    return AmbiguitySurface(tau=taus, nu=nus, chi=chi,
-                            spec_hash=coeffs.spec_hash)
+    return AmbiguitySurface(tau=taus, nu=nus, chi=chi)
 
 
-def acf_uniform(spec: WaveformSpec, n_tau: int = 4096, tol: float = 1e-12,
+def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
                 coeffs: GbfCoefficients | None = None):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
@@ -200,7 +194,7 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096, tol: float = 1e-12,
     Returns:
         (tau, R): arrays of length n_tau + 1.
     """
-    coeffs = _resolve_coeffs(spec, tol, coeffs)
+    coeffs = _resolve_coeffs(spec, coeffs)
     u, v, g, _ = _harmonic_weights(coeffs.c, coeffs.M, np.zeros(1))
     bins = coeffs.m_index % n_tau
 

@@ -1,7 +1,9 @@
 """Mainlobe ellipse parameters: RMS bandwidth, RMS pulse length, coupling.
 
-Near the origin the squared ambiguity mainlobe is approximated by the
-ellipse beta2 tau^2 + 2 rho tau nu + tau2 nu^2 = xi with
+Near the origin the level sets of |chi|^2 are approximated by the ellipses
+beta2 tau^2 - 2 rho tau nu + tau2 nu^2 = xi in the (tau, nu) plane of
+af_surface, which shares |chi| with chi(tau, nu) = int u(t) conj(u(t + tau))
+exp(j 2 pi nu t) dt (Levanon and Mozeson).  Here
 
     beta2 = (4 pi^4 h^2 / 3 T^2) (2 L^3 + 3 L^2 + L),
     tau2  = pi^2 T^2 / 3,
@@ -99,12 +101,12 @@ def ellipse_tilt(params: EoaParameters) -> float:
     Zero for uncoupled waveforms and strictly increasing in magnitude with
     the coupling term at fixed beta2 and tau2.
     """
-    return 0.5 * math.atan2(2.0 * params.rho, params.beta2 - params.tau2)
+    return 0.5 * math.atan2(-2.0 * params.rho, params.beta2 - params.tau2)
 
 
 def ellipse_contour(params: EoaParameters, xi: float,
                     n_points: int = 256) -> np.ndarray:
-    """Points (tau, nu) on beta2 tau^2 + 2 rho tau nu + tau2 nu^2 = xi.
+    """Points (tau, nu) on beta2 tau^2 - 2 rho tau nu + tau2 nu^2 = xi.
 
     Parameterized through the eigendecomposition of the quadratic form, so
     every returned point satisfies the equation to rounding.
@@ -118,7 +120,7 @@ def ellipse_contour(params: EoaParameters, xi: float,
     if abs(params.rho_norm) >= 1.0 - 1e-9:
         raise DegenerateEllipse(
             f"|rho_norm| = {abs(params.rho_norm)} leaves no open ellipse")
-    Q = np.array([[params.beta2, params.rho], [params.rho, params.tau2]])
+    Q = np.array([[params.beta2, -params.rho], [-params.rho, params.tau2]])
     w, V = np.linalg.eigh(Q)
     if np.any(w <= 0):
         raise DegenerateEllipse("quadratic form is not positive definite")

@@ -16,7 +16,7 @@ the truncation residual being measured.
 Truncation order schedule: start at M0 = ceil(e pi h L (L+1) / 2) + 8 (a
 safety factor of e/2 over the peak harmonic extent 2 pi h L(L+1)/2 of the
 phase derivative), then double until the Parseval residual 1 - sum |c_m|^2
-drops below tol, failing at M > 2^20.
+drops below TOL, failing at M > 2^20.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .waveform import WaveformSpec, _harmonic_sum, spec_digest
 
 M_CAP = 1 << 20
+TOL = 1e-12
 
 
 class TruncationFailure(RuntimeError):
@@ -79,28 +80,26 @@ def _coefficients_at_order(spec: WaveformSpec, M: int) -> tuple[np.ndarray, floa
     return c, residual
 
 
-def compute_coefficients(spec: WaveformSpec, tol: float = 1e-12) -> GbfCoefficients:
-    """Compute the coefficient block at the smallest scheduled order meeting tol.
+def compute_coefficients(spec: WaveformSpec) -> GbfCoefficients:
+    """Compute the coefficient block at the smallest scheduled order meeting TOL.
 
-    tol must lie in (0, 1e-3] and bounds two things at the returned order:
-    the Parseval residual 1 - sum_{|m|<=M} |c_m|^2, and the magnitude of the
-    outermost coefficients c_{+-M}.  The energy residual alone saturates at
+    TOL bounds two things at the returned order: the Parseval residual
+    1 - sum_{|m|<=M} |c_m|^2, and the magnitude of the outermost
+    coefficients c_{+-M}.  The energy residual alone saturates at
     the rounding floor of a 2M-term sum (~1e-15) while edge coefficients of
     ~1e-8 can still spoil pointwise resynthesis, so both are required; with
     the super-exponential decay beyond the initial order this keeps the
-    resynthesized phase factor within about 10 * tol everywhere.  Output is
+    resynthesized phase factor within about 10 * TOL everywhere.  Output is
     deterministic: fixed FFT sizes, fixed schedule.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
     M = _initial_order(spec)
     while True:
         if M > M_CAP:
             raise TruncationFailure(
-                f"truncation order {M} exceeds cap {M_CAP} before reaching tol {tol}")
+                f"truncation order {M} exceeds cap {M_CAP} before reaching tol {TOL}")
         c, residual = _coefficients_at_order(spec, M)
         edge = max(abs(c[0]), abs(c[-1]))
-        if residual < tol and edge <= tol:
+        if residual < TOL and edge <= TOL:
             return GbfCoefficients(M=M, c=c, residual=residual,
                                    spec_hash=spec_digest(spec))
         M *= 2

@@ -2,16 +2,16 @@
 
 Everything here works from the waveform definition alone: the phase series
 and its derivative are evaluated analytically on quadrature grids and the
-defining integrals are approximated by composite midpoint or Simpson rules.
-Nothing is shared with the coefficient-series route, so agreement between
-the two is a genuine check.
+defining integrals are approximated by the composite Simpson rule (a
+midpoint sum for the Fourier integral).  Nothing is shared with the
+coefficient-series route, so agreement between the two is a genuine check.
+Every function takes the node rate fs; the CLI uses oracle_fs.
 
-Grid registration: a rule over a window of width W snaps its node spacing to
-W / N with N = round(fs W), so the window is covered exactly.  Integrands
-that are full-period trigonometric polynomials (the squared frequency
-deviation) are then integrated to machine precision by either rule; odd
-moments carrying a bare t factor converge at the polynomial rate of the rule
-(O(1/fs^2) midpoint, O(1/fs^4) Simpson), so Simpson is the default.
+Grid registration: the nodes over a window of width W are spaced W / N with
+N = round(fs W), so the window is covered exactly.  Integrands that are
+full-period trigonometric polynomials (the squared frequency deviation) are
+then integrated to machine precision; odd moments carrying a bare t factor
+converge as O(1/fs^4).
 
 Simpson is waveform.simpson, the arithmetic of scipy.integrate.simpson
 (including its Cartwright rule for an even node count) kept in-package.
@@ -19,45 +19,33 @@ Simpson is waveform.simpson, the arithmetic of scipy.integrate.simpson
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .closed_form import SpectrumSamples
 from .waveform import (TWO_PI, OutOfSupport, WaveformSpec, freq_mod_at,
-                       oversample_floor, phase_at, simpson, spec_digest)
-
-QUAD_RULES = ("midpoint", "simpson")
+                       oversample_floor, phase_at, simpson)
 
 # _dft works on blocks of at most this many (frequency, node) pairs.
 _DFT_CHUNK = 1 << 20
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Quadrature setup: sample rate and rule."""
-
-    fs: float
-    quad_rule: str = "simpson"
-
-    def __post_init__(self):
-        if self.quad_rule not in QUAD_RULES:
-            raise ValueError(f"quad_rule must be one of {QUAD_RULES}")
-        if not (np.isfinite(self.fs) and self.fs > 0):
-            raise ValueError(f"fs must be positive, got {self.fs}")
+def oracle_fs(spec: WaveformSpec) -> float:
+    """Quadrature rate: fs T is the power of two at or above both 8192 and
+    twice the oversampling floor times T, so grids stay clean across reruns."""
+    n = max(2.0 * oversample_floor(spec) * spec.T, 8192.0)
+    return float(2 ** math.ceil(math.log2(n))) / spec.T
 
 
-def config_for(spec: WaveformSpec, oversample: float = 8.0,
-               quad_rule: str = "simpson") -> OracleConfig:
-    """OracleConfig at `oversample` times the oversampling floor."""
-    return OracleConfig(fs=oversample * oversample_floor(spec), quad_rule=quad_rule)
-
-
-def _nodes(a: float, b: float, fs: float, rule: str):
-    """Quadrature nodes over [a, b] with spacing snapped to the window."""
+def _nodes(a: float, b: float, fs: float, midpoint: bool = False):
+    """(t, d): n midpoints of spacing d = (b - a) / n, n = round(fs (b - a)),
+    or by default the n + 1 Simpson nodes over [a, b] with n rounded up even."""
+    if not (np.isfinite(fs) and fs > 0):
+        raise ValueError(f"fs must be positive, got {fs}")
     width = b - a
     n = max(int(round(fs * width)), 4)
-    if rule == "midpoint":
+    if midpoint:
         d = width / n
         return a + (np.arange(n) + 0.5) * d, d
     if n % 2:
@@ -65,9 +53,7 @@ def _nodes(a: float, b: float, fs: float, rule: str):
     return np.linspace(a, b, n + 1), width / n
 
 
-def _integrate(y: np.ndarray, t: np.ndarray, d: float, rule: str):
-    if rule == "midpoint":
-        return np.sum(y) * d
+def _integrate(y: np.ndarray, t: np.ndarray):
     if np.iscomplexobj(y):
         return simpson(y.real, t) + 1j * simpson(y.imag, t)
     return simpson(y, t)
@@ -86,7 +72,7 @@ def _dft(s: np.ndarray, t: np.ndarray, d: float, f) -> np.ndarray:
 
 
 def af_numeric(spec: WaveformSpec, tau: float, nu: float,
-               cfg: OracleConfig) -> complex:
+               fs: float) -> complex:
     """Ambiguity chi(tau, nu) by direct quadrature.
 
     Parameters
@@ -94,7 +80,8 @@ def af_numeric(spec: WaveformSpec, tau: float, nu: float,
     spec : WaveformSpec
     tau, nu : float
         Delay (s) and Doppler (Hz).  |tau| <= T required.
-    cfg : OracleConfig
+    fs : float
+        Quadrature sample rate (Hz).
 
     Returns
     -------
@@ -107,10 +94,10 @@ def af_numeric(spec: WaveformSpec, tau: float, nu: float,
     The shifted waveform values are evaluated analytically at the quadrature
     nodes; no sample interpolation is involved.
     """
-    return af_numeric_grid(spec, [tau], [nu], cfg)[0, 0]
+    return af_numeric_grid(spec, [tau], [nu], fs)[0, 0]
 
 
-def af_numeric_grid(spec: WaveformSpec, taus, nus, cfg: OracleConfig) -> np.ndarray:
+def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
     """chi on the outer product of taus and nus; one quadrature grid per tau."""
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
@@ -122,16 +109,16 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, cfg: OracleConfig) -> np.ndar
         half = (T - abs(tau)) / 2.0
         if half <= 0.0:
             continue
-        t, d = _nodes(-half, half, cfg.fs, cfg.quad_rule)
+        t, _ = _nodes(-half, half, fs)
         u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
                          - phase_at(spec, t + tau / 2.0))) / T
         for j, nu in enumerate(nus):
             y = u * np.exp(2j * np.pi * nu * t)
-            out[i, j] = _integrate(y, t, d, cfg.quad_rule)
+            out[i, j] = _integrate(y, t)
     return out
 
 
-def rms_bandwidth_numeric(spec: WaveformSpec, cfg: OracleConfig) -> float:
+def rms_bandwidth_numeric(spec: WaveformSpec, fs: float) -> float:
     """beta_rms^2 from the phase derivative.
 
     (1/T) int phi'(t)^2 dt - | (1/T) int j phi'(t) dt |^2 in (rad Hz)^2.
@@ -140,33 +127,33 @@ def rms_bandwidth_numeric(spec: WaveformSpec, cfg: OracleConfig) -> float:
     tails make that integral diverge.
     """
     T = spec.T
-    t, d = _nodes(-T / 2.0, T / 2.0, cfg.fs, cfg.quad_rule)
+    t, _ = _nodes(-T / 2.0, T / 2.0, fs)
     pd = TWO_PI * freq_mod_at(spec, t)
-    first = _integrate(pd ** 2, t, d, cfg.quad_rule) / T
-    second = _integrate(pd, t, d, cfg.quad_rule) / T
+    first = _integrate(pd ** 2, t) / T
+    second = _integrate(pd, t) / T
     return float(first - second ** 2)
 
 
-def rdcf_numeric(spec: WaveformSpec, cfg: OracleConfig) -> float:
+def rdcf_numeric(spec: WaveformSpec, fs: float) -> float:
     """Range-Doppler coupling factor rho = -2 pi Im int t s(t) conj(s'(t)) dt.
 
     With s' = j phi' s on the support and |s|^2 = 1/T this reduces to
     (2 pi / T) int t phi'(t) dt, which is what the quadrature evaluates.
     """
     T = spec.T
-    t, d = _nodes(-T / 2.0, T / 2.0, cfg.fs, cfg.quad_rule)
+    t, _ = _nodes(-T / 2.0, T / 2.0, fs)
     pd = TWO_PI * freq_mod_at(spec, t)
-    return float((TWO_PI / T) * _integrate(t * pd, t, d, cfg.quad_rule))
+    return float((TWO_PI / T) * _integrate(t * pd, t))
 
 
-def rms_pulselength_numeric(spec: WaveformSpec, cfg: OracleConfig) -> float:
+def rms_pulselength_numeric(spec: WaveformSpec, fs: float) -> float:
     """tau_rms^2 = 4 pi^2 int t^2 |s(t)|^2 dt (rad s)^2."""
     T = spec.T
-    t, d = _nodes(-T / 2.0, T / 2.0, cfg.fs, cfg.quad_rule)
-    return float(4.0 * np.pi ** 2 * _integrate(t ** 2 / T, t, d, cfg.quad_rule))
+    t, _ = _nodes(-T / 2.0, T / 2.0, fs)
+    return float(4.0 * np.pi ** 2 * _integrate(t ** 2 / T, t))
 
 
-def spectrum_numeric(spec: WaveformSpec, cfg: OracleConfig,
+def spectrum_numeric(spec: WaveformSpec, fs: float,
                      f_grid) -> SpectrumSamples:
     """S(f) by quadrature of the Fourier integral on an arbitrary grid.
 
@@ -176,7 +163,6 @@ def spectrum_numeric(spec: WaveformSpec, cfg: OracleConfig,
     """
     T = spec.T
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
-    t, d = _nodes(-T / 2.0, T / 2.0, cfg.fs, "midpoint")
+    t, d = _nodes(-T / 2.0, T / 2.0, fs, midpoint=True)
     s = np.exp(1j * phase_at(spec, t)) / np.sqrt(T)
-    return SpectrumSamples(f=f, values=_dft(s, t, d, f),
-                           spec_hash=spec_digest(spec))
+    return SpectrumSamples(f=f, values=_dft(s, t, d, f))

@@ -98,10 +98,9 @@ def report_from_acf(tau_grid, acf_values) -> SidelobeReport:
                           null_found=found)
 
 
-def sidelobe_report(spec: WaveformSpec, n_tau: int = 4096,
-                    tol: float = 1e-12) -> SidelobeReport:
+def sidelobe_report(spec: WaveformSpec, n_tau: int = 4096) -> SidelobeReport:
     """Closed-form ACF on the default uniform grid, then metrics."""
-    tau, R = acf_uniform(spec, n_tau=n_tau, tol=tol)
+    tau, R = acf_uniform(spec, n_tau=n_tau)
     return report_from_acf(tau, R)
 
 
@@ -115,8 +114,8 @@ class MetricSurface:
     pslr_db: np.ndarray
 
 
-def metric_surface(T: float, h: float, grid_n: int, n_tau: int = 4096,
-                   tol: float = 1e-12) -> MetricSurface:
+def metric_surface(T: float, h: float, grid_n: int,
+                   n_tau: int = 4096) -> MetricSurface:
     """Scan ISL and PSLR over (phi_1, phi_2) in [-pi, pi)^2 for L = 2.
 
     The grid is uniform and endpoint-exclusive, phi_i = -pi + 2 pi k / grid_n,
@@ -133,6 +132,6 @@ def metric_surface(T: float, h: float, grid_n: int, n_tau: int = 4096,
             code = PskCode(L=2, gamma=np.ones(2),
                            phi=wrap_phase(np.array([p1, p2])))
             rep = sidelobe_report(WaveformSpec(T=T, h=h, code=code),
-                                  n_tau=n_tau, tol=tol)
+                                  n_tau=n_tau)
             isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
     return MetricSurface(phi1=phis, phi2=phis, isl_db=isl_db, pslr_db=pslr_db)

@@ -39,6 +39,11 @@ TWO_PI = 2.0 * np.pi
 # by rounding when callers build grids; allow that much and no more.
 _EDGE_SLACK = 1e-12
 
+# the largest imaginary residue code_from_symbols accepts in alpha_l, beta_l
+_SYMBOL_TOL = 1e-10
+# points per block in _harmonic_sum
+_HARMONIC_CHUNK = 1 << 16
+
 
 class ZeroDcViolation(ValueError):
     """Symbol vector carries a nonzero DC (l = 0) entry."""
@@ -184,13 +189,11 @@ class ComplexSymbolVector:
         return complex(self.c[self.L + l])
 
 
-def code_from_symbols(symbols: ComplexSymbolVector, tol: float = 1e-10) -> PskCode:
+def code_from_symbols(symbols: ComplexSymbolVector) -> PskCode:
     """Convert a conjugate-symmetric symbol vector into a PskCode.
 
     Args:
         symbols: symbol vector with c_0 = 0.
-        tol: largest tolerated imaginary residue in the amplitude-phase
-            coefficients before the vector is rejected.
 
     Returns:
         PskCode with gamma_l = |alpha_l + j beta_l| and
@@ -198,7 +201,7 @@ def code_from_symbols(symbols: ComplexSymbolVector, tol: float = 1e-10) -> PskCo
 
     Raises:
         NonRealCoefficients: if any alpha_l or beta_l has imaginary part
-            larger than tol in magnitude.
+            larger than _SYMBOL_TOL in magnitude.
     """
     L = symbols.L
     pos = symbols.c[L + 1:]
@@ -206,9 +209,9 @@ def code_from_symbols(symbols: ComplexSymbolVector, tol: float = 1e-10) -> PskCo
     alpha = (pos + neg) / 2.0
     beta = 1j * (pos - neg) / 2.0
     residue = max(np.max(np.abs(alpha.imag)), np.max(np.abs(beta.imag)))
-    if residue > tol:
+    if residue > _SYMBOL_TOL:
         raise NonRealCoefficients(
-            f"imaginary residue {residue:.3e} exceeds tol {tol:.3e}")
+            f"imaginary residue {residue:.3e} exceeds {_SYMBOL_TOL:.3e}")
     gamma = np.hypot(alpha.real, beta.real)
     phi = np.arctan2(beta.real, alpha.real)
     return PskCode(L=L, gamma=gamma, phi=phi)
@@ -234,8 +237,7 @@ def random_psk_code(L: int, m_psk: int, seed: int) -> PskCode:
     return PskCode(L=L, gamma=np.ones(L), phi=phi, m_psk=m_psk)
 
 
-def _harmonic_sum(code: PskCode, x, derivative: bool = False,
-                  chunk: int = 1 << 16) -> np.ndarray:
+def _harmonic_sum(code: PskCode, x, derivative: bool = False) -> np.ndarray:
     """sum_l gamma_l cos(l x + phi_l), or, with derivative=True, minus its
     x-derivative sum_l l gamma_l sin(l x + phi_l); evaluated in
     bounded-memory chunks."""
@@ -243,9 +245,9 @@ def _harmonic_sum(code: PskCode, x, derivative: bool = False,
     ell = np.arange(1, code.L + 1, dtype=float)
     w, fn = (ell * code.gamma, np.sin) if derivative else (code.gamma, np.cos)
     out = np.empty_like(x)
-    for i in range(0, len(x), chunk):
-        blk = x[i:i + chunk]
-        out[i:i + chunk] = np.sum(
+    for i in range(0, len(x), _HARMONIC_CHUNK):
+        blk = x[i:i + _HARMONIC_CHUNK]
+        out[i:i + _HARMONIC_CHUNK] = np.sum(
             w[:, None] * fn(np.outer(ell, blk) + code.phi[:, None]), axis=0)
     return out
 

@@ -20,7 +20,7 @@ from ceofdm.closed_form import acf_uniform, af_surface
 from ceofdm.eoa import (eoa_closed_form, h_for_tbp, max_coupling_code,
                         rho_norm_max)
 from ceofdm.gbf import compute_coefficients, resynthesize
-from ceofdm.oracle import (OracleConfig, af_numeric_grid, rdcf_numeric,
+from ceofdm.oracle import (af_numeric_grid, rdcf_numeric,
                            rms_bandwidth_numeric, rms_pulselength_numeric)
 from ceofdm.sidelobes import metric_surface, sidelobe_report
 from ceofdm.waveform import (PskCode, WaveformSpec, oversample_floor,
@@ -58,13 +58,13 @@ def test_criterion_03_closed_form_af_matches_quadrature():
     # code phases are not pinned by the requirement, so use the documented
     # seeded generator; seed 7, M_PSK = 32 for each carrier count
     worst = 0.0
-    cfg = OracleConfig(fs=8192.0)
+    fs = 8192.0
     tau = np.linspace(-0.9, 0.9, 17)
     nu = np.linspace(-10.0, 10.0, 17)
     for L, h in [(1, 0.5), (2, 5.81), (24, 0.1856)]:
         spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 32, 7))
-        closed = af_surface(spec, tau, nu, tol=1e-12).chi
-        numeric = af_numeric_grid(spec, tau, nu, cfg)
+        closed = af_surface(spec, tau, nu).chi
+        numeric = af_numeric_grid(spec, tau, nu, fs)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     ok = worst < 1e-6
     _report("criterion-03", ok,
@@ -84,12 +84,12 @@ def test_criterion_04_eoa_closed_forms_match_quadrature():
     worst = {"beta2": 0.0, "tau2": 0.0, "rho": 0.0}
     for seed in range(20):
         spec = _random_eoa_spec(seed)
-        cfg = OracleConfig(fs=_snapped_fs(spec))
+        fs = _snapped_fs(spec)
         p = eoa_closed_form(spec)
         closed = {"beta2": p.beta2, "tau2": p.tau2, "rho": p.rho}
-        numeric = {"beta2": rms_bandwidth_numeric(spec, cfg),
-                   "tau2": rms_pulselength_numeric(spec, cfg),
-                   "rho": rdcf_numeric(spec, cfg)}
+        numeric = {"beta2": rms_bandwidth_numeric(spec, fs),
+                   "tau2": rms_pulselength_numeric(spec, fs),
+                   "rho": rdcf_numeric(spec, fs)}
         for k in worst:
             worst[k] = max(worst[k],
                            abs(closed[k] - numeric[k]) / abs(closed[k]))
@@ -105,18 +105,18 @@ def test_criterion_05_coefficient_engine():
     for L, h in [(1, 0.5), (2, 5.81), (24, 0.1856)]:
         spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 32, 7))
         residual_worst = max(residual_worst,
-                             abs(compute_coefficients(spec, 1e-12).residual))
+                             abs(compute_coefficients(spec).residual))
 
     code = PskCode(L=1, gamma=np.ones(1), phi=np.array([-np.pi / 4]))
     spec1 = WaveformSpec(T=1.0, h=0.5, code=code)
-    co1 = compute_coefficients(spec1, 1e-12)
+    co1 = compute_coefficients(spec1)
     bessel_worst = max(
         abs(co1.coefficient(m) - (1j ** m) * np.exp(-1j * m * np.pi / 4)
             * float(mpmath.besselj(m, np.pi)))
         for m in range(-co1.M, co1.M + 1))
 
     spec2 = WaveformSpec(T=1.0, h=5.81, code=random_psk_code(2, 32, 7))
-    co2 = compute_coefficients(spec2, 1e-12)
+    co2 = compute_coefficients(spec2)
     t = np.linspace(-0.5, 0.5, 4096)
     resynth_worst = float(np.max(np.abs(
         resynthesize(co2, 1.0, t) - np.exp(1j * phase_at(spec2, t)))))
@@ -210,7 +210,7 @@ def test_criterion_08_windowed_af_volume():
     spec = WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0))
     tau = np.linspace(0.0, spec.T, 257)
     nu = np.linspace(-20.0, 20.0, 801)
-    surf = af_surface(spec, tau, nu, tol=1e-12)
+    surf = af_surface(spec, tau, nu)
     v = simpson(np.abs(surf.chi) ** 2, x=nu, axis=1)
     volume = 2.0 * simpson(v, x=tau)  # nu-profile is even in tau
     ok = abs(volume - 1.0) <= 0.05

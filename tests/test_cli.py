@@ -11,7 +11,8 @@ import ceofdm
 from ceofdm import __version__
 from ceofdm.cli import main, write_csv
 from ceofdm.sidelobes import sidelobe_report
-from ceofdm.waveform import load_spec, wrap_phase
+from ceofdm.waveform import (PskCode, WaveformSpec, load_spec, save_spec,
+                             wrap_phase)
 
 
 def _run(*argv):
@@ -118,10 +119,20 @@ def test_analyze_sidelobes_and_manifest(tmp_path):
         assert (rep / name).exists()
 
 
-def test_analyze_missing_spec(tmp_path):
+def test_analyze_missing_spec(tmp_path, capsys):
     assert _run("analyze", "--spec", tmp_path / "nope.json", "--eoa",
                 "--out", tmp_path) == 2
     assert not (tmp_path / "manifest.json").exists()
+    # a spec whose first truncation order already exceeds M_CAP
+    code = PskCode(L=100, gamma=np.ones(100), phi=np.zeros(100))
+    save_spec(WaveformSpec(T=1.0, h=25.0, code=code), tmp_path / "big.json")
+    capsys.readouterr()
+    out = tmp_path / "big"
+    assert _run("analyze", "--spec", tmp_path / "big.json", "--eoa",
+                "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: truncation order")
+    assert not (out / "manifest.json").exists()
 
 
 def test_scan_rejects_other_carrier_counts(tmp_path):

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ceofdm.closed_form import af_surface
 from ceofdm.eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                         ellipse_tilt, eoa_closed_form, h_for_tbp,
                         max_coupling_code, rho_norm_max)
-from ceofdm.oracle import OracleConfig, rdcf_numeric, rms_bandwidth_numeric
+from ceofdm.oracle import rdcf_numeric, rms_bandwidth_numeric
 from ceofdm.waveform import (PskCode, WaveformSpec, freq_mod_at,
                              random_psk_code)
 
@@ -37,12 +40,12 @@ def test_single_carrier_bandwidth_value():
 
 
 def test_closed_forms_match_quadrature():
-    cfg = OracleConfig(fs=16384.0)
+    fs = 16384.0
     spec = _spec(L=3, h=0.9, seed=2)
     params = eoa_closed_form(spec)
-    assert params.beta2 == pytest.approx(rms_bandwidth_numeric(spec, cfg),
+    assert params.beta2 == pytest.approx(rms_bandwidth_numeric(spec, fs),
                                          rel=1e-9)
-    assert params.rho == pytest.approx(rdcf_numeric(spec, cfg), abs=1e-8)
+    assert params.rho == pytest.approx(rdcf_numeric(spec, fs), abs=1e-8)
 
 
 def test_rho_norm_max_values():
@@ -127,7 +130,7 @@ def test_ellipse_points_satisfy_quadratic_form():
     pts = ellipse_contour(params, xi, n_points=128)
     assert pts.shape == (128, 2)
     q = (params.beta2 * pts[:, 0] ** 2
-         + 2.0 * params.rho * pts[:, 0] * pts[:, 1]
+         - 2.0 * params.rho * pts[:, 0] * pts[:, 1]
          + params.tau2 * pts[:, 1] ** 2)
     np.testing.assert_allclose(q, xi, rtol=1e-9)
 
@@ -155,3 +158,26 @@ def test_degenerate_ellipse_rejected():
         ellipse_contour(params, 1.0)
     with pytest.raises(ValueError):
         ellipse_contour(eoa_closed_form(_spec()), -1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(L=st.integers(1, 24), T=st.floats(0.25, 4.0), tbp=st.floats(50.0, 400.0),
+       phi=st.lists(st.floats(-np.pi, np.pi), min_size=24, max_size=24))
+def test_ellipse_follows_af_level_set_property(L, T, tbp, phi):
+    # The contour at xi = 0.02 should trace a level set of |chi|^2 in the
+    # (tau, nu) plane of af_surface.  Its mirror in nu has the opposite
+    # coupling sign.  Over 450 random codes with |rho_norm| >= 0.1 and
+    # TBP >= 50 the spread of |chi|^2 along the contour was at most 0.29
+    # times the spread along the mirror.
+    code = PskCode(L=L, gamma=np.ones(L), phi=np.array(phi[:L]))
+    spec = WaveformSpec(T=T, h=h_for_tbp(T, tbp / T, L), code=code)
+    params = eoa_closed_form(spec)
+    assume(abs(params.rho_norm) >= 0.1)
+    pts = ellipse_contour(params, 0.02, n_points=16)
+
+    def spread(tau, nu):
+        chi = af_surface(spec, tau, nu).chi
+        v = np.abs(np.diag(chi)) ** 2
+        return np.max(v) - np.min(v)
+
+    assert spread(pts[:, 0], pts[:, 1]) < 0.5 * spread(pts[:, 0], -pts[:, 1])

@@ -38,7 +38,7 @@ def test_single_carrier_reduces_to_ordinary_bessel():
 def test_parseval_residual_below_tol():
     for seed in range(5):
         spec = _spec(L=8, h=0.4, seed=seed)
-        co = compute_coefficients(spec, 1e-12)
+        co = compute_coefficients(spec)
         # rounding can push the coefficient energy a hair past 1
         assert -1e-14 < co.residual < 1e-12
         assert len(co.c) == 2 * co.M + 1
@@ -54,7 +54,7 @@ def test_coefficients_deterministic():
 
 def test_resynthesis_matches_phase_samples():
     spec = _spec(L=4, h=0.8, seed=2)
-    co = compute_coefficients(spec, 1e-12)
+    co = compute_coefficients(spec)
     t = np.linspace(-spec.T / 2, spec.T / 2, 4096)
     ref = np.exp(1j * phase_at(spec, t))
     err = np.abs(resynthesize(co, spec.T, t) - ref)
@@ -83,14 +83,6 @@ def test_truncation_cap_enforced():
     spec = WaveformSpec(T=1.0, h=25.0, code=code)
     with pytest.raises(TruncationFailure):
         compute_coefficients(spec)
-
-
-def test_tol_domain_enforced():
-    spec = _spec()
-    with pytest.raises(ValueError):
-        compute_coefficients(spec, 0.0)
-    with pytest.raises(ValueError):
-        compute_coefficients(spec, 0.5)
 
 
 def test_coefficient_accessor_bounds():

@@ -3,8 +3,9 @@ import pytest
 
 from ceofdm.closed_form import ambiguity, spectrum
 from ceofdm.gbf import compute_coefficients
-from ceofdm.oracle import (OracleConfig, af_numeric, af_numeric_grid,
-                           config_for, rdcf_numeric, rms_bandwidth_numeric,
+from ceofdm.eoa import eoa_closed_form
+from ceofdm.oracle import (af_numeric, af_numeric_grid, oracle_fs,
+                           rdcf_numeric, rms_bandwidth_numeric,
                            rms_pulselength_numeric, spectrum_numeric)
 from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
                              oversample_floor, random_psk_code)
@@ -15,39 +16,45 @@ def _spec(L=2, h=0.5, T=1.0, seed=1):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        OracleConfig(fs=8192.0, quad_rule="trapz")
-    with pytest.raises(ValueError):
-        OracleConfig(fs=-1.0)
-    cfg = config_for(_spec(), oversample=8.0)
-    assert cfg.fs == pytest.approx(8.0 * oversample_floor(_spec()))
+    spec = _spec()
+    for fs in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            rms_bandwidth_numeric(spec, fs)
+        with pytest.raises(ValueError):
+            af_numeric(spec, 0.1, 0.0, fs)
+        with pytest.raises(ValueError):
+            spectrum_numeric(spec, fs, [0.0])
+    for spec in (_spec(), _spec(L=1, h=0.0, T=0.3), _spec(L=24, h=0.1856),
+                 _spec(L=2, h=5.81, T=2.0)):
+        n = 2.0 ** round(np.log2(oracle_fs(spec) * spec.T))
+        assert oracle_fs(spec) == n / spec.T
+        assert n >= 8192 and n >= 2.0 * oversample_floor(spec) * spec.T
 
 
 def test_af_origin_is_unity():
-    cfg = OracleConfig(fs=4096.0)
     for seed in range(3):
         spec = _spec(L=5, h=0.7, seed=seed)
-        assert abs(af_numeric(spec, 0.0, 0.0, cfg) - 1.0) < 1e-10
+        assert abs(af_numeric(spec, 0.0, 0.0, 4096.0) - 1.0) < 1e-10
 
 
 def test_af_zero_overlap_and_support():
     spec = _spec()
-    cfg = OracleConfig(fs=1024.0)
-    assert af_numeric(spec, spec.T, 2.0, cfg) == 0
-    assert af_numeric(spec, -spec.T, 0.0, cfg) == 0
+    fs = 1024.0
+    assert af_numeric(spec, spec.T, 2.0, fs) == 0
+    assert af_numeric(spec, -spec.T, 0.0, fs) == 0
     with pytest.raises(OutOfSupport):
-        af_numeric(spec, 1.1 * spec.T, 0.0, cfg)
+        af_numeric(spec, 1.1 * spec.T, 0.0, fs)
 
 
 def test_af_grid_matches_pointwise():
     spec = _spec(L=3, h=0.4, seed=2)
-    cfg = OracleConfig(fs=2048.0)
+    fs = 2048.0
     taus = np.array([-0.3, 0.0, 0.55])
     nus = np.array([-2.0, 1.0])
-    grid = af_numeric_grid(spec, taus, nus, cfg)
+    grid = af_numeric_grid(spec, taus, nus, fs)
     for i, t in enumerate(taus):
         for j, n in enumerate(nus):
-            assert grid[i, j] == af_numeric(spec, t, n, cfg)
+            assert grid[i, j] == af_numeric(spec, t, n, fs)
 
 
 def test_af_converges_to_closed_form():
@@ -56,9 +63,8 @@ def test_af_converges_to_closed_form():
     pts = [(0.35, 3.0), (-0.2, -5.0), (0.61, 1.7)]
 
     def worst(fs):
-        cfg = OracleConfig(fs=fs)
         return max(abs(ambiguity(spec, t, n, coeffs=co)
-                       - af_numeric(spec, t, n, cfg)) for t, n in pts)
+                       - af_numeric(spec, t, n, fs)) for t, n in pts)
 
     coarse, fine = worst(2048.0), worst(16384.0)
     assert fine < 1e-11
@@ -68,56 +74,53 @@ def test_af_converges_to_closed_form():
 def test_bandwidth_vanishes_without_modulation():
     code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
     spec = WaveformSpec(T=1.0, h=0.0, code=code)
-    assert abs(rms_bandwidth_numeric(spec, OracleConfig(fs=512.0))) < 1e-12
+    assert abs(rms_bandwidth_numeric(spec, 512.0)) < 1e-12
 
 
 def test_bandwidth_single_carrier_value():
     # L = 1, h = 1, T = 1, unit amplitude: beta^2 = 8 pi^4
     code = PskCode(L=1, gamma=np.ones(1), phi=np.array([0.3]))
     spec = WaveformSpec(T=1.0, h=1.0, code=code)
-    val = rms_bandwidth_numeric(spec, config_for(spec))
+    val = rms_bandwidth_numeric(spec, 8.0 * oversample_floor(spec))
     assert val == pytest.approx(8.0 * np.pi ** 4, rel=1e-12)
 
 
 def test_bandwidth_rule_agreement_at_low_rate():
-    # the integrand is a full-period trig polynomial, so both rules are
-    # exact once the grid resolves it; 2x the floor is already enough
+    # the integrand is a full-period trig polynomial, so Simpson is exact
+    # once the grid resolves it; 2x the floor is already enough
     spec = _spec(L=6, h=0.8, seed=5)
-    fs = 2.0 * oversample_floor(spec)
-    mid = rms_bandwidth_numeric(spec, OracleConfig(fs=fs, quad_rule="midpoint"))
-    simp = rms_bandwidth_numeric(spec, OracleConfig(fs=fs, quad_rule="simpson"))
-    assert mid == pytest.approx(simp, rel=1e-10)
+    simp = rms_bandwidth_numeric(spec, 2.0 * oversample_floor(spec))
+    assert simp == pytest.approx(eoa_closed_form(spec).beta2, rel=1e-10)
 
 
 def test_rdcf_phase_cases():
-    cfg = OracleConfig(fs=16384.0)
+    fs = 16384.0
     # equal-phase pair cancels term by term
     code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
-    assert abs(rdcf_numeric(WaveformSpec(T=1.0, h=0.7, code=code), cfg)) < 1e-9
+    assert abs(rdcf_numeric(WaveformSpec(T=1.0, h=0.7, code=code), fs)) < 1e-9
     # single carrier at phase pi gives +4 pi^2 h
     code = PskCode(L=1, gamma=np.ones(1), phi=np.array([np.pi]))
-    val = rdcf_numeric(WaveformSpec(T=1.0, h=1.0, code=code), cfg)
+    val = rdcf_numeric(WaveformSpec(T=1.0, h=1.0, code=code), fs)
     assert val == pytest.approx(4.0 * np.pi ** 2, rel=1e-9)
     # alternating pi/0 code stacks all L carriers coherently
     L, h = 6, 0.7
     phi = np.where(np.arange(1, L + 1) % 2 == 1, np.pi, 0.0)
     code = PskCode(L=L, gamma=np.ones(L), phi=phi)
-    val = rdcf_numeric(WaveformSpec(T=1.0, h=h, code=code), cfg)
+    val = rdcf_numeric(WaveformSpec(T=1.0, h=h, code=code), fs)
     assert val == pytest.approx(4.0 * np.pi ** 2 * h * L, rel=1e-9)
 
 
 def test_pulselength_depends_only_on_duration():
-    cfg = OracleConfig(fs=8192.0)
     for T in (1.0, 2.0):
         spec = _spec(L=3, h=1.3, T=T, seed=6)
-        val = rms_pulselength_numeric(spec, cfg)
+        val = rms_pulselength_numeric(spec, 8192.0)
         assert val == pytest.approx(np.pi ** 2 * T ** 2 / 3.0, rel=1e-9)
 
 
 def test_spectrum_numeric_matches_closed_form():
     spec = _spec(L=2, h=5.8116, seed=3)
     f = np.linspace(-30.3, 30.3, 101)  # deliberately off the 1/T grid
-    sn = spectrum_numeric(spec, OracleConfig(fs=8192.0), f)
+    sn = spectrum_numeric(spec, 8192.0, f)
     sc = spectrum(spec, f)
     assert np.max(np.abs(sn.values - sc.values)) < 1e-4
 
@@ -129,6 +132,6 @@ def test_spectrum_numeric_converges_with_rate():
 
     def worst(fs):
         return np.max(np.abs(
-            spectrum_numeric(spec, OracleConfig(fs=fs), f).values - sc))
+            spectrum_numeric(spec, fs, f).values - sc))
 
     assert worst(32768.0) < worst(2048.0) / 10.0

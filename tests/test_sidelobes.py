@@ -3,7 +3,7 @@ import pytest
 
 from ceofdm.cli import write_csv
 from ceofdm.closed_form import acf_uniform
-from ceofdm.oracle import OracleConfig, af_numeric_grid
+from ceofdm.oracle import af_numeric_grid
 from ceofdm.sidelobes import (DB_FLOOR, isl, mainlobe_null, metric_surface,
                               pslr, report_from_acf, sidelobe_report)
 from ceofdm.waveform import (PskCode, WaveformSpec, random_psk_code,
@@ -103,7 +103,7 @@ def test_metrics_match_quadrature_acf():
     # same metrics when the ACF comes from the numeric integral instead
     spec = _spec(seed=5)
     tau, R = acf_uniform(spec, n_tau=512)
-    ref = af_numeric_grid(spec, tau, np.zeros(1), OracleConfig(fs=8192.0))[:, 0]
+    ref = af_numeric_grid(spec, tau, np.zeros(1), 8192.0)[:, 0]
     a = report_from_acf(tau, R)
     b = report_from_acf(tau, ref)
     assert abs(a.pslr_db - b.pslr_db) < 0.01
