@@ -7,8 +7,7 @@ from .eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                   max_coupling_code, rho_norm_max)
 from .gbf import (GbfCoefficients, TruncationFailure, compute_coefficients,
                   resynthesize)
-from .oracle import (af_numeric, af_numeric_grid, oracle_fs, rdcf_numeric,
-                     rms_bandwidth_numeric, rms_pulselength_numeric,
+from .oracle import (af_numeric, af_numeric_grid, eoa_numeric, oracle_fs,
                      spectrum_numeric)
 from .sidelobes import (MetricSurface, SidelobeReport, metric_surface,
                         sidelobe_report)
@@ -28,11 +27,10 @@ __all__ = [
     "SpectrumSamples", "TruncationFailure", "Undersampled", "WaveformSpec",
     "ZeroDcViolation", "acf_uniform", "af_numeric", "af_numeric_grid",
     "af_surface", "ambiguity", "code_from_symbols", "compute_coefficients",
-    "ellipse_contour", "ellipse_tilt", "eoa_closed_form", "freq_mod_at",
-    "h_for_tbp", "load_spec", "max_coupling_code", "metric_surface",
-    "oracle_fs", "oversample_floor", "phase_at", "psk_alphabet",
-    "random_psk_code", "rdcf_numeric", "resynthesize", "rho_norm_max",
-    "rms_bandwidth_numeric", "rms_pulselength_numeric", "sample",
-    "sample_times", "save_spec", "sidelobe_report", "spectrum",
+    "ellipse_contour", "ellipse_tilt", "eoa_closed_form", "eoa_numeric",
+    "freq_mod_at", "h_for_tbp", "load_spec", "max_coupling_code",
+    "metric_surface", "oracle_fs", "oversample_floor", "phase_at",
+    "psk_alphabet", "random_psk_code", "resynthesize", "rho_norm_max",
+    "sample", "sample_times", "save_spec", "sidelobe_report", "spectrum",
     "spectrum_numeric", "wrap_phase",
 ]

@@ -21,8 +21,7 @@ from . import __version__
 from .closed_form import acf_uniform, af_surface, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients
-from .oracle import (_dft, _nodes, af_numeric_grid, oracle_fs, rdcf_numeric,
-                     rms_bandwidth_numeric, rms_pulselength_numeric)
+from .oracle import _dft, _nodes, af_numeric_grid, eoa_numeric, oracle_fs
 from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, sample_times, save_spec,
@@ -84,7 +83,7 @@ def cmd_gen(args) -> tuple[Path | None, list[str]]:
     spec_path = args.out / "spec.json"
     save_spec(spec, spec_path)
 
-    fs = args.fs if args.fs is not None else 2.0 * oversample_floor(spec)
+    fs = 2.0 * oversample_floor(spec)
     t = sample_times(spec, fs)
     s = sample(spec, fs)
     samples_path = args.out / "samples.csv"
@@ -109,9 +108,8 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
     fs = oracle_fs(spec) if args.oracle else None
 
     if args.spectrum:
-        f_max = args.f_max if args.f_max is not None \
-            else (2.0 * spec.L + 8.0) / spec.T
-        f = np.linspace(-f_max, f_max, args.f_n)
+        f_max = (2.0 * spec.L + 8.0) / spec.T
+        f = np.linspace(-f_max, f_max, 1025)
         samples = spectrum(spec, f, coeffs=coeffs)
         write_csv(out("spectrum.csv"), "f,re,im,abs2",
                   [samples.f, samples.values])
@@ -148,11 +146,8 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                     "L": spec.L,
                     "T": spec.T})
         if fs is not None:
-            numeric = {"beta2": rms_bandwidth_numeric(spec, fs),
-                       "tau2": rms_pulselength_numeric(spec, fs),
-                       "rho": rdcf_numeric(spec, fs)}
             rows = []
-            for name, value in numeric.items():
+            for name, value in eoa_numeric(spec, fs).items():
                 err = abs(closed[name] - value)
                 scale = max(abs(closed[name]), 1e-300)
                 rows.append({"quantity": name,
@@ -205,7 +200,7 @@ def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
     code = random_psk_code(args.L, args.mpsk, args.seed)
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
-    f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, args.f_n)
+    f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, 4001)
     ce = spectrum(spec, f)
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
 
@@ -264,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="draw code phases from the M-PSK alphabet")
     cgrp.add_argument("--phi-file", type=Path,
                       help="text file with L phases in radians, one per line")
-    gen.add_argument("--fs", type=float,
-                     help="sample rate; default twice the aliasing floor")
     gen.add_argument("--out", type=Path, default=Path("."))
     gen.set_defaults(func=cmd_gen)
 
@@ -280,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--oracle", action="store_true",
                      help="add quadrature reference columns and reports")
     ana.add_argument("--acf-n", type=int, default=4096)
-    ana.add_argument("--f-max", type=float)
-    ana.add_argument("--f-n", type=int, default=1025)
     ana.add_argument("--out", type=Path, default=Path("."))
     ana.set_defaults(func=cmd_analyze)
 
@@ -304,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--T", type=float, default=1.0)
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--mpsk", type=int, default=32)
-    cmp_.add_argument("--f-n", type=int, default=4001)
     cmp_.add_argument("--out", type=Path, default=Path("."))
     cmp_.set_defaults(func=cmd_compare_lfm)
 

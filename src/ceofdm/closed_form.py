@@ -188,12 +188,15 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
                 coeffs: GbfCoefficients | None = None):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
-    The grid includes tau = T, where R vanishes identically.  Each harmonic
-    sum is binned by m mod n_tau and evaluated with one length-n_tau FFT.
+    The grid includes tau = T, where R vanishes identically, and n_tau < 1
+    raises ValueError.  Each harmonic sum is binned by m mod n_tau and
+    evaluated with one length-n_tau FFT.
 
     Returns:
         (tau, R): arrays of length n_tau + 1.
     """
+    if n_tau < 1:
+        raise ValueError(f"n_tau must be at least 1, got {n_tau}")
     coeffs = _resolve_coeffs(spec, coeffs)
     u, v, g, _ = _harmonic_weights(coeffs.c, coeffs.M, np.zeros(1))
     bins = coeffs.m_index % n_tau

@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .closed_form import SpectrumSamples
 from .waveform import (TWO_PI, OutOfSupport, WaveformSpec, freq_mod_at,
                        oversample_floor, phase_at, simpson)
 
@@ -118,44 +117,28 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
     return out
 
 
-def rms_bandwidth_numeric(spec: WaveformSpec, fs: float) -> float:
-    """beta_rms^2 from the phase derivative.
+def eoa_numeric(spec: WaveformSpec, fs: float) -> dict:
+    """beta2, tau2 and rho on one Simpson grid, keyed as EoaParameters.as_dict.
 
-    (1/T) int phi'(t)^2 dt - | (1/T) int j phi'(t) dt |^2 in (rad Hz)^2.
-    The integrands are evaluated on the full support; a frequency-domain
-    second moment of |S(f)|^2 is NOT used because the rect window's sinc
-    tails make that integral diverge.
+    beta2 = (1/T) int phi'(t)^2 dt - | (1/T) int j phi'(t) dt |^2 (rad Hz)^2
+    comes from the phase derivative on the full support, NOT from the second
+    moment of |S(f)|^2, which the rect window's sinc tails make diverge.
+    tau2 = 4 pi^2 int t^2 |s(t)|^2 dt (rad s)^2.  The coupling
+    rho = -2 pi Im int t s(t) conj(s'(t)) dt reduces, with s' = j phi' s on
+    the support and |s|^2 = 1/T, to (2 pi / T) int t phi'(t) dt.
     """
     T = spec.T
     t, _ = _nodes(-T / 2.0, T / 2.0, fs)
     pd = TWO_PI * freq_mod_at(spec, t)
     first = _integrate(pd ** 2, t) / T
     second = _integrate(pd, t) / T
-    return float(first - second ** 2)
+    return {"beta2": float(first - second ** 2),
+            "tau2": float(4.0 * np.pi ** 2 * _integrate(t ** 2 / T, t)),
+            "rho": float((TWO_PI / T) * _integrate(t * pd, t))}
 
 
-def rdcf_numeric(spec: WaveformSpec, fs: float) -> float:
-    """Range-Doppler coupling factor rho = -2 pi Im int t s(t) conj(s'(t)) dt.
-
-    With s' = j phi' s on the support and |s|^2 = 1/T this reduces to
-    (2 pi / T) int t phi'(t) dt, which is what the quadrature evaluates.
-    """
-    T = spec.T
-    t, _ = _nodes(-T / 2.0, T / 2.0, fs)
-    pd = TWO_PI * freq_mod_at(spec, t)
-    return float((TWO_PI / T) * _integrate(t * pd, t))
-
-
-def rms_pulselength_numeric(spec: WaveformSpec, fs: float) -> float:
-    """tau_rms^2 = 4 pi^2 int t^2 |s(t)|^2 dt (rad s)^2."""
-    T = spec.T
-    t, _ = _nodes(-T / 2.0, T / 2.0, fs)
-    return float(4.0 * np.pi ** 2 * _integrate(t ** 2 / T, t))
-
-
-def spectrum_numeric(spec: WaveformSpec, fs: float,
-                     f_grid) -> SpectrumSamples:
-    """S(f) by quadrature of the Fourier integral on an arbitrary grid.
+def spectrum_numeric(spec: WaveformSpec, fs: float, f_grid) -> np.ndarray:
+    """S(f) by quadrature of the Fourier integral at each frequency of f_grid.
 
     Equivalent to an unboundedly zero-padded DFT of the sampled waveform:
     the transform of the midpoint-sampled pulse is evaluated directly at the
@@ -165,4 +148,4 @@ def spectrum_numeric(spec: WaveformSpec, fs: float,
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     t, d = _nodes(-T / 2.0, T / 2.0, fs, midpoint=True)
     s = np.exp(1j * phase_at(spec, t)) / np.sqrt(T)
-    return SpectrumSamples(f=f, values=_dft(s, t, d, f))
+    return _dft(s, t, d, f)

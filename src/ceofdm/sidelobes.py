@@ -88,9 +88,8 @@ def isl(tau_grid, acf_abs2, delta_tau: float) -> float:
 
 
 def report_from_acf(tau_grid, acf_values) -> SidelobeReport:
-    """Metrics from a precomputed complex or squared-magnitude ACF."""
-    acf_values = np.asarray(acf_values)
-    y = np.abs(acf_values) ** 2 if np.iscomplexobj(acf_values) else acf_values
+    """Metrics from a precomputed ACF R, complex or real; they use |R|^2."""
+    y = np.abs(np.asarray(acf_values)) ** 2
     dt, found = mainlobe_null(tau_grid, y)
     return SidelobeReport(delta_tau=dt,
                           pslr_db=pslr(tau_grid, y, dt),

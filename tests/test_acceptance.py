@@ -20,8 +20,7 @@ from ceofdm.closed_form import acf_uniform, af_surface
 from ceofdm.eoa import (eoa_closed_form, h_for_tbp, max_coupling_code,
                         rho_norm_max)
 from ceofdm.gbf import compute_coefficients, resynthesize
-from ceofdm.oracle import (af_numeric_grid, rdcf_numeric,
-                           rms_bandwidth_numeric, rms_pulselength_numeric)
+from ceofdm.oracle import af_numeric_grid, eoa_numeric
 from ceofdm.sidelobes import metric_surface, sidelobe_report
 from ceofdm.waveform import (PskCode, WaveformSpec, oversample_floor,
                              phase_at, random_psk_code, wrap_phase)
@@ -85,11 +84,8 @@ def test_criterion_04_eoa_closed_forms_match_quadrature():
     for seed in range(20):
         spec = _random_eoa_spec(seed)
         fs = _snapped_fs(spec)
-        p = eoa_closed_form(spec)
-        closed = {"beta2": p.beta2, "tau2": p.tau2, "rho": p.rho}
-        numeric = {"beta2": rms_bandwidth_numeric(spec, fs),
-                   "tau2": rms_pulselength_numeric(spec, fs),
-                   "rho": rdcf_numeric(spec, fs)}
+        closed = eoa_closed_form(spec).as_dict()
+        numeric = eoa_numeric(spec, fs)
         for k in worst:
             worst[k] = max(worst[k],
                            abs(closed[k] - numeric[k]) / abs(closed[k]))

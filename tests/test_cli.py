@@ -135,6 +135,17 @@ def test_analyze_missing_spec(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_analyze_rejects_empty_delay_grid(tmp_path, capsys):
+    _run("gen", "--L", 2, "--h", 0.5, "--out", tmp_path / "g")
+    capsys.readouterr()
+    out = tmp_path / "r"
+    assert _run("analyze", "--spec", tmp_path / "g" / "spec.json", "--acf",
+                "--acf-n", 0, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: n_tau")
+    assert not (out / "manifest.json").exists()
+
+
 def test_scan_rejects_other_carrier_counts(tmp_path):
     out = tmp_path / "s"
     assert _run("scan", "--L", 3, "--h", 1.0, "--out", out) == 2
@@ -150,10 +161,9 @@ def test_manifest_lists_every_output(tmp_path, command):
     argv = {
         "gen": ["--L", 2, "--h", 0.5, "--seed", 1],
         "analyze": ["--spec", spec, "--spectrum", "--acf", "--af", 3, 3,
-                    "--eoa", "--sidelobes", "--oracle", "--acf-n", 64,
-                    "--f-n", 33],
+                    "--eoa", "--sidelobes", "--oracle", "--acf-n", 64],
         "scan": ["--h", 0.5, "--grid-n", 2, "--acf-n", 64],
-        "compare-lfm": ["--tbp", 20, "--L", 2, "--f-n", 65],
+        "compare-lfm": ["--tbp", 20, "--L", 2],
     }[command]
     assert _run(command, *argv, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())

@@ -164,6 +164,13 @@ def test_acf_uniform_small_grid_fallback_agrees():
         np.testing.assert_allclose(R, naive, rtol=0, atol=1e-12)
 
 
+def test_acf_uniform_rejects_empty_delay_grid():
+    spec = _spec(L=2, h=0.5, seed=1)
+    for n_tau in (0, -4):
+        with pytest.raises(ValueError, match="n_tau"):
+            acf_uniform(spec, n_tau=n_tau)
+
+
 def test_acf_mainlobe_narrows_with_modulation_index():
     code = random_psk_code(2, 32, 10)
     widths = []

@@ -9,7 +9,7 @@ from ceofdm.closed_form import af_surface
 from ceofdm.eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                         ellipse_tilt, eoa_closed_form, h_for_tbp,
                         max_coupling_code, rho_norm_max)
-from ceofdm.oracle import rdcf_numeric, rms_bandwidth_numeric
+from ceofdm.oracle import eoa_numeric
 from ceofdm.waveform import (PskCode, WaveformSpec, freq_mod_at,
                              random_psk_code)
 
@@ -43,9 +43,9 @@ def test_closed_forms_match_quadrature():
     fs = 16384.0
     spec = _spec(L=3, h=0.9, seed=2)
     params = eoa_closed_form(spec)
-    assert params.beta2 == pytest.approx(rms_bandwidth_numeric(spec, fs),
-                                         rel=1e-9)
-    assert params.rho == pytest.approx(rdcf_numeric(spec, fs), abs=1e-8)
+    numeric = eoa_numeric(spec, fs)
+    assert params.beta2 == pytest.approx(numeric["beta2"], rel=1e-9)
+    assert params.rho == pytest.approx(numeric["rho"], abs=1e-8)
 
 
 def test_rho_norm_max_values():
