@@ -5,12 +5,15 @@ command writes its data files, prints one line and returns its spec file and
 the names of the files it wrote, which the manifest lists.  Data files are
 pure functions of the inputs, so re-running a command reproduces them byte
 for byte; only the manifest timestamp changes.  A failed command writes no
-manifest.
+manifest and main prints one error line, or re-raises the exception when
+CEOFDM_DEBUG=1 is set in the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -94,6 +97,11 @@ def cmd_gen(args) -> tuple[Path | None, list[str]]:
 
 
 def cmd_analyze(args) -> tuple[Path | None, list[str]]:
+    # check the delay grid before any file is written
+    for flag, least in (("sidelobes", 3), ("acf", 1)):
+        if getattr(args, flag) and args.acf_n < least:
+            raise ValueError(f"n_tau must be at least {least} for --{flag}, "
+                             f"got --acf-n {args.acf_n}")
     spec = load_spec(args.spec)
     coeffs = compute_coefficients(spec)
     outputs = []
@@ -313,6 +321,8 @@ def main(argv=None) -> int:
             "outputs": sorted(outputs),
             "parameters": _parameters(args),
             "tool_version": __version__,
+            "python_version": platform.python_version(),
+            "numpy_version": np.__version__,
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"),
         })
@@ -320,6 +330,8 @@ def main(argv=None) -> int:
         # a rejected command leaves no empty directory of its own behind
         if created and args.out.is_dir() and not any(args.out.iterdir()):
             args.out.rmdir()
+        if os.environ.get("CEOFDM_DEBUG") == "1":
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -11,7 +11,14 @@ Grid registration: the nodes over a window of width W are spaced W / N with
 N = round(fs W), so the window is covered exactly.  Integrands that are
 full-period trigonometric polynomials (the squared frequency deviation) are
 then integrated to machine precision; odd moments carrying a bare t factor
-converge as O(1/fs^4).
+converge as O(1/fs^4).  The ambiguity integrand at delay tau needs the phase
+at t -/+ tau/2 on the overlap window's nodes t.  When fs T is a power of two
+(as under oracle_fs) and tau is an even multiple of 1/fs, those shifted
+nodes are a prefix and a suffix of the lattice -T/2 + j/fs over the whole
+support, so af_numeric_grid evaluates the phase once on that lattice and
+slices it.  A delay takes the slices only when its shifted nodes are
+bitwise equal to them; any other delay evaluates the phase at its own
+nodes, so the lattice never changes a result.
 
 Simpson is waveform.simpson, the arithmetic of scipy.integrate.simpson
 (including its Cartwright rule for an even node count) kept in-package.
@@ -97,20 +104,38 @@ def af_numeric(spec: WaveformSpec, tau: float, nu: float,
 
 
 def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
-    """chi on the outer product of taus and nus; one quadrature grid per tau."""
+    """chi on the outer product of taus and nus; one quadrature grid per tau.
+
+    The phase is evaluated at most once on the lattice of Simpson nodes over
+    the whole support, and each delay whose shifted nodes t - tau/2 and
+    t + tau/2 are bitwise equal to a prefix and a suffix of that lattice
+    (swapped for tau < 0) reads its phases from it.  Any other delay
+    evaluates the phase at its own shifted nodes, so every entry equals the
+    direct two-evaluation quadrature bit for bit.
+    """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
     T = spec.T
     if np.any(np.abs(taus) > T * (1.0 + 1e-12)):
         raise OutOfSupport("tau grid extends beyond the pulse length")
+    lattice, _ = _nodes(-T / 2.0, T / 2.0, fs)
+    lattice_phase = None
     out = np.zeros((len(taus), len(nus)), dtype=complex)
     for i, tau in enumerate(taus):
         half = (T - abs(tau)) / 2.0
         if half <= 0.0:
             continue
         t, _ = _nodes(-half, half, fs)
-        u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
-                         - phase_at(spec, t + tau / 2.0))) / T
+        lo, hi = t - tau / 2.0, t + tau / 2.0
+        head, tail = slice(0, len(t)), slice(len(lattice) - len(t), None)
+        a, b = (head, tail) if tau >= 0.0 else (tail, head)
+        if np.array_equal(lo, lattice[a]) and np.array_equal(hi, lattice[b]):
+            if lattice_phase is None:
+                lattice_phase = phase_at(spec, lattice)
+            dphi = lattice_phase[a] - lattice_phase[b]
+        else:
+            dphi = phase_at(spec, lo) - phase_at(spec, hi)
+        u = np.exp(1j * dphi) / T
         for j, nu in enumerate(nus):
             y = u * np.exp(2j * np.pi * nu * t)
             out[i, j] = _integrate(y, t)

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -137,13 +138,26 @@ def test_analyze_missing_spec(tmp_path, capsys):
 
 def test_analyze_rejects_empty_delay_grid(tmp_path, capsys):
     _run("gen", "--L", 2, "--h", 0.5, "--out", tmp_path / "g")
-    capsys.readouterr()
+    # --sidelobes needs a mainlobe null, so at least 3 delay steps
+    for flag, n in (("--acf", 0), ("--sidelobes", 1), ("--sidelobes", 2)):
+        capsys.readouterr()
+        out = tmp_path / f"r{flag}{n}"
+        assert _run("analyze", "--spec", tmp_path / "g" / "spec.json", flag,
+                    "--acf-n", n, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: n_tau")
+        assert "--acf-n" in err[0]
+        # rejected before coefficients.csv, so the fresh --out is removed
+        assert not out.exists()
+
+
+def test_debug_env_reraises(tmp_path, monkeypatch):
+    monkeypatch.setenv("CEOFDM_DEBUG", "1")
     out = tmp_path / "r"
-    assert _run("analyze", "--spec", tmp_path / "g" / "spec.json", "--acf",
-                "--acf-n", 0, "--out", out) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: n_tau")
-    assert not (out / "manifest.json").exists()
+    with pytest.raises(FileNotFoundError):
+        _run("analyze", "--spec", tmp_path / "nope.json", "--eoa",
+             "--out", out)
+    assert not out.exists()
 
 
 def test_scan_rejects_other_carrier_counts(tmp_path):
@@ -172,6 +186,8 @@ def test_manifest_lists_every_output(tmp_path, command):
         p.name for p in out.iterdir() if p.name != "manifest.json")
     assert manifest["spec_file"] == {
         "gen": str(out / "spec.json"), "analyze": str(spec)}.get(command)
+    assert manifest["python_version"] == platform.python_version()
+    assert manifest["numpy_version"] == np.__version__
 
 
 def test_scan_small_grid_symmetry(tmp_path):

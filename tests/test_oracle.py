@@ -11,7 +11,7 @@ from ceofdm.eoa import eoa_closed_form
 from ceofdm.oracle import (af_numeric, af_numeric_grid, eoa_numeric,
                            oracle_fs, spectrum_numeric)
 from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
-                             oversample_floor, random_psk_code)
+                             oversample_floor, phase_at, random_psk_code)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1):
@@ -58,6 +58,54 @@ def test_af_grid_matches_pointwise():
     for i, t in enumerate(taus):
         for j, n in enumerate(nus):
             assert grid[i, j] == af_numeric(spec, t, n, fs)
+
+
+def _af_direct(spec, taus, nus, fs):
+    # the quadrature with two phase evaluations per delay, on t -/+ tau/2
+    out = np.zeros((len(taus), len(nus)), dtype=complex)
+    for i, tau in enumerate(taus):
+        half = (spec.T - abs(tau)) / 2.0
+        if half <= 0.0:
+            continue
+        t, _ = oracle._nodes(-half, half, fs)
+        u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
+                         - phase_at(spec, t + tau / 2.0))) / spec.T
+        for j, nu in enumerate(nus):
+            out[i, j] = oracle._integrate(u * np.exp(2j * np.pi * nu * t), t)
+    return out
+
+
+@pytest.mark.parametrize("spec", [
+    _spec(L=2, h=0.0),
+    _spec(L=1, h=0.5),
+    WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0)),
+], ids=["h0", "L1", "L24"])
+def test_af_grid_lattice_matches_direct_evaluation(spec):
+    # dyadic grids (64, 128) take the phase lattice, non-dyadic ones (97,
+    # 1000) mostly fall back; both must equal the direct quadrature bitwise,
+    # for negative delays, at tau = -T and T, and off zero Doppler
+    fs = oracle_fs(spec)
+    nus = np.array([0.0, 2.5])
+    for n, step in ((64, 2), (128, 4), (97, 2), (1000, 25)):
+        taus = np.arange(-n, n + 1, step) * (spec.T / n)
+        assert taus[0] == -spec.T and taus[-1] == spec.T
+        assert np.array_equal(af_numeric_grid(spec, taus, nus, fs),
+                              _af_direct(spec, taus, nus, fs))
+
+
+def test_af_grid_evaluates_phase_once_on_dyadic_grid(monkeypatch):
+    spec = WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return phase_at(*args)
+
+    monkeypatch.setattr(oracle, "phase_at", counted)
+    # acf_uniform's grid at n_tau 128 and its mirror: both lattice slices
+    taus = np.arange(-128, 129) * (spec.T / 128)
+    af_numeric_grid(spec, taus, np.zeros(1), oracle_fs(spec))
+    assert len(calls) == 1
 
 
 def test_af_converges_to_closed_form():
