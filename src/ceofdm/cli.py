@@ -24,11 +24,16 @@ from . import __version__
 from .closed_form import acf_uniform, af_surface, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients
-from .oracle import _dft, _nodes, af_numeric_grid, eoa_numeric, oracle_fs
+from .oracle import _nodes, af_numeric_grid, eoa_numeric, oracle_fs
 from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, sample_times, save_spec,
                        wrap_phase, write_json)
+
+
+# write_csv formats blocks of this many rows with one string operation each;
+# larger blocks hold more Python floats at once for no measurable gain
+_CSV_ROWS = 1 << 10
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -36,7 +41,9 @@ def write_csv(path, header: str, columns) -> None:
 
     Columns of more than one dimension are flattened in row-major order.  A
     complex column expands to three: real part, imaginary part and squared
-    magnitude.  header names the columns after that expansion.
+    magnitude.  header names the columns after that expansion.  The bytes are
+    those of np.savetxt(path, table, fmt="%.17g", delimiter=",",
+    header=header, comments="").
     """
     cols = []
     for col in columns:
@@ -48,8 +55,13 @@ def write_csv(path, header: str, columns) -> None:
                      np.float_power(np.hypot(col.real, col.imag), 2.0)]
         else:
             cols.append(col)
-    np.savetxt(path, np.column_stack(cols), fmt="%.17g", delimiter=",",
-               header=header, comments="")
+    table = np.column_stack(cols)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(table), _CSV_ROWS):
+            block = table[i:i + _CSV_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _parameters(args) -> dict:
@@ -97,11 +109,14 @@ def cmd_gen(args) -> tuple[Path | None, list[str]]:
 
 
 def cmd_analyze(args) -> tuple[Path | None, list[str]]:
-    # check the delay grid before any file is written
+    # check the grid sizes before any file is written
     for flag, least in (("sidelobes", 3), ("acf", 1)):
         if getattr(args, flag) and args.acf_n < least:
             raise ValueError(f"n_tau must be at least {least} for --{flag}, "
                              f"got --acf-n {args.acf_n}")
+    if args.af is not None and min(args.af) < 1:
+        raise ValueError("--af needs at least 1 delay and 1 Doppler, got "
+                         f"--af {args.af[0]} {args.af[1]}")
     spec = load_spec(args.spec)
     coeffs = compute_coefficients(spec)
     outputs = []
@@ -202,21 +217,45 @@ def _oob_fraction(f, abs2, half_band: float) -> float:
     return 1.0 - inband
 
 
+def _chirp_z(s, t0: float, d: float, f0: float, df: float,
+             n_f: int) -> np.ndarray:
+    """d sum_n s_n exp(-j 2 pi (f0 + k df)(t0 + n d)) for k = 0..n_f - 1.
+
+    Bluestein's chirp-z transform: kn = (k^2 + n^2 - (k - n)^2) / 2 turns the
+    sum over n into one FFT convolution of the chirped samples with the chirp
+    exp(j pi a j^2), a = df d.
+    """
+    n, k = np.arange(len(s)), np.arange(n_f)
+    a = df * d
+
+    def chirp(j):
+        # exp(-j pi a j^2), its phase reduced mod 2 from the exact integer j^2
+        return np.exp(-1j * np.pi * np.fmod(a * (j * j), 2.0))
+
+    size = 1 << (len(s) + n_f - 2).bit_length()
+    y = np.fft.fft(s * np.exp(-2j * np.pi * f0 * d * n) * chirp(n), size)
+    w = np.fft.fft(np.conj(chirp(np.arange(1 - len(s), n_f))), size)
+    conv = np.fft.ifft(y * w)[len(s) - 1:len(s) - 1 + n_f]
+    return d * np.exp(-2j * np.pi * (f0 + k * df) * t0) * chirp(k) * conv
+
+
 def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.T, delta_f, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
-    f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, 4001)
+    n_f = 4001
+    f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, n_f)
     ce = spectrum(spec, f)
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
 
     # the unit-energy LFM chirp with sweep delta_f, on a midpoint grid
     t, d = _nodes(-args.T / 2.0, args.T / 2.0,
                   max(8.0 * delta_f, 64.0 / args.T), midpoint=True)
-    lfm = _dft(np.exp(1j * np.pi * (delta_f / args.T) * t * t)
-               / np.sqrt(args.T), t, d, f)
+    lfm = _chirp_z(np.exp(1j * np.pi * (delta_f / args.T) * t * t)
+                   / np.sqrt(args.T), t[0], d, f[0],
+                   4.0 * delta_f / (n_f - 1), n_f)
     write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0

@@ -5,8 +5,19 @@ s(t) = T^(-1/2) sum_m c_m exp(j 2 pi m t / T) on |t| <= T/2, so
 
     S(f) = sqrt(T) sum_m c_m sinc(T f - m),
 
-where sinc x = sin(pi x) / (pi x).  Integrating each harmonic pair over the
-overlap of the two shifted pulses gives, for 0 <= tau <= T and A = 1 - tau/T,
+where sinc x = sin(pi x) / (pi x).  With n = rint(T f) and r = T f - n, an
+exact subtraction with |r| <= 1/2, every sine of the sum is one sine:
+sin(pi (T f - m)) = (-1)^(n - m) sin(pi r), so
+
+    S(f) = sqrt(T) (-1)^n sin(pi r) / pi  sum_m (-1)^m c_m / (T f - m).
+
+That costs one sine per frequency and one reciprocal per (f, m) pair, and
+the sine never sees an argument beyond pi / 2.  At r = 0 the prefactor and
+the term m = n are 0 and 1/0; there sinc(n - m) is 1 at m = n and 0
+elsewhere, so S = sqrt(T) c_n, or 0 when |n| > M.
+
+Integrating each harmonic pair over the overlap of the two shifted pulses
+gives, for 0 <= tau <= T and A = 1 - tau/T,
 
     chi(tau, nu) = A sum_{m,n} c_m conj(c_n) exp(-j pi (m + n) tau / T)
                    sinc(A x),   x = m - n + nu T,
@@ -83,13 +94,28 @@ def spectrum(spec: WaveformSpec, f_grid,
     """Evaluate S(f) on f_grid (Hz)."""
     coeffs = _resolve_coeffs(spec, coeffs)
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
-    m = coeffs.m_index
-    vals = np.zeros(len(f), dtype=complex)
-    step = max(1, _CHUNK // max(len(m), 1))
+    m, M = coeffs.m_index, coeffs.M
+    x = spec.T * f
+    n = np.rint(x)
+    r = x - n
+    on = r == 0.0
+    # (-1)^m c_m, split so that both sums are real matrix-vector products
+    alt = np.where(m % 2, -coeffs.c, coeffs.c)
+    scale = (np.sqrt(spec.T) / np.pi * np.where(n % 2, -1.0, 1.0)
+             * np.sin(np.pi * r))
+    # rows with r = 0 are set below; 0.5 keeps their reciprocals finite
+    x = np.where(on, 0.5, x)
+    vals = np.empty(len(f), dtype=complex)
+    step = max(1, _CHUNK // len(m))
     for i in range(0, len(f), step):
-        blk = f[i:i + step]
-        vals[i:i + step] = np.sinc(spec.T * blk[:, None] - m[None, :]) @ coeffs.c
-    return SpectrumSamples(f=f, values=np.sqrt(spec.T) * vals)
+        inv = np.subtract.outer(x[i:i + step], m)
+        np.divide(1.0, inv, out=inv)
+        vals.real[i:i + step] = scale[i:i + step] * (inv @ alt.real)
+        vals.imag[i:i + step] = scale[i:i + step] * (inv @ alt.imag)
+    n = n[on]
+    c_n = coeffs.c[np.clip(n, -M, M).astype(int) + M]
+    vals[on] = np.where(np.abs(n) <= M, np.sqrt(spec.T) * c_n, 0.0)
+    return SpectrumSamples(f=f, values=vals)
 
 
 def _lag_conv(d: np.ndarray, M: int, nuT: np.ndarray) -> np.ndarray:

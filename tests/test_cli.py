@@ -10,10 +10,13 @@ import pytest
 
 import ceofdm
 from ceofdm import __version__
-from ceofdm.cli import main, write_csv
+from ceofdm import cli
+from ceofdm.cli import _chirp_z, main, write_csv
+from ceofdm.eoa import h_for_tbp
+from ceofdm.oracle import _dft, _nodes, oracle_fs, spectrum_numeric
 from ceofdm.sidelobes import sidelobe_report
-from ceofdm.waveform import (PskCode, WaveformSpec, load_spec, save_spec,
-                             wrap_phase)
+from ceofdm.waveform import (PskCode, WaveformSpec, load_spec, random_psk_code,
+                             save_spec, wrap_phase)
 
 
 def _run(*argv):
@@ -149,6 +152,13 @@ def test_analyze_rejects_empty_delay_grid(tmp_path, capsys):
         assert "--acf-n" in err[0]
         # rejected before coefficients.csv, so the fresh --out is removed
         assert not out.exists()
+    for sizes in ((-2, 5), (5, 0)):
+        out = tmp_path / f"af{sizes}"
+        assert _run("analyze", "--spec", tmp_path / "g" / "spec.json",
+                    "--af", *sizes, "--out", out) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--af" in err[0]
+        assert not out.exists()
 
 
 def test_debug_env_reraises(tmp_path, monkeypatch):
@@ -204,6 +214,27 @@ def test_scan_small_grid_symmetry(tmp_path):
                                               abs=1e-9)
 
 
+def _lfm_chirp(tbp, T):
+    # the unit-energy chirp of compare-lfm on its midpoint nodes
+    delta_f = tbp / T
+    t, d = _nodes(-T / 2.0, T / 2.0, max(8.0 * delta_f, 64.0 / T),
+                  midpoint=True)
+    return np.exp(1j * np.pi * (delta_f / T) * t * t) / np.sqrt(T), t, d
+
+
+@pytest.mark.parametrize("T", [1.0, 2.5])
+@pytest.mark.parametrize("tbp", [5, 20, 200, 1000])
+def test_chirp_z_matches_direct_dft(tbp, T):
+    # compare-lfm's grid; the direct sum runs on every 8th frequency, both
+    # ends included, to keep the reference cheap
+    s, t, d = _lfm_chirp(tbp, T)
+    delta_f = tbp / T
+    f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, 4001)
+    got = _chirp_z(s, t[0], d, f[0], 4.0 * delta_f / 4000, len(f))
+    np.testing.assert_allclose(got[::8], _dft(s, t, d, f[::8]), rtol=0,
+                               atol=1e-12)
+
+
 def test_compare_lfm_outputs(tmp_path):
     out = tmp_path / "c"
     assert _run("compare-lfm", "--tbp", 100, "--L", 8, "--seed", 0,
@@ -216,6 +247,15 @@ def test_compare_lfm_outputs(tmp_path):
     ce = np.genfromtxt(out / "ce_spectrum.csv", delimiter=",", names=True)
     lfm = np.genfromtxt(out / "lfm_spectrum.csv", delimiter=",", names=True)
     assert len(ce) == len(lfm) == 4001
+    f = lfm["f"][::8]
+    s, t, d = _lfm_chirp(100.0, 1.0)
+    np.testing.assert_allclose((lfm["re"] + 1j * lfm["im"])[::8],
+                               _dft(s, t, d, f), rtol=0, atol=1e-12)
+    spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 100.0, 8),
+                        code=random_psk_code(8, 32, 0))
+    np.testing.assert_allclose((ce["re"] + 1j * ce["im"])[::8],
+                               spectrum_numeric(spec, oracle_fs(spec), f),
+                               rtol=0, atol=1e-4)
 
 
 def test_unknown_command_is_usage_error():
@@ -224,7 +264,7 @@ def test_unknown_command_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_write_csv_matches_per_row_format(tmp_path):
+def test_write_csv_matches_per_row_format(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     m = np.arange(-40, 41)
     x = rng.normal(size=m.size)
@@ -234,12 +274,15 @@ def test_write_csv_matches_per_row_format(tmp_path):
     z[:2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
     # the squared magnitude must follow abs(v) ** 2, not np.abs(z) ** 2
     assert np.any(np.abs(z) ** 2 != [abs(v) ** 2 for v in z])
-    path = tmp_path / "data.csv"
-    write_csv(path, "m,x,re,im,abs2", [m, x, z])
     ref = "m,x,re,im,abs2\n" + "".join(
         f"{mi},{xi:.17g},{v.real:.17g},{v.imag:.17g},{abs(v) ** 2:.17g}\n"
         for mi, xi, v in zip(m, x, z))
-    assert path.read_bytes() == ref.encode()
+    # 7 rows per block puts 11 block boundaries and a short tail in the table
+    for block_rows in (cli._CSV_ROWS, 7):
+        monkeypatch.setattr(cli, "_CSV_ROWS", block_rows)
+        path = tmp_path / f"data{block_rows}.csv"
+        write_csv(path, "m,x,re,im,abs2", [m, x, z])
+        assert path.read_bytes() == ref.encode()
 
 
 def test_import_leaves_scipy_out():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ceofdm.cli import write_csv
@@ -83,6 +83,23 @@ def test_spectrum_dense_grid_energy_near_unity():
     s = spectrum(spec, f)
     energy = np.trapezoid(np.abs(s.values) ** 2, f)
     assert energy == pytest.approx(1.0, abs=1e-3)
+
+
+@_PROPERTY
+@given(spec=_specs(),
+       far=st.lists(st.floats(50.0, 1e5), min_size=1, max_size=8))
+@example(spec=WaveformSpec(T=2.5, h=0.0, code=PskCode(
+    L=1, gamma=np.ones(1), phi=np.zeros(1))), far=[50.0, 1e5])
+def test_spectrum_matches_pairwise_sinc_sum_property(spec, far):
+    # T f on the harmonics k (where k / T * T may miss k by an ulp), within
+    # 1e-9 and 3e-13 of them, and far beyond the band on both sides
+    co = compute_coefficients(spec)
+    k = np.arange(-co.M - 60, co.M + 61, dtype=float)
+    far = co.M + np.array(far)
+    f = np.concatenate([k, k + 1e-9, k - 3e-13, far, -far]) / spec.T
+    got = spectrum(spec, f, coeffs=co).values
+    ref = np.sqrt(spec.T) * (np.sinc(spec.T * f[:, None] - co.m_index) @ co.c)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 def test_ambiguity_matches_naive_double_sum():
