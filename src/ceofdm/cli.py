@@ -2,11 +2,13 @@
 
 main creates --out, runs one command and then writes manifest.json there.  A
 command writes its data files, prints one line and returns its spec file and
-the names of the files it wrote, which the manifest lists.  Data files are
-pure functions of the inputs, so re-running a command reproduces them byte
-for byte; only the manifest timestamp changes.  A failed command writes no
-manifest and main prints one error line, or re-raises the exception when
-CEOFDM_DEBUG=1 is set in the environment.
+the names of the files it wrote, which the manifest lists.  The manifest's
+stages list gives the wall time of each step main and the command took, in
+order.  Data files are pure functions of the inputs, so re-running a command
+reproduces them byte for byte; only the manifest's timestamp and stage
+times change.  A failed command writes no manifest and main prints one
+error line, or re-raises the exception when CEOFDM_DEBUG=1 is set in the
+environment.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import os
 import platform
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -64,6 +67,19 @@ def write_csv(path, header: str, columns) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+class _Stages:
+    """Wall times of consecutive steps, each from the end of the previous."""
+
+    def __init__(self) -> None:
+        self.times: list[dict] = []
+        self._last = time.perf_counter()
+
+    def done(self, name: str) -> None:
+        now = time.perf_counter()
+        self.times.append({"stage": name, "wall_s": now - self._last})
+        self._last = now
+
+
 def _parameters(args) -> dict:
     skip = {"func"}
     out = {}
@@ -80,7 +96,7 @@ def _resolve_h(args, L: int) -> float:
     return h_for_tbp(args.T, args.tbp / args.T, L)
 
 
-def cmd_gen(args) -> tuple[Path | None, list[str]]:
+def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     h = _resolve_h(args, args.L)
     if args.phi_file is not None:
         phi = np.loadtxt(args.phi_file, dtype=float, ndmin=1)
@@ -97,18 +113,20 @@ def cmd_gen(args) -> tuple[Path | None, list[str]]:
 
     spec_path = args.out / "spec.json"
     save_spec(spec, spec_path)
+    stages.done("spec")
 
     fs = 2.0 * oversample_floor(spec)
     t = sample_times(spec, fs)
     s = sample(spec, fs)
     samples_path = args.out / "samples.csv"
     write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
+    stages.done("samples")
 
     print(f"wrote {spec_path} (h = {h:.6g}) and {samples_path}")
     return spec_path, [spec_path.name, samples_path.name]
 
 
-def cmd_analyze(args) -> tuple[Path | None, list[str]]:
+def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     # check the grid sizes before any file is written
     for flag, least in (("sidelobes", 3), ("acf", 1)):
         if getattr(args, flag) and args.acf_n < least:
@@ -127,6 +145,7 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
 
     write_csv(out("coefficients.csv"), "m,re,im,abs2",
               [coeffs.m_index, coeffs.c])
+    stages.done("coefficients")
 
     fs = oracle_fs(spec) if args.oracle else None
 
@@ -136,9 +155,11 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
         samples = spectrum(spec, f, coeffs=coeffs)
         write_csv(out("spectrum.csv"), "f,re,im,abs2",
                   [samples.f, samples.values])
+        stages.done("spectrum")
 
     if args.acf or args.sidelobes:
         tau, R = acf_uniform(spec, n_tau=args.acf_n, coeffs=coeffs)
+        stages.done("acf")
 
     if args.acf:
         if fs is None:
@@ -150,6 +171,7 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                       "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
                       [tau, R, ref.real, ref.imag,
                        np.hypot(err.real, err.imag)])
+        stages.done("acf_csv")
 
     if args.af is not None:
         tau_n, nu_n = args.af
@@ -159,6 +181,7 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                           coeffs=coeffs)
         write_csv(out("af.csv"), "tau,nu,re,im,abs2",
                   [*np.meshgrid(surf.tau, surf.nu, indexing="ij"), surf.chi])
+        stages.done("af")
 
     if args.eoa:
         closed = eoa_closed_form(spec).as_dict()
@@ -181,6 +204,7 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                              "fs": fs,
                              "rule": "simpson"})
             write_json(out("oracle_eoa.json"), rows)
+        stages.done("eoa")
 
     if args.sidelobes:
         rep = report_from_acf(tau, R)
@@ -191,20 +215,23 @@ def cmd_analyze(args) -> tuple[Path | None, list[str]]:
                     "null_found": rep.null_found,
                     "n_tau": args.acf_n,
                     "tau_max": float(tau[-1])})
+        stages.done("sidelobes")
 
     print(f"wrote {len(outputs)} files to {args.out}")
     return args.spec, outputs
 
 
-def cmd_scan(args) -> tuple[Path | None, list[str]]:
+def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     if args.L != 2:
         raise ValueError(f"scan supports L = 2 only, got L = {args.L}")
     h = _resolve_h(args, args.L)
     surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n)
+    stages.done("scan")
     path = args.out / "scan.csv"
     write_csv(path, "phi1,phi2,isl_db,pslr_db",
               [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
                surf.isl_db, surf.pslr_db])
+    stages.done("scan_csv")
     print(f"wrote {path} ({args.grid_n * args.grid_n} rows, h = {h:.6g})")
     return None, [path.name]
 
@@ -239,7 +266,7 @@ def _chirp_z(s, t0: float, d: float, f0: float, df: float,
     return d * np.exp(-2j * np.pi * (f0 + k * df) * t0) * chirp(k) * conv
 
 
-def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
+def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.T, delta_f, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
@@ -249,6 +276,7 @@ def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, n_f)
     ce = spectrum(spec, f)
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
+    stages.done("ce_spectrum")
 
     # the unit-energy LFM chirp with sweep delta_f, on a midpoint grid
     t, d = _nodes(-args.T / 2.0, args.T / 2.0,
@@ -257,6 +285,7 @@ def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
                    / np.sqrt(args.T), t[0], d, f[0],
                    4.0 * delta_f / (n_f - 1), n_f)
     write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
+    stages.done("lfm_spectrum")
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0
     lfm_beta2_numeric = float(
@@ -279,6 +308,7 @@ def cmd_compare_lfm(args) -> tuple[Path | None, list[str]]:
     summary["oob_ratio"] = (summary["ce_oob_fraction"]
                             / max(summary["lfm_oob_fraction"], 1e-300))
     write_json(args.out / "comparison.json", summary)
+    stages.done("comparison")
 
     print(f"wrote comparison to {args.out} "
           f"(CE OOB {summary['ce_oob_fraction']:.4f}, "
@@ -349,16 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    stages = _Stages()
     args = build_parser().parse_args(argv)
     created = not args.out.exists()
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        spec_file, outputs = args.func(args)
+        stages.done("parse")
+        spec_file, outputs = args.func(args, stages)
         write_json(args.out / "manifest.json", {
             "command": args.command,
             "spec_file": None if spec_file is None else str(spec_file),
             "outputs": sorted(outputs),
             "parameters": _parameters(args),
+            "stages": stages.times,
             "tool_version": __version__,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,

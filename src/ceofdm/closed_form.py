@@ -44,6 +44,18 @@ over the 4M + 1 lags, one FFT product each, so a Doppler costs O(M log M)
 and every delay after that O(M).  Since q_k(nu) = -p_{-k}(-nu), both use
 the same kernel.
 
+af_surface takes the FFTs of c and conj(c) once per call and, for each
+block of Dopplers, the kernel FFTs P(nu) and P(-nu) once each.  The
+tau >= 0 rows use P(nu) for u and P(-nu) for v; the tau < 0 rows, found as
+conj chi(-tau, -nu), use them the other way round.  g depends on nu only
+through k0, so each half sums g once per distinct k0 of the Doppler grid
+(21 for 64 Dopplers in +-10/T), while the sinc and phase factors stay per
+Doppler.  The phasors z are computed once per call, and every delay sum
+forms its products in one reused buffer.  A Doppler block's kernels and
+that buffer hold _BLOCK complex elements each, or one kernel row if that is
+longer, so beyond z and the output the working set does not grow with the
+grid.
+
 At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
 
     R(tau) = A sum_m |c_m|^2 z_m + sum_m (u_m - v_m) z_m.
@@ -61,10 +73,12 @@ import numpy as np
 from .gbf import GbfCoefficients, compute_coefficients
 from .waveform import OutOfSupport, WaveformSpec
 
-# af_surface works on blocks of _NU_BLOCK Dopplers, and spectrum and the
-# delay sums on temporaries of at most _CHUNK elements, so memory stays
-# bounded.
-_NU_BLOCK = 64
+# af_surface builds the kernels of as many Dopplers at a time as fit in
+# _BLOCK complex elements, and forms the delay-sum products in one buffer of
+# that size; spectrum forms its reciprocals in one buffer of at most _CHUNK
+# reals.  _CHUNK also sets the rows of each matrix-vector product, whose
+# last bits depend on it.
+_BLOCK = 1 << 14
 _CHUNK = 1 << 20
 
 
@@ -91,7 +105,17 @@ def _resolve_coeffs(spec, coeffs):
 
 def spectrum(spec: WaveformSpec, f_grid,
              coeffs: GbfCoefficients | None = None) -> SpectrumSamples:
-    """Evaluate S(f) on f_grid (Hz)."""
+    """Evaluate S(f) on f_grid (Hz).
+
+    The reciprocals are formed in one reused buffer of at most _CHUNK
+    values, and each chunk of rows is one BLAS matrix-vector product, whose
+    rounding depends on the rows it gets.  Unlike af_surface, a value can
+    therefore differ in its last bits with the grid and chunk it is
+    computed in.  On the L = 24, TBP 200 spectra, a single frequency
+    against the same frequency inside a grid moved by up to 3.6e-16, and a
+    grid computed at another _CHUNK by up to 1.5e-16.  So _CHUNK is part of
+    the output's bytes.
+    """
     coeffs = _resolve_coeffs(spec, coeffs)
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     m, M = coeffs.m_index, coeffs.M
@@ -107,8 +131,11 @@ def spectrum(spec: WaveformSpec, f_grid,
     x = np.where(on, 0.5, x)
     vals = np.empty(len(f), dtype=complex)
     step = max(1, _CHUNK // len(m))
+    buf = np.empty((min(step, len(f)), len(m)))
     for i in range(0, len(f), step):
-        inv = np.subtract.outer(x[i:i + step], m)
+        rows = x[i:i + step]
+        inv = buf[:len(rows)]
+        np.subtract.outer(rows, m, out=inv)
         np.divide(1.0, inv, out=inv)
         vals.real[i:i + step] = scale[i:i + step] * (inv @ alt.real)
         vals.imag[i:i + step] = scale[i:i + step] * (inv @ alt.imag)
@@ -118,59 +145,54 @@ def spectrum(spec: WaveformSpec, f_grid,
     return SpectrumSamples(f=f, values=vals)
 
 
-def _lag_conv(d: np.ndarray, M: int, nuT: np.ndarray) -> np.ndarray:
-    """sum_n p_{m-n} d_n for m = -M..M, one row per Doppler nu T.
+def _kernel_fft(M: int, nuT: np.ndarray, size: int) -> np.ndarray:
+    """Length-size FFT of p_k over k = -2M..2M, one row per Doppler nu T.
 
-    p_k = exp(j pi x) / (j 2 pi x), x = k + nu T, over k = -2M..2M with the
-    lag nearest -nu T left out.  A circular length of at least 4M + 1 keeps
-    the wrapped tail of the full convolution off the slice returned.
+    p_k = exp(j pi x) / (j 2 pi x), x = k + nu T, with the lag nearest
+    -nu T left out.  A size of at least 4M + 1 keeps the wrapped tail of
+    the full convolution off the slice _lag_conv returns.
     """
     k = np.arange(-2 * M, 2 * M + 1)
     x = k + nuT[:, None]
     near = k == -np.rint(nuT)[:, None]
     x[near] = 1.0
-    p = np.exp(1j * np.pi * x) / (2j * np.pi * x)
+    p = np.exp(1j * np.pi * x)
+    p /= 2j * np.pi * x
     p[near] = 0.0
-    n = 1 << (4 * M).bit_length()
-    full = np.fft.ifft(np.fft.fft(p, n) * np.fft.fft(d, n))
-    return full[:, 2 * M:4 * M + 1]
+    return np.fft.fft(p, size)
 
 
-def _harmonic_weights(c: np.ndarray, M: int, nuT: np.ndarray):
-    """u, v, g and k0 of the module docstring, one row per Doppler nu T."""
-    k0 = -np.rint(nuT)
-    u = c * _lag_conv(np.conj(c), M, nuT)
-    v = -np.conj(c) * _lag_conv(c, M, -nuT)
+def _lag_conv(P: np.ndarray, D: np.ndarray, M: int) -> np.ndarray:
+    """sum_n p_{m-n} d_n for m = -M..M, from the FFTs P of p and D of d."""
+    return np.fft.ifft(P * D)[:, 2 * M:4 * M + 1]
+
+
+def _sinc_rows(c: np.ndarray, M: int, k0: np.ndarray) -> np.ndarray:
+    """g_n = c_{n+k0} conj(c_n) of the module docstring, one row per k0."""
     src = np.arange(2 * M + 1) + k0.astype(int)[:, None]
     inside = (src >= 0) & (src <= 2 * M)
-    g = np.where(inside, c[np.clip(src, 0, 2 * M)], 0.0) * np.conj(c)
-    return u, v, g, k0
+    return np.where(inside, c[np.clip(src, 0, 2 * M)], 0.0) * np.conj(c)
 
 
-def _chi_causal(c: np.ndarray, M: int, s: np.ndarray,
-                nuT: np.ndarray) -> np.ndarray:
-    """chi at delays s = tau / T in [0, 1] and Dopplers nu T.
+def _delay_sums(z: np.ndarray, W: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """sum_m z[i, m] W[r, m] for every delay row i and weight row r.
 
-    Each delay sum is a pairwise sum over the harmonics of one row, so an
-    entry does not depend on the rest of the grid: a single point equals the
-    same point inside any surface, bit for bit.
+    The products go through buf, which must hold one row, in pieces of
+    whole rows.  Each entry is a pairwise sum over one contiguous row, so it
+    does not depend on the rest of the grid: a single point equals the same
+    point inside any surface, bit for bit.
     """
-    u, v, g, k0 = _harmonic_weights(c, M, nuT)
-    W = np.stack([u, v, g], axis=1).reshape(3 * len(nuT), 2 * M + 1)
-    m = np.arange(-M, M + 1)
-    S = np.empty((len(s), len(W)), dtype=complex)
-    step = max(1, _CHUNK // W.size)
-    for i in range(0, len(s), step):
-        z = np.exp(-2j * np.pi * np.outer(s[i:i + step], m))
-        S[i:i + step] = np.sum(z[:, None, :] * W, axis=2)
-    S = S.reshape(len(s), len(nuT), 3)
-    A = (1.0 - s)[:, None]
-    chi = (np.exp(-1j * np.pi * np.outer(s, nuT)) * S[:, :, 0]
-           - np.exp(1j * np.pi * np.outer(s, nuT)) * S[:, :, 1]
-           + A * np.sinc(A * (k0 + nuT)) * np.exp(-1j * np.pi * np.outer(s, k0))
-           * S[:, :, 2])
-    chi[s >= 1.0] = 0.0
-    return chi
+    S = np.empty((len(z), len(W)), dtype=complex)
+    n_w = min(len(W), len(buf) // W.shape[1])
+    n_s = max(1, len(buf) // (n_w * W.shape[1]))
+    for r in range(0, len(W), n_w):
+        w = W[r:r + n_w]
+        for i in range(0, len(z), n_s):
+            zi = z[i:i + n_s]
+            prod = buf[:len(zi) * w.size].reshape(len(zi), *w.shape)
+            np.multiply(zi[:, None, :], w, out=prod)
+            S[i:i + n_s, r:r + n_w] = prod.sum(axis=2)
+    return S
 
 
 def ambiguity(spec: WaveformSpec, tau: float, nu: float,
@@ -196,17 +218,48 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
     nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
     if np.any(np.abs(taus) > spec.T * (1.0 + 1e-12)):
         raise OutOfSupport("tau grid extends beyond the pulse length")
+    c, M = coeffs.c, coeffs.M
+    m = np.arange(-M, M + 1)
+    size = 1 << (4 * M).bit_length()
+    F = np.fft.fft(c, size)
+    F_conj = np.fft.fft(np.conj(c), size)
+    block = max(1, _BLOCK // size)
+    buf = np.empty(max(_BLOCK, size), dtype=complex)
+    nuT_all = nus * spec.T
     s = taus / spec.T
-    neg = s < 0
+    # The tau >= 0 rows are chi(s, nu T) and the tau < 0 rows
+    # conj chi(-s, -nu T); each half keeps its phasors z and its sinc-term
+    # sums over the distinct k0 of the whole Doppler grid.
+    halves = []
+    for rows, sign in ((np.flatnonzero(s >= 0), 1.0),
+                       (np.flatnonzero(s < 0), -1.0)):
+        if len(rows):
+            s_h = s[rows] if sign > 0 else -s[rows]
+            z = np.exp(-2j * np.pi * np.outer(s_h, m))
+            k0s = np.unique(-np.rint(sign * nuT_all))
+            halves.append((rows, sign, s_h, z, k0s,
+                           _delay_sums(z, _sinc_rows(c, M, k0s), buf)))
     chi = np.empty((len(taus), len(nus)), dtype=complex)
-    for j in range(0, len(nus), _NU_BLOCK):
-        nuT = nus[j:j + _NU_BLOCK] * spec.T
-        if np.any(~neg):
-            chi[~neg, j:j + _NU_BLOCK] = _chi_causal(coeffs.c, coeffs.M,
-                                                     s[~neg], nuT)
-        if np.any(neg):
-            chi[neg, j:j + _NU_BLOCK] = np.conj(
-                _chi_causal(coeffs.c, coeffs.M, -s[neg], -nuT))
+    for j in range(0, len(nus), block):
+        nuT = nuT_all[j:j + block]
+        P_pos, P_neg = _kernel_fft(M, nuT, size), _kernel_fft(M, -nuT, size)
+        for rows, sign, s_h, z, k0s, g_sums in halves:
+            # u takes the kernel of the half's own Doppler, v the other one
+            P, Q = (P_pos, P_neg) if sign > 0 else (P_neg, P_pos)
+            nuT_h = sign * nuT
+            u = c * _lag_conv(P, F_conj, M)
+            v = -np.conj(c) * _lag_conv(Q, F, M)
+            S = _delay_sums(z, np.concatenate([u, v]), buf)
+            S_u, S_v = S[:, :len(nuT)], S[:, len(nuT):]
+            k0 = -np.rint(nuT_h)
+            A = (1.0 - s_h)[:, None]
+            part = (np.exp(-1j * np.pi * np.outer(s_h, nuT_h)) * S_u
+                    - np.exp(1j * np.pi * np.outer(s_h, nuT_h)) * S_v
+                    + A * np.sinc(A * (k0 + nuT_h))
+                    * np.exp(-1j * np.pi * np.outer(s_h, k0))
+                    * g_sums[:, np.searchsorted(k0s, k0)])
+            part[s_h >= 1.0] = 0.0
+            chi[rows, j:j + block] = part if sign > 0 else np.conj(part)
     return AmbiguitySurface(tau=taus, nu=nus, chi=chi)
 
 
@@ -224,7 +277,13 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
     if n_tau < 1:
         raise ValueError(f"n_tau must be at least 1, got {n_tau}")
     coeffs = _resolve_coeffs(spec, coeffs)
-    u, v, g, _ = _harmonic_weights(coeffs.c, coeffs.M, np.zeros(1))
+    c, M = coeffs.c, coeffs.M
+    size = 1 << (4 * M).bit_length()
+    # at nu = 0 the kernels p and q are one array
+    P = _kernel_fft(M, np.zeros(1), size)
+    u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
+    v = -np.conj(c) * _lag_conv(P, np.fft.fft(c, size), M)[0]
+    g = _sinc_rows(c, M, np.zeros(1))[0]
     bins = coeffs.m_index % n_tau
 
     def dft(w):
@@ -233,6 +292,6 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
         return np.fft.fft(folded)
 
     A = 1.0 - np.arange(n_tau) / n_tau
-    body = A * dft(g[0]) + dft(u[0] - v[0])
+    body = A * dft(g) + dft(u - v)
     tau = np.arange(n_tau + 1) * (spec.T / n_tau)
     return tau, np.concatenate([body, [0.0]])

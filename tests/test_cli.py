@@ -198,6 +198,15 @@ def test_manifest_lists_every_output(tmp_path, command):
         "gen": str(out / "spec.json"), "analyze": str(spec)}.get(command)
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
+    stages = manifest["stages"]
+    assert [st["stage"] for st in stages] == ["parse", *{
+        "gen": ["spec", "samples"],
+        "analyze": ["coefficients", "spectrum", "acf", "acf_csv", "af",
+                    "eoa", "sidelobes"],
+        "scan": ["scan", "scan_csv"],
+        "compare-lfm": ["ce_spectrum", "lfm_spectrum", "comparison"],
+    }[command]]
+    assert all(st["wall_s"] >= 0.0 for st in stages)
 
 
 def test_scan_small_grid_symmetry(tmp_path):

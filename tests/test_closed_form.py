@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ceofdm import closed_form
 from ceofdm.cli import write_csv
 from ceofdm.closed_form import acf_uniform, af_surface, ambiguity, spectrum
+from ceofdm.eoa import h_for_tbp
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import af_numeric
 from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
@@ -16,13 +20,15 @@ def _spec(L=2, h=0.5, T=1.0, seed=1):
 
 
 def _naive_chi(coeffs, T, tau, nu):
-    # direct double sum over (m, n); the library must match it exactly
-    m = coeffs.m_index
+    # direct double sum over (m, n); the library must match it exactly.
+    # exp(-j pi (m + n) tau / T) splits into one phasor per index, and the
+    # sinc matrix takes its entries from the 4M + 1 lags m - n.
+    m, M = coeffs.m_index, coeffs.M
     A = (T - abs(tau)) / T
-    phase = np.exp(-1j * np.pi * (m[:, None] + m[None, :]) * tau / T)
-    snc = np.sinc(A * (nu * T + m[:, None] - m[None, :]))
-    w = coeffs.c[:, None] * np.conj(coeffs.c)[None, :]
-    return A * np.sum(w * phase * snc)
+    phasor = np.exp(-1j * np.pi * m * tau / T)
+    lags = np.sinc(A * (nu * T + np.arange(-2 * M, 2 * M + 1)))
+    snc = lags[m[:, None] - m[None, :] + 2 * M]
+    return A * ((coeffs.c * phasor) @ snc @ (np.conj(coeffs.c) * phasor))
 
 
 # derandomized so that every run draws the same examples, and nothing is
@@ -168,7 +174,7 @@ def test_acf_uniform_matches_pointwise_ambiguity():
     assert abs(R[0] - 1.0) < 1e-12
 
 
-def test_acf_uniform_small_grid_fallback_agrees():
+def test_acf_uniform_folds_harmonics_on_small_grids():
     # n_tau below the coefficient span folds several harmonics into each bin
     spec = _spec(L=2, h=5.0, seed=9)
     co = compute_coefficients(spec)
@@ -308,3 +314,169 @@ def test_chi_at_and_near_integer_doppler(L, h):
     chi = af_surface(spec, tau, nu, coeffs=co).chi
     ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)
+
+
+# The kernels as they were before af_surface shared its +-nu kernels and
+# sinc-term sums and bounded its buffers.  The new kernels must reproduce
+# them bit for bit, so the CLI data files keep their bytes.
+def _old_lag_conv(d, M, nuT):
+    k = np.arange(-2 * M, 2 * M + 1)
+    x = k + nuT[:, None]
+    near = k == -np.rint(nuT)[:, None]
+    x[near] = 1.0
+    p = np.exp(1j * np.pi * x) / (2j * np.pi * x)
+    p[near] = 0.0
+    n = 1 << (4 * M).bit_length()
+    full = np.fft.ifft(np.fft.fft(p, n) * np.fft.fft(d, n))
+    return full[:, 2 * M:4 * M + 1]
+
+
+def _old_harmonic_weights(c, M, nuT):
+    k0 = -np.rint(nuT)
+    u = c * _old_lag_conv(np.conj(c), M, nuT)
+    v = -np.conj(c) * _old_lag_conv(c, M, -nuT)
+    src = np.arange(2 * M + 1) + k0.astype(int)[:, None]
+    inside = (src >= 0) & (src <= 2 * M)
+    g = np.where(inside, c[np.clip(src, 0, 2 * M)], 0.0) * np.conj(c)
+    return u, v, g, k0
+
+
+def _old_chi_causal(c, M, s, nuT):
+    u, v, g, k0 = _old_harmonic_weights(c, M, nuT)
+    W = np.stack([u, v, g], axis=1).reshape(3 * len(nuT), 2 * M + 1)
+    m = np.arange(-M, M + 1)
+    S = np.empty((len(s), len(W)), dtype=complex)
+    step = max(1, (1 << 20) // W.size)
+    for i in range(0, len(s), step):
+        z = np.exp(-2j * np.pi * np.outer(s[i:i + step], m))
+        S[i:i + step] = np.sum(z[:, None, :] * W, axis=2)
+    S = S.reshape(len(s), len(nuT), 3)
+    A = (1.0 - s)[:, None]
+    chi = (np.exp(-1j * np.pi * np.outer(s, nuT)) * S[:, :, 0]
+           - np.exp(1j * np.pi * np.outer(s, nuT)) * S[:, :, 1]
+           + A * np.sinc(A * (k0 + nuT)) * np.exp(-1j * np.pi * np.outer(s, k0))
+           * S[:, :, 2])
+    chi[s >= 1.0] = 0.0
+    return chi
+
+
+def _old_af_surface(co, T, taus, nus):
+    s = taus / T
+    neg = s < 0
+    chi = np.empty((len(taus), len(nus)), dtype=complex)
+    for j in range(0, len(nus), 64):
+        nuT = nus[j:j + 64] * T
+        if np.any(~neg):
+            chi[~neg, j:j + 64] = _old_chi_causal(co.c, co.M, s[~neg], nuT)
+        if np.any(neg):
+            chi[neg, j:j + 64] = np.conj(
+                _old_chi_causal(co.c, co.M, -s[neg], -nuT))
+    return chi
+
+
+def _old_acf_uniform(co, T, n_tau):
+    u, v, g, _ = _old_harmonic_weights(co.c, co.M, np.zeros(1))
+    bins = co.m_index % n_tau
+
+    def dft(w):
+        folded = (np.bincount(bins, w.real, n_tau)
+                  + 1j * np.bincount(bins, w.imag, n_tau))
+        return np.fft.fft(folded)
+
+    A = 1.0 - np.arange(n_tau) / n_tau
+    return np.concatenate([A * dft(g[0]) + dft(u[0] - v[0]), [0.0]])
+
+
+def _same_bits(a, b):
+    # equal values and equal signs of zero, which the CSV files print
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@_PROPERTY
+@given(spec=_specs(),
+       s=st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4),
+       nuT=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
+       n_tau=st.integers(1, 700))
+# T = 2 and 1 keep nu T = (k + 0.5) / T * T exact, on the tie of rint
+@example(spec=WaveformSpec(T=2.0, h=0.0, code=PskCode(
+    L=1, gamma=np.ones(1), phi=np.zeros(1))), s=[0.4], nuT=[0.5],
+    n_tau=16)
+@example(spec=WaveformSpec(T=1.0, h=1.2, code=PskCode(
+    L=3, gamma=np.ones(3), phi=np.array([0.3, -2.0, 1.1]))),
+    s=[-0.25, 0.7], nuT=[-4.5, 0.0], n_tau=97)
+def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, s, nuT,
+                                                              n_tau):
+    co = compute_coefficients(spec)
+    T = spec.T
+    # tau = 0 and +-T; Dopplers on ties of rint at k +- 0.5, an asymmetric
+    # grid, and more Dopplers than one block holds, not a multiple of it
+    tau = np.array([0.0, 1.0, -1.0, *s]) * T
+    ties = np.array([-2.5, -0.5, 0.5, 1.5, 3.5])
+    # the Dopplers af_surface builds kernels for at a time
+    block = max(1, closed_form._BLOCK // (1 << (4 * co.M).bit_length()))
+    wide = np.linspace(-7.0, 11.0, 2 * block + 3)
+    nu = np.concatenate([nuT, ties, wide]) / T
+    got = af_surface(spec, tau, nu, coeffs=co).chi
+    assert _same_bits(got, _old_af_surface(co, T, tau, nu))
+    for t, v in ((tau[-1], nu[0]), (-T, nu[-1]), (0.0, 0.5 / T)):
+        point = ambiguity(spec, t, v, coeffs=co)
+        assert _same_bits(np.array([point]),
+                          _old_af_surface(co, T, np.array([t]),
+                                          np.array([v]))[0])
+    _, R = acf_uniform(spec, n_tau, coeffs=co)
+    assert _same_bits(R, _old_acf_uniform(co, T, n_tau))
+
+
+def test_spectrum_matches_unbuffered_loop_bit_for_bit():
+    # the loop before one reciprocal buffer served every chunk, on grids of
+    # several chunks and a partial last one
+    for spec, n_f in ((_spec(L=24, h=0.1856, seed=3), 4001),
+                      (_spec(L=2, h=5.0, seed=9), 9001)):
+        co = compute_coefficients(spec)
+        f = np.linspace(-3.0 * co.M, 3.0 * co.M, n_f) / spec.T
+        step = max(1, closed_form._CHUNK // len(co.m_index))
+        assert n_f > 2 * step and n_f % step
+        m = co.m_index
+        x = spec.T * f
+        n = np.rint(x)
+        r = x - n
+        alt = np.where(m % 2, -co.c, co.c)
+        scale = (np.sqrt(spec.T) / np.pi * np.where(n % 2, -1.0, 1.0)
+                 * np.sin(np.pi * r))
+        x = np.where(r == 0.0, 0.5, x)
+        ref = np.empty(n_f, dtype=complex)
+        for i in range(0, n_f, step):
+            inv = np.subtract.outer(x[i:i + step], m)
+            np.divide(1.0, inv, out=inv)
+            ref.real[i:i + step] = scale[i:i + step] * (inv @ alt.real)
+            ref.imag[i:i + step] = scale[i:i + step] * (inv @ alt.imag)
+        on = r == 0.0
+        c_n = co.c[np.clip(n[on], -co.M, co.M).astype(int) + co.M]
+        ref[on] = np.where(np.abs(n[on]) <= co.M, np.sqrt(spec.T) * c_n, 0.0)
+        assert _same_bits(spectrum(spec, f, coeffs=co).values, ref)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_work_in_a_bounded_buffer():
+    # the L = 24, TBP 200 spec of the design session, on the CLI's grids
+    L = 24
+    spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 200.0, L),
+                        code=random_psk_code(L, 32, 0))
+    co = compute_coefficients(spec)
+    assert co.M == 484
+    tau = np.linspace(-0.9, 0.9, 64)
+    nu = np.linspace(-10.0, 10.0, 64)
+    assert _traced_peak(lambda: af_surface(spec, tau, nu, coeffs=co)) < 6e6
+    f = np.linspace(-400.0, 400.0, 4001)
+    chunk = closed_form._CHUNK * np.dtype(float).itemsize
+    assert _traced_peak(lambda: spectrum(spec, f, coeffs=co)) < 1.1 * chunk
