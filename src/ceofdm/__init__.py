@@ -1,5 +1,15 @@
 """Constant-envelope OFDM radar waveform synthesis and analysis."""
 
+import os
+
+# OpenBLAS reads this once, when numpy loads, and by default starts a worker
+# thread per core that spins before it sleeps.  The kernels' only BLAS calls
+# are matrix-vector products of at most a few thousand rows and a 2x2 eigh,
+# which gain nothing from a second thread, so one thread saves CPU time and
+# keeps the bytes of spectrum CSVs independent of the core count.  A value
+# already in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .closed_form import (AmbiguitySurface, SpectrumSamples, acf_uniform,
                           af_surface, ambiguity, spectrum)
 from .eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,

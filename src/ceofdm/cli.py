@@ -395,6 +395,8 @@ def main(argv=None) -> int:
             "tool_version": __version__,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
+            # BLAS rounding, and with it the spectrum bytes, depend on this
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"),
         })

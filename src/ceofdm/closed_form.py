@@ -114,7 +114,11 @@ def spectrum(spec: WaveformSpec, f_grid,
     computed in.  On the L = 24, TBP 200 spectra, a single frequency
     against the same frequency inside a grid moved by up to 3.6e-16, and a
     grid computed at another _CHUNK by up to 1.5e-16.  So _CHUNK is part of
-    the output's bytes.
+    the output's bytes, and so is the number of BLAS threads: threaded
+    OpenBLAS splits the rows and rounds some of them differently (7 to 10
+    of compare-lfm's 4001 rows moved by up to 1.5e-16 between one thread
+    and two).  The package fixes that number at 1 unless
+    OPENBLAS_NUM_THREADS is set before numpy loads.
     """
     coeffs = _resolve_coeffs(spec, coeffs)
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))

@@ -198,6 +198,8 @@ def test_manifest_lists_every_output(tmp_path, command):
         "gen": str(out / "spec.json"), "analyze": str(spec)}.get(command)
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
+    assert (manifest["openblas_num_threads"]
+            == os.environ["OPENBLAS_NUM_THREADS"])
     stages = manifest["stages"]
     assert [st["stage"] for st in stages] == ["parse", *{
         "gen": ["spec", "samples"],
@@ -294,9 +296,32 @@ def test_write_csv_matches_per_row_format(tmp_path, monkeypatch):
         assert path.read_bytes() == ref.encode()
 
 
-def test_import_leaves_scipy_out():
+def _python(code, openblas_threads=None):
+    """Run code in a fresh interpreter that imports ceofdm from this tree,
+    with OPENBLAS_NUM_THREADS set to openblas_threads, or unset for None."""
     src = str(Path(ceofdm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ceofdm; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_leaves_scipy_out():
+    _python("import sys, ceofdm; assert 'scipy' not in sys.modules")
+
+
+@pytest.mark.parametrize("exported", [None, "2"])
+def test_import_pins_openblas_to_one_thread(exported):
+    code = "import os, ceofdm; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    linux = sys.platform.startswith("linux")
+    if linux:
+        # one entry per OS thread of the process
+        code += "; print(len(os.listdir('/proc/self/task')))"
+    value, *threads = _python(code, exported).split()
+    # an exported value wins; unset, numpy loads with a single BLAS thread
+    assert value == (exported or "1")
+    if exported is None and linux:
+        assert threads == ["1"]
