@@ -3,11 +3,11 @@
 import os
 
 # OpenBLAS reads this once, when numpy loads, and by default starts a worker
-# thread per core that spins before it sleeps.  The kernels' only BLAS calls
-# are matrix-vector products of at most a few thousand rows and a 2x2 eigh,
-# which gain nothing from a second thread, so one thread saves CPU time and
-# keeps the bytes of spectrum CSVs independent of the core count.  A value
-# already in the environment wins.
+# thread per core that spins before it sleeps.  No command makes a BLAS call
+# that gains from a second thread (the only ones left in the package are
+# ellipse_contour's 2x2 eigh and the reference sums the tests compare
+# against), so one thread saves CPU time.  A value already in the
+# environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .closed_form import (AmbiguitySurface, SpectrumSamples, acf_uniform,

@@ -224,6 +224,10 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     if args.L != 2:
         raise ValueError(f"scan supports L = 2 only, got L = {args.L}")
+    # each code's report needs a mainlobe null, so at least 3 delay steps
+    if args.acf_n < 3:
+        raise ValueError("n_tau must be at least 3 for scan, got --acf-n "
+                         f"{args.acf_n}")
     h = _resolve_h(args, args.L)
     surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n)
     stages.done("scan")
@@ -395,8 +399,6 @@ def main(argv=None) -> int:
             "tool_version": __version__,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
-            # BLAS rounding, and with it the spectrum bytes, depend on this
-            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"),
         })

@@ -74,12 +74,10 @@ from .gbf import GbfCoefficients, compute_coefficients
 from .waveform import OutOfSupport, WaveformSpec
 
 # af_surface builds the kernels of as many Dopplers at a time as fit in
-# _BLOCK complex elements, and forms the delay-sum products in one buffer of
-# that size; spectrum forms its reciprocals in one buffer of at most _CHUNK
-# reals.  _CHUNK also sets the rows of each matrix-vector product, whose
-# last bits depend on it.
+# _BLOCK complex elements and forms the delay-sum products in one buffer of
+# that size; spectrum forms its reciprocals in one buffer of as many reals,
+# 2 * _BLOCK.
 _BLOCK = 1 << 14
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -107,18 +105,10 @@ def spectrum(spec: WaveformSpec, f_grid,
              coeffs: GbfCoefficients | None = None) -> SpectrumSamples:
     """Evaluate S(f) on f_grid (Hz).
 
-    The reciprocals are formed in one reused buffer of at most _CHUNK
-    values, and each chunk of rows is one BLAS matrix-vector product, whose
-    rounding depends on the rows it gets.  Unlike af_surface, a value can
-    therefore differ in its last bits with the grid and chunk it is
-    computed in.  On the L = 24, TBP 200 spectra, a single frequency
-    against the same frequency inside a grid moved by up to 3.6e-16, and a
-    grid computed at another _CHUNK by up to 1.5e-16.  So _CHUNK is part of
-    the output's bytes, and so is the number of BLAS threads: threaded
-    OpenBLAS splits the rows and rounds some of them differently (7 to 10
-    of compare-lfm's 4001 rows moved by up to 1.5e-16 between one thread
-    and two).  The package fixes that number at 1 unless
-    OPENBLAS_NUM_THREADS is set before numpy loads.
+    The reciprocals are formed in one reused buffer of 2 * _BLOCK reals, or
+    one row if that is longer, and each value is a sum over its own row in
+    a fixed order.  So a single frequency equals its entry in any grid, bit
+    for bit, whatever the buffer size or the machine's thread settings.
     """
     coeffs = _resolve_coeffs(spec, coeffs)
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
@@ -127,22 +117,28 @@ def spectrum(spec: WaveformSpec, f_grid,
     n = np.rint(x)
     r = x - n
     on = r == 0.0
-    # (-1)^m c_m, split so that both sums are real matrix-vector products
+    # (-1)^m c_m, split into contiguous real vectors, which take einsum's
+    # vectorized loop
     alt = np.where(m % 2, -coeffs.c, coeffs.c)
+    re, im = np.ascontiguousarray(alt.real), np.ascontiguousarray(alt.imag)
     scale = (np.sqrt(spec.T) / np.pi * np.where(n % 2, -1.0, 1.0)
              * np.sin(np.pi * r))
     # rows with r = 0 are set below; 0.5 keeps their reciprocals finite
     x = np.where(on, 0.5, x)
     vals = np.empty(len(f), dtype=complex)
-    step = max(1, _CHUNK // len(m))
-    buf = np.empty((min(step, len(f)), len(m)))
+    buf = np.empty(max(2 * _BLOCK, len(m)))
+    # einsum sums a row longer than its iterator's 8192-element buffer in
+    # pieces whose order depends on the other rows, so those go one by one
+    step = len(buf) // len(m) if len(m) <= 8192 else 1
     for i in range(0, len(f), step):
         rows = x[i:i + step]
-        inv = buf[:len(rows)]
+        inv = buf[:len(rows) * len(m)].reshape(len(rows), len(m))
         np.subtract.outer(rows, m, out=inv)
         np.divide(1.0, inv, out=inv)
-        vals.real[i:i + step] = scale[i:i + step] * (inv @ alt.real)
-        vals.imag[i:i + step] = scale[i:i + step] * (inv @ alt.imag)
+        # einsum without optimize sums each row on its own, never in BLAS
+        row_scale = scale[i:i + step]
+        vals.real[i:i + step] = row_scale * np.einsum("ij,j->i", inv, re)
+        vals.imag[i:i + step] = row_scale * np.einsum("ij,j->i", inv, im)
     n = n[on]
     c_n = coeffs.c[np.clip(n, -M, M).astype(int) + M]
     vals[on] = np.where(np.abs(n) <= M, np.sqrt(spec.T) * c_n, 0.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import WaveformSpec, _harmonic_sum, spec_digest
+from .waveform import WaveformSpec, _harmonic_sum
 
 M_CAP = 1 << 20
 TOL = 1e-12
@@ -43,7 +43,6 @@ class GbfCoefficients:
     M: int
     c: np.ndarray
     residual: float
-    spec_hash: str
 
     def __post_init__(self):
         c = np.array(self.c, dtype=complex)
@@ -100,8 +99,7 @@ def compute_coefficients(spec: WaveformSpec) -> GbfCoefficients:
         c, residual = _coefficients_at_order(spec, M)
         edge = max(abs(c[0]), abs(c[-1]))
         if residual < TOL and edge <= TOL:
-            return GbfCoefficients(M=M, c=c, residual=residual,
-                                   spec_hash=spec_digest(spec))
+            return GbfCoefficients(M=M, c=c, residual=residual)
         M *= 2
 
 

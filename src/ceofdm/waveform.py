@@ -27,7 +27,6 @@ that equivalence on a dense grid.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -319,6 +318,9 @@ def sample(spec: WaveformSpec, fs: float) -> np.ndarray:
 
 def spec_digest(spec: WaveformSpec) -> str:
     """Stable 16-hex-digit identifier of a WaveformSpec's numeric content."""
+    # imported here: hashlib loads libcrypto, which no command needs
+    import hashlib
+
     parts = [f"T={spec.T:.17g}", f"h={spec.h:.17g}", f"L={spec.L}"]
     parts.append("gamma=" + ",".join(f"{g:.17g}" for g in spec.code.gamma))
     parts.append("phi=" + ",".join(f"{p:.17g}" for p in spec.code.phi))

@@ -140,22 +140,27 @@ def test_analyze_missing_spec(tmp_path, capsys):
 
 
 def test_analyze_rejects_empty_delay_grid(tmp_path, capsys):
-    _run("gen", "--L", 2, "--h", 0.5, "--out", tmp_path / "g")
-    # --sidelobes needs a mainlobe null, so at least 3 delay steps
-    for flag, n in (("--acf", 0), ("--sidelobes", 1), ("--sidelobes", 2)):
+    spec = tmp_path / "g" / "spec.json"
+    _run("gen", "--L", 2, "--h", 0.5, "--out", spec.parent)
+    # --sidelobes and scan need a mainlobe null, so at least 3 delay steps
+    cases = [("analyze", "--spec", spec, flag, "--acf-n", n)
+             for flag, n in (("--acf", 0), ("--sidelobes", 1),
+                             ("--sidelobes", 2))]
+    cases += [("scan", "--h", 0.5, "--grid-n", 2, "--acf-n", n)
+              for n in (1, 2)]
+    for i, argv in enumerate(cases):
         capsys.readouterr()
-        out = tmp_path / f"r{flag}{n}"
-        assert _run("analyze", "--spec", tmp_path / "g" / "spec.json", flag,
-                    "--acf-n", n, "--out", out) == 2
+        out = tmp_path / f"r{i}"
+        assert _run(*argv, "--out", out) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: n_tau")
         assert "--acf-n" in err[0]
-        # rejected before coefficients.csv, so the fresh --out is removed
+        # rejected before any data file, so the fresh --out is removed
         assert not out.exists()
     for sizes in ((-2, 5), (5, 0)):
         out = tmp_path / f"af{sizes}"
-        assert _run("analyze", "--spec", tmp_path / "g" / "spec.json",
-                    "--af", *sizes, "--out", out) == 2
+        assert _run("analyze", "--spec", spec, "--af", *sizes,
+                    "--out", out) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--af" in err[0]
         assert not out.exists()
@@ -198,8 +203,6 @@ def test_manifest_lists_every_output(tmp_path, command):
         "gen": str(out / "spec.json"), "analyze": str(spec)}.get(command)
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
-    assert (manifest["openblas_num_threads"]
-            == os.environ["OPENBLAS_NUM_THREADS"])
     stages = manifest["stages"]
     assert [st["stage"] for st in stages] == ["parse", *{
         "gen": ["spec", "samples"],
@@ -296,8 +299,8 @@ def test_write_csv_matches_per_row_format(tmp_path, monkeypatch):
         assert path.read_bytes() == ref.encode()
 
 
-def _python(code, openblas_threads=None):
-    """Run code in a fresh interpreter that imports ceofdm from this tree,
+def _python(*args, openblas_threads=None):
+    """Run a fresh interpreter with args, importing ceofdm from this tree,
     with OPENBLAS_NUM_THREADS set to openblas_threads, or unset for None."""
     src = str(Path(ceofdm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -305,12 +308,15 @@ def _python(code, openblas_threads=None):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env, check=True,
                           capture_output=True, text=True).stdout
 
 
 def test_import_leaves_scipy_out():
-    _python("import sys, ceofdm; assert 'scipy' not in sys.modules")
+    # hashlib would load libcrypto, which no command needs
+    _python("-c", "import sys, ceofdm.cli\n"
+            "for name in ('scipy', '_hashlib'):\n"
+            "    assert name not in sys.modules, name")
 
 
 @pytest.mark.parametrize("exported", [None, "2"])
@@ -320,8 +326,25 @@ def test_import_pins_openblas_to_one_thread(exported):
     if linux:
         # one entry per OS thread of the process
         code += "; print(len(os.listdir('/proc/self/task')))"
-    value, *threads = _python(code, exported).split()
+    value, *threads = _python("-c", code, openblas_threads=exported).split()
     # an exported value wins; unset, numpy loads with a single BLAS thread
     assert value == (exported or "1")
     if exported is None and linux:
         assert threads == ["1"]
+
+
+def test_data_files_do_not_depend_on_blas_threads(tmp_path):
+    # fresh processes, so OpenBLAS starts with the exported thread count
+    spec = tmp_path / "g" / "spec.json"
+    _run("gen", "--L", 24, "--tbp", 200, "--seed", 0, "--out", spec.parent)
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        for argv in (["compare-lfm", "--tbp", "200", "--L", "24"],
+                     ["analyze", "--spec", str(spec), "--spectrum"]):
+            _python("-m", "ceofdm.cli", *argv, "--out", str(out),
+                    openblas_threads=threads)
+        outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                         if p.name != "manifest.json"}
+    assert {"ce_spectrum.csv", "spectrum.csv"} <= outs["1"].keys()
+    assert outs["1"] == outs["2"]

@@ -429,33 +429,43 @@ def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, s, nuT,
     assert _same_bits(R, _old_acf_uniform(co, T, n_tau))
 
 
-def test_spectrum_matches_unbuffered_loop_bit_for_bit():
-    # the loop before one reciprocal buffer served every chunk, on grids of
-    # several chunks and a partial last one
+def test_spectrum_entries_do_not_depend_on_the_grid(monkeypatch):
+    # every value is a fixed-order sum over its own row of reciprocals, so
+    # single frequencies, sub-grids and other buffer sizes give the grid's
+    # bits.  At h = 600 and L = 1 a row (2M + 1 > 8192) is longer than
+    # einsum's iterator buffer.
+    rng = np.random.default_rng(5)
     for spec, n_f in ((_spec(L=24, h=0.1856, seed=3), 4001),
-                      (_spec(L=2, h=5.0, seed=9), 9001)):
+                      (_spec(L=2, h=5.0, T=2.5, seed=9), 1025),
+                      (_spec(L=1, h=600.0, seed=2), 41)):
         co = compute_coefficients(spec)
-        f = np.linspace(-3.0 * co.M, 3.0 * co.M, n_f) / spec.T
-        step = max(1, closed_form._CHUNK // len(co.m_index))
-        assert n_f > 2 * step and n_f % step
-        m = co.m_index
-        x = spec.T * f
-        n = np.rint(x)
-        r = x - n
-        alt = np.where(m % 2, -co.c, co.c)
-        scale = (np.sqrt(spec.T) / np.pi * np.where(n % 2, -1.0, 1.0)
-                 * np.sin(np.pi * r))
-        x = np.where(r == 0.0, 0.5, x)
-        ref = np.empty(n_f, dtype=complex)
-        for i in range(0, n_f, step):
-            inv = np.subtract.outer(x[i:i + step], m)
-            np.divide(1.0, inv, out=inv)
-            ref.real[i:i + step] = scale[i:i + step] * (inv @ alt.real)
-            ref.imag[i:i + step] = scale[i:i + step] * (inv @ alt.imag)
-        on = r == 0.0
-        c_n = co.c[np.clip(n[on], -co.M, co.M).astype(int) + co.M]
-        ref[on] = np.where(np.abs(n[on]) <= co.M, np.sqrt(spec.T) * c_n, 0.0)
-        assert _same_bits(spectrum(spec, f, coeffs=co).values, ref)
+        n_m = len(co.m_index)
+        # buffers of one row, of 7 rows and the default, each with a
+        # partial last chunk
+        default = max(1, 2 * closed_form._BLOCK // n_m)
+        assert n_f % 7 and n_f % default
+        x = rng.uniform(-1.5, 1.5, n_f) * co.M
+        # r == 0 rows, inside and beyond +-M, on the first and last row of
+        # every chunk
+        k = rng.integers(-co.M - 40, co.M + 41, n_f)
+        k[::5] = np.where(k[::5] < 0, -co.M - 1, co.M + 3)
+        on = np.zeros(n_f, dtype=bool)
+        for rows in (7, default):
+            on[::rows] = on[rows - 1::rows] = True
+        x[on] = k[on]
+        f = x / spec.T
+        full = spectrum(spec, f, coeffs=co).values
+        assert np.any(np.abs(x[on]) > co.M)
+        for block in (1, (7 * n_m + 1) // 2, closed_form._BLOCK):
+            with monkeypatch.context() as mp:
+                mp.setattr(closed_form, "_BLOCK", block)
+                assert _same_bits(spectrum(spec, f, coeffs=co).values, full)
+        for i in (*range(0, n_f, max(1, n_f // 40)), n_f - 1):
+            assert _same_bits(spectrum(spec, f[i], coeffs=co).values,
+                              full[i:i + 1])
+        for a, b in ((1, 8), (3, n_f // 2), (n_f // 3, n_f)):
+            assert _same_bits(spectrum(spec, f[a:b], coeffs=co).values,
+                              full[a:b])
 
 
 def _traced_peak(fn):
@@ -478,5 +488,4 @@ def test_kernels_work_in_a_bounded_buffer():
     nu = np.linspace(-10.0, 10.0, 64)
     assert _traced_peak(lambda: af_surface(spec, tau, nu, coeffs=co)) < 6e6
     f = np.linspace(-400.0, 400.0, 4001)
-    chunk = closed_form._CHUNK * np.dtype(float).itemsize
-    assert _traced_peak(lambda: spectrum(spec, f, coeffs=co)) < 1.1 * chunk
+    assert _traced_peak(lambda: spectrum(spec, f, coeffs=co)) < 1 << 20

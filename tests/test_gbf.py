@@ -91,8 +91,7 @@ def test_coefficient_accessor_bounds():
     with pytest.raises(IndexError):
         co.coefficient(co.M + 1)
     with pytest.raises(ValueError):
-        GbfCoefficients(M=2, c=np.zeros(4, dtype=complex), residual=0.0,
-                        spec_hash="x")
+        GbfCoefficients(M=2, c=np.zeros(4, dtype=complex), residual=0.0)
 
 
 def test_coefficient_csv_round_trip(tmp_path):
