@@ -413,5 +413,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """`ceofdm` and `python -m ceofdm.cli`: main, then exit at once.  Its
+    files are closed by then, so after the flushes no teardown is needed
+    and atexit handlers do not run."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

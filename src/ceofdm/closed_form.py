@@ -236,7 +236,9 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
         if len(rows):
             s_h = s[rows] if sign > 0 else -s[rows]
             z = np.exp(-2j * np.pi * np.outer(s_h, m))
-            k0s = np.unique(-np.rint(sign * nuT_all))
+            # the distinct k0, sorted; np.unique would import numpy.ma
+            k0s = np.sort(-np.rint(sign * nuT_all))
+            k0s = k0s[np.append(True, k0s[1:] != k0s[:-1])]
             halves.append((rows, sign, s_h, z, k0s,
                            _delay_sums(z, _sinc_rows(c, M, k0s), buf)))
     chi = np.empty((len(taus), len(nus)), dtype=complex)

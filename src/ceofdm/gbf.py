@@ -66,17 +66,23 @@ def _initial_order(spec: WaveformSpec) -> int:
     return math.ceil(math.e * math.pi * spec.h * L * (L + 1) / 2.0) + 8
 
 
-def _coefficients_at_order(spec: WaveformSpec, M: int) -> tuple[np.ndarray, float]:
+def _coefficients_at_order(spec: WaveformSpec, M: int, g_prev=None):
+    """(c, residual, g), g the phase-factor samples.  When the FFT size
+    doubles, g_prev's samples are bitwise the even ones (2 pi 2i / 2n
+    rounds as 2 pi i / n), so only the odd ones are evaluated."""
     nfft = 1
     while nfft < 4 * (2 * M + 1):
         nfft *= 2
-    theta = 2.0 * np.pi * np.arange(nfft) / nfft
+    odd = g_prev is not None and 2 * len(g_prev) == nfft
+    theta = 2.0 * np.pi * np.arange(int(odd), nfft, 1 + odd) / nfft
     g = np.exp(1j * (2.0 * np.pi * spec.h * _harmonic_sum(spec.code, theta)))
+    if odd:
+        g = np.stack([g_prev, g], axis=1).ravel()
     G = np.fft.fft(g) / nfft
     m = np.arange(-M, M + 1)
     c = G[m % nfft]
     residual = float(1.0 - np.sum(np.abs(c) ** 2))
-    return c, residual
+    return c, residual, g
 
 
 def compute_coefficients(spec: WaveformSpec) -> GbfCoefficients:
@@ -92,11 +98,12 @@ def compute_coefficients(spec: WaveformSpec) -> GbfCoefficients:
     deterministic: fixed FFT sizes, fixed schedule.
     """
     M = _initial_order(spec)
+    g = None
     while True:
         if M > M_CAP:
             raise TruncationFailure(
                 f"truncation order {M} exceeds cap {M_CAP} before reaching tol {TOL}")
-        c, residual = _coefficients_at_order(spec, M)
+        c, residual, g = _coefficients_at_order(spec, M, g)
         edge = max(abs(c[0]), abs(c[-1]))
         if residual < TOL and edge <= TOL:
             return GbfCoefficients(M=M, c=c, residual=residual)

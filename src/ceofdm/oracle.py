@@ -138,7 +138,8 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
             dphi = phase_at(spec, lo) - phase_at(spec, hi)
         u = np.exp(1j * dphi) / T
         for j, nu in enumerate(nus):
-            y = u * np.exp(2j * np.pi * nu * t)
+            # the Doppler factor is exactly 1 at nu = 0
+            y = u if nu == 0.0 else u * np.exp(2j * np.pi * nu * t)
             out[i, j] = _integrate(y, t)
     return out
 

@@ -299,17 +299,21 @@ def test_write_csv_matches_per_row_format(tmp_path, monkeypatch):
         assert path.read_bytes() == ref.encode()
 
 
-def _python(*args, openblas_threads=None):
+def _python(*args, openblas_threads=None, returncode=0):
     """Run a fresh interpreter with args, importing ceofdm from this tree,
-    with OPENBLAS_NUM_THREADS set to openblas_threads, or unset for None."""
+    with OPENBLAS_NUM_THREADS set to openblas_threads, or unset for None.
+    The exit code must be returncode; the finished process is returned."""
     src = str(Path(ceofdm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_NUM_THREADS", None)
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == returncode, (
+        f"exit {proc.returncode}, want {returncode}; stderr:\n{proc.stderr}")
+    return proc
 
 
 def test_import_leaves_scipy_out():
@@ -319,6 +323,52 @@ def test_import_leaves_scipy_out():
             "    assert name not in sys.modules, name")
 
 
+def test_af_surface_leaves_numpy_ma_out(tmp_path):
+    # np.unique imports numpy.ma, which no command needs
+    _python("-c", "import sys\n"
+            "from ceofdm.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['gen', '--L', '2', '--h', '0.5',"
+            " '--out', out]) == 0\n"
+            "assert main(['analyze', '--spec', out + '/spec.json', '--af',"
+            " '3', '3', '--out', out + '/r']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'")
+
+
+def test_module_entry_exits_with_complete_output(tmp_path):
+    out = tmp_path / "g"
+    proc = _python("-m", "ceofdm.cli", "gen", "--L", "2", "--h", "0.5",
+                   "--out", str(out))
+    assert proc.stdout == (f"wrote {out / 'spec.json'} (h = 0.5) and "
+                           f"{out / 'samples.csv'}\n")
+    assert json.loads((out / "manifest.json").read_text())["command"] == "gen"
+    bad = tmp_path / "bad"
+    proc = _python("-m", "ceofdm.cli", "analyze", "--spec",
+                   str(tmp_path / "nope.json"), "--eoa", "--out", str(bad),
+                   returncode=2)
+    assert proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "nope.json" in err[0] and proc.stderr.endswith("\n")
+    assert not bad.exists()
+    proc = _python("-m", "ceofdm.cli", "--version")
+    assert proc.stdout == f"{__version__}\n"
+
+
+def test_module_entry_skips_interpreter_teardown(tmp_path):
+    # an atexit handler of the wrapping process would print; it must not run
+    # after a command that succeeded
+    out = tmp_path / "g"
+    proc = _python("-c", "import atexit, runpy, sys\n"
+                   "atexit.register(print, 'teardown ran')\n"
+                   "sys.argv = ['ceofdm', 'gen', '--L', '2', '--h', '0.5',"
+                   f" '--out', {str(out)!r}]\n"
+                   "runpy.run_module('ceofdm.cli', run_name='__main__')")
+    assert proc.stdout.startswith("wrote ")
+    assert "teardown ran" not in proc.stdout
+    assert (out / "manifest.json").is_file()
+
+
 @pytest.mark.parametrize("exported", [None, "2"])
 def test_import_pins_openblas_to_one_thread(exported):
     code = "import os, ceofdm; print(os.environ['OPENBLAS_NUM_THREADS'])"
@@ -326,7 +376,8 @@ def test_import_pins_openblas_to_one_thread(exported):
     if linux:
         # one entry per OS thread of the process
         code += "; print(len(os.listdir('/proc/self/task')))"
-    value, *threads = _python("-c", code, openblas_threads=exported).split()
+    value, *threads = _python("-c", code,
+                              openblas_threads=exported).stdout.split()
     # an exported value wins; unset, numpy loads with a single BLAS thread
     assert value == (exported or "1")
     if exported is None and linux:

@@ -2,10 +2,12 @@ import mpmath
 import numpy as np
 import pytest
 
+from ceofdm import gbf, waveform
 from ceofdm.cli import write_csv
+from ceofdm.eoa import h_for_tbp
 from ceofdm.gbf import (GbfCoefficients, TruncationFailure,
                         compute_coefficients, resynthesize)
-from ceofdm.waveform import (PskCode, WaveformSpec, phase_at,
+from ceofdm.waveform import (PskCode, WaveformSpec, _harmonic_sum, phase_at,
                              random_psk_code, wrap_phase)
 
 
@@ -33,6 +35,57 @@ def test_single_carrier_reduces_to_ordinary_bessel():
                 ref = (1j ** m) * np.exp(1j * m * phi1) * float(
                     mpmath.besselj(m, 2 * np.pi * h))
                 assert abs(co.coefficient(m) - ref) < 1e-10
+
+
+def _coefficients_from_scratch(spec):
+    # the schedule with every order sampling the phase factor in full
+    M = gbf._initial_order(spec)
+    while True:
+        nfft = 1
+        while nfft < 4 * (2 * M + 1):
+            nfft *= 2
+        theta = 2.0 * np.pi * np.arange(nfft) / nfft
+        g = np.exp(1j * (2.0 * np.pi * spec.h
+                         * _harmonic_sum(spec.code, theta)))
+        c = (np.fft.fft(g) / nfft)[np.arange(-M, M + 1) % nfft]
+        residual = float(1.0 - np.sum(np.abs(c) ** 2))
+        if residual < gbf.TOL and max(abs(c[0]), abs(c[-1])) <= gbf.TOL:
+            return M, c, residual
+        M *= 2
+
+
+@pytest.mark.parametrize("case", ["scan", "L24", "chunked"])
+def test_doubled_order_reuses_samples_bit_for_bit(case, monkeypatch):
+    # the scan's h range (157 -> 314), an L = 24 code at TBP 200 that
+    # doubles 484 -> 968, and the scan's h with _harmonic_sum chunked below
+    # the doubled FFT size of 4096
+    if case == "L24":
+        specs = [WaveformSpec(T=1.0, h=h_for_tbp(1.0, 200.0, 24),
+                              code=random_psk_code(24, 32, 1))]
+    else:
+        specs = [WaveformSpec(T=1.0, h=h, code=PskCode(
+                     L=2, gamma=np.ones(2), phi=wrap_phase(np.array(phi))))
+                 for h in (5.78, 5.7975, 5.8149)
+                 for phi in ([0.0, 0.0], [0.3, -1.2], [-np.pi, 2.5])]
+    if case == "chunked":
+        monkeypatch.setattr(waveform, "_HARMONIC_CHUNK", 1000)
+    sizes = []
+
+    def counted(code, x, *args):
+        sizes.append(len(x))
+        return _harmonic_sum(code, x, *args)
+
+    # the reference calls waveform's _harmonic_sum, which stays uncounted
+    monkeypatch.setattr(gbf, "_harmonic_sum", counted)
+    for spec in specs:
+        M, c, residual = _coefficients_from_scratch(spec)
+        assert M == 2 * gbf._initial_order(spec)
+        sizes.clear()
+        co = compute_coefficients(spec)
+        assert co.M == M and co.residual == residual
+        assert co.c.tobytes() == c.tobytes()
+        # the rebuild evaluates only the odd samples of its grid
+        assert sizes == [sizes[0], sizes[0]]
 
 
 def test_parseval_residual_below_tol():
