@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed_form import acf_uniform, af_surface, spectrum
+from .closed_form import acf_uniform, af_surface, chirp_z, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients
 from .oracle import _nodes, af_numeric_grid, eoa_numeric, oracle_fs
@@ -248,28 +248,6 @@ def _oob_fraction(f, abs2, half_band: float) -> float:
     return 1.0 - inband
 
 
-def _chirp_z(s, t0: float, d: float, f0: float, df: float,
-             n_f: int) -> np.ndarray:
-    """d sum_n s_n exp(-j 2 pi (f0 + k df)(t0 + n d)) for k = 0..n_f - 1.
-
-    Bluestein's chirp-z transform: kn = (k^2 + n^2 - (k - n)^2) / 2 turns the
-    sum over n into one FFT convolution of the chirped samples with the chirp
-    exp(j pi a j^2), a = df d.
-    """
-    n, k = np.arange(len(s)), np.arange(n_f)
-    a = df * d
-
-    def chirp(j):
-        # exp(-j pi a j^2), its phase reduced mod 2 from the exact integer j^2
-        return np.exp(-1j * np.pi * np.fmod(a * (j * j), 2.0))
-
-    size = 1 << (len(s) + n_f - 2).bit_length()
-    y = np.fft.fft(s * np.exp(-2j * np.pi * f0 * d * n) * chirp(n), size)
-    w = np.fft.fft(np.conj(chirp(np.arange(1 - len(s), n_f))), size)
-    conv = np.fft.ifft(y * w)[len(s) - 1:len(s) - 1 + n_f]
-    return d * np.exp(-2j * np.pi * (f0 + k * df) * t0) * chirp(k) * conv
-
-
 def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.T, delta_f, args.L)
@@ -282,12 +260,13 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
     stages.done("ce_spectrum")
 
-    # the unit-energy LFM chirp with sweep delta_f, on a midpoint grid
+    # the unit-energy LFM chirp with sweep delta_f on the midpoint grid
+    # t_n = (n + (1 - len(t)) / 2) d
     t, d = _nodes(-args.T / 2.0, args.T / 2.0,
                   max(8.0 * delta_f, 64.0 / args.T), midpoint=True)
-    lfm = _chirp_z(np.exp(1j * np.pi * (delta_f / args.T) * t * t)
-                   / np.sqrt(args.T), t[0], d, f[0],
-                   4.0 * delta_f / (n_f - 1), n_f)
+    lfm = d * chirp_z(f[0] * d, 4.0 * delta_f / (n_f - 1) * d,
+                      (1 - len(t)) / 2, len(t), n_f)(
+        np.exp(1j * np.pi * (delta_f / args.T) * t * t) / np.sqrt(args.T))
     write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
     stages.done("lfm_spectrum")
 

@@ -50,11 +50,13 @@ tau >= 0 rows use P(nu) for u and P(-nu) for v; the tau < 0 rows, found as
 conj chi(-tau, -nu), use them the other way round.  g depends on nu only
 through k0, so each half sums g once per distinct k0 of the Doppler grid
 (21 for 64 Dopplers in +-10/T), while the sinc and phase factors stay per
-Doppler.  The phasors z are computed once per call, and every delay sum
-forms its products in one reused buffer.  A Doppler block's kernels and
-that buffer hold _BLOCK complex elements each, or one kernel row if that is
-longer, so beyond z and the output the working set does not grow with the
-grid.
+Doppler.  On a uniform delay grid s_i = s_0 + i ds, each delay sum
+sum_m W_m z_m is a chirp-z transform in m.  Each half builds one transform
+over its own ascending delays and applies it to the g rows and to each
+Doppler block's u and v rows, at O((M + n_tau) log) per row.  A Doppler
+block's kernels hold _BLOCK complex elements, or one kernel row if that is
+longer, so beyond the transforms and the output the working set does not
+grow with the grid.
 
 At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
 
@@ -74,9 +76,8 @@ from .gbf import GbfCoefficients, compute_coefficients
 from .waveform import OutOfSupport, WaveformSpec
 
 # af_surface builds the kernels of as many Dopplers at a time as fit in
-# _BLOCK complex elements and forms the delay-sum products in one buffer of
-# that size; spectrum forms its reciprocals in one buffer of as many reals,
-# 2 * _BLOCK.
+# _BLOCK complex elements; spectrum forms its reciprocals in one buffer of
+# 2 * _BLOCK reals.
 _BLOCK = 1 << 14
 
 
@@ -174,25 +175,36 @@ def _sinc_rows(c: np.ndarray, M: int, k0: np.ndarray) -> np.ndarray:
     return np.where(inside, c[np.clip(src, 0, 2 * M)], 0.0) * np.conj(c)
 
 
-def _delay_sums(z: np.ndarray, W: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """sum_m z[i, m] W[r, m] for every delay row i and weight row r.
+def chirp_z(b: float, a: float, q: float, n_in: int, n_out: int):
+    """The map x -> sum_n x[..., n] exp(-j 2 pi (b + k a)(q + n)) for
+    k = 0..n_out - 1, over the last axis of x (n_in samples); 2q must be an
+    integer.
 
-    The products go through buf, which must hold one row, in pieces of
-    whole rows.  Each entry is a pairwise sum over one contiguous row, so it
-    does not depend on the rest of the grid: a single point equals the same
-    point inside any surface, bit for bit.
+    Bluestein's chirp-z transform: 2 k n = k^2 + n^2 - (k - n)^2 turns the
+    sum into one FFT convolution with the chirp exp(j pi a j^2).  Each phase
+    is pi times b or a times an exact integer J, |J| < 2^53, taken mod 2 pi
+    from exact products: the Veltkamp halves of b or a times the 26-bit
+    halves of J.  The factors are built once; the map applies them to rows.
     """
-    S = np.empty((len(z), len(W)), dtype=complex)
-    n_w = min(len(W), len(buf) // W.shape[1])
-    n_s = max(1, len(buf) // (n_w * W.shape[1]))
-    for r in range(0, len(W), n_w):
-        w = W[r:r + n_w]
-        for i in range(0, len(z), n_s):
-            zi = z[i:i + n_s]
-            prod = buf[:len(zi) * w.size].reshape(len(zi), *w.shape)
-            np.multiply(zi[:, None, :], w, out=prod)
-            S[i:i + n_s, r:r + n_w] = prod.sum(axis=2)
-    return S
+    def turn(x, J):
+        hi = x * 134217729.0
+        hi -= hi - x
+        J_lo = np.fmod(J, 67108864.0)
+        r = np.fmod(np.multiply.outer([hi, x - hi], [J - J_lo, J_lo]), 2.0)
+        return np.exp(-1j * np.pi * r.sum(axis=(0, 1)))
+
+    n, k = np.arange(n_in, dtype=float), np.arange(n_out, dtype=float)
+    size = 1 << (n_in + n_out - 2).bit_length()
+    pre = turn(b, 2.0 * (q + n)) * turn(a, n * n)
+    j = np.arange(1 - n_in, n_out, dtype=float)
+    chirp = np.fft.fft(np.conj(turn(a, j * j)), size)
+    post = turn(a, k * (2.0 * q + k))
+
+    def transform(x):
+        conv = np.fft.ifft(np.fft.fft(x * pre, size) * chirp)
+        return post * conv[..., n_in - 1:n_in - 1 + n_out]
+
+    return transform
 
 
 def ambiguity(spec: WaveformSpec, tau: float, nu: float,
@@ -209,49 +221,57 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
                coeffs: GbfCoefficients | None = None) -> AmbiguitySurface:
     """chi on the outer product of tau_grid and nu_grid.
 
-    Negative delays come from chi(tau, nu) = conj(chi(-tau, -nu)).  Every
-    entry is computed with a fixed reduction order of its own, so the result
-    is reproducible bit for bit across runs and across grid shapes.
+    tau_grid must be ascending and uniform, as np.linspace makes it, or one
+    delay; any other delay grid raises ValueError.  Negative delays come
+    from chi(tau, nu) = conj(chi(-tau, -nu)).  Each half of the grid,
+    tau >= 0 and tau < 0, takes its delay sums by one chirp-z transform at
+    s_0 + i ds, where s_0 is the half's delay nearest 0 and ds the grid's
+    step, both over T; these lie within a few ulps of tau_grid / T.
+    Results repeat bit for bit across runs, but not across grid shapes.
     """
     coeffs = _resolve_coeffs(spec, coeffs)
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
     if np.any(np.abs(taus) > spec.T * (1.0 + 1e-12)):
         raise OutOfSupport("tau grid extends beyond the pulse length")
+    s = taus / spec.T
+    ds = (s[-1] - s[0]) / (len(s) - 1) if len(s) > 1 else 0.0
+    # 20000 random np.linspace grids lay at most 7 ulps off s_0 + i ds
+    if ds < 0.0 or np.any(np.abs(s - (s[:1] + ds * np.arange(len(s))))
+                          > 16.0 * np.spacing(np.max(np.abs(s), initial=0.0))):
+        raise ValueError("tau_grid must be ascending and uniformly spaced")
     c, M = coeffs.c, coeffs.M
-    m = np.arange(-M, M + 1)
     size = 1 << (4 * M).bit_length()
     F = np.fft.fft(c, size)
     F_conj = np.fft.fft(np.conj(c), size)
     block = max(1, _BLOCK // size)
-    buf = np.empty(max(_BLOCK, size), dtype=complex)
     nuT_all = nus * spec.T
-    s = taus / spec.T
     # The tau >= 0 rows are chi(s, nu T) and the tau < 0 rows
-    # conj chi(-s, -nu T); each half keeps its phasors z and its sinc-term
-    # sums over the distinct k0 of the whole Doppler grid.
+    # conj chi(-s, -nu T), each half in ascending |s|; each half keeps its
+    # transform and its sinc-term sums over the distinct k0 of the whole
+    # Doppler grid.
     halves = []
     for rows, sign in ((np.flatnonzero(s >= 0), 1.0),
-                       (np.flatnonzero(s < 0), -1.0)):
+                       (np.flatnonzero(s < 0)[::-1], -1.0)):
         if len(rows):
-            s_h = s[rows] if sign > 0 else -s[rows]
-            z = np.exp(-2j * np.pi * np.outer(s_h, m))
+            s_h = sign * s[rows]
+            sums = chirp_z(s_h[0], ds, -M, 2 * M + 1, len(rows))
             # the distinct k0, sorted; np.unique would import numpy.ma
             k0s = np.sort(-np.rint(sign * nuT_all))
             k0s = k0s[np.append(True, k0s[1:] != k0s[:-1])]
-            halves.append((rows, sign, s_h, z, k0s,
-                           _delay_sums(z, _sinc_rows(c, M, k0s), buf)))
+            halves.append((rows, sign, s_h, sums, k0s,
+                           sums(_sinc_rows(c, M, k0s)).T))
     chi = np.empty((len(taus), len(nus)), dtype=complex)
     for j in range(0, len(nus), block):
         nuT = nuT_all[j:j + block]
         P_pos, P_neg = _kernel_fft(M, nuT, size), _kernel_fft(M, -nuT, size)
-        for rows, sign, s_h, z, k0s, g_sums in halves:
+        for rows, sign, s_h, sums, k0s, g_sums in halves:
             # u takes the kernel of the half's own Doppler, v the other one
             P, Q = (P_pos, P_neg) if sign > 0 else (P_neg, P_pos)
             nuT_h = sign * nuT
             u = c * _lag_conv(P, F_conj, M)
             v = -np.conj(c) * _lag_conv(Q, F, M)
-            S = _delay_sums(z, np.concatenate([u, v]), buf)
+            S = sums(np.concatenate([u, v])).T
             S_u, S_v = S[:, :len(nuT)], S[:, len(nuT):]
             k0 = -np.rint(nuT_h)
             A = (1.0 - s_h)[:, None]

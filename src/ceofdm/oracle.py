@@ -68,7 +68,7 @@ def _integrate(y: np.ndarray, t: np.ndarray):
 def _dft(s: np.ndarray, t: np.ndarray, d: float, f) -> np.ndarray:
     """d sum_n s_n exp(-j 2 pi f t_n) at each frequency f: the Fourier
     integral of samples s on midpoint nodes t with spacing d, summed
-    directly (the tests' reference for the CLI's chirp-z LFM spectrum)."""
+    directly (the tests' reference for compare-lfm's chirp-z spectrum)."""
     out = np.empty(len(f), dtype=complex)
     step = max(1, _DFT_CHUNK // max(len(t), 1))
     for i in range(0, len(f), step):

@@ -11,7 +11,8 @@ import pytest
 import ceofdm
 from ceofdm import __version__
 from ceofdm import cli
-from ceofdm.cli import _chirp_z, main, write_csv
+from ceofdm.cli import main, write_csv
+from ceofdm.closed_form import chirp_z
 from ceofdm.eoa import h_for_tbp
 from ceofdm.oracle import _dft, _nodes, oracle_fs, spectrum_numeric
 from ceofdm.sidelobes import sidelobe_report
@@ -253,14 +254,29 @@ def _lfm_chirp(tbp, T):
 @pytest.mark.parametrize("T", [1.0, 2.5])
 @pytest.mark.parametrize("tbp", [5, 20, 200, 1000])
 def test_chirp_z_matches_direct_dft(tbp, T):
-    # compare-lfm's grid; the direct sum runs on every 8th frequency, both
+    # compare-lfm's transform: midpoint nodes t_n = (n + (1 - N) / 2) d and
+    # its frequency grid; the direct sum runs on every 8th frequency, both
     # ends included, to keep the reference cheap
     s, t, d = _lfm_chirp(tbp, T)
     delta_f = tbp / T
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, 4001)
-    got = _chirp_z(s, t[0], d, f[0], 4.0 * delta_f / 4000, len(f))
+    got = d * chirp_z(f[0] * d, 4.0 * delta_f / 4000 * d, (1 - len(t)) / 2,
+                      len(t), len(f))(s)
     np.testing.assert_allclose(got[::8], _dft(s, t, d, f[::8]), rtol=0,
                                atol=1e-12)
+
+
+def test_analyze_af_and_compare_lfm_reruns_are_byte_identical(tmp_path):
+    spec = tmp_path / "g" / "spec.json"
+    _run("gen", "--L", 24, "--tbp", 200, "--seed", 0, "--out", spec.parent)
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        assert _run("analyze", "--spec", spec, "--af", 64, 64,
+                    "--out", out) == 0
+        assert _run("compare-lfm", "--tbp", 200, "--L", 24, "--out", out) == 0
+    for name in ("af.csv", "ce_spectrum.csv", "lfm_spectrum.csv",
+                 "comparison.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_compare_lfm_outputs(tmp_path):
@@ -406,10 +422,11 @@ def test_data_files_do_not_depend_on_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / threads
         for argv in (["compare-lfm", "--tbp", "200", "--L", "24"],
-                     ["analyze", "--spec", str(spec), "--spectrum"]):
+                     ["analyze", "--spec", str(spec), "--spectrum",
+                      "--af", "64", "64"]):
             _python("-m", "ceofdm.cli", *argv, "--out", str(out),
                     openblas_threads=threads)
         outs[threads] = {p.name: p.read_bytes() for p in out.iterdir()
                          if p.name != "manifest.json"}
-    assert {"ce_spectrum.csv", "spectrum.csv"} <= outs["1"].keys()
+    assert {"ce_spectrum.csv", "spectrum.csv", "af.csv"} <= outs["1"].keys()
     assert outs["1"] == outs["2"]

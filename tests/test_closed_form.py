@@ -1,5 +1,7 @@
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from ceofdm import closed_form
 from ceofdm.cli import write_csv
-from ceofdm.closed_form import acf_uniform, af_surface, ambiguity, spectrum
+from ceofdm.closed_form import (acf_uniform, af_surface, ambiguity, chirp_z,
+                                spectrum)
 from ceofdm.eoa import h_for_tbp
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import af_numeric_grid
@@ -159,8 +162,9 @@ def test_af_surface_layout_and_hash():
     co = compute_coefficients(spec)
     for i in (0, 2, 4):
         for j in (0, 3, 6):
+            # a one-point grid takes its delay sums by its own transform
             ref = ambiguity(spec, tau[i], nu[j], coeffs=co)
-            assert surf.chi[i, j] == ref  # same code path, bit-identical
+            assert abs(surf.chi[i, j] - ref) < 2e-14
 
 
 def test_acf_uniform_matches_pointwise_ambiguity():
@@ -254,7 +258,8 @@ def test_af_surface_matches_naive_double_sum_property(spec, s, nuT):
     co = compute_coefficients(spec)
     tau = np.array(s) * spec.T
     nu = np.array(nuT) / spec.T
-    chi = af_surface(spec, tau, nu, coeffs=co).chi
+    chi = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nu]
+                    for t in tau])
     ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)
 
@@ -278,8 +283,10 @@ def test_phase_negation_conjugates_chi_property(spec, nuT):
     neg = _negated(spec)
     tau = np.array([0.0, 0.3, -0.7]) * spec.T
     nu = np.array([nuT, -nuT]) / spec.T
-    a = af_surface(spec, tau, nu).chi
-    b = af_surface(neg, tau, nu).chi
+    co, co_neg = compute_coefficients(spec), compute_coefficients(neg)
+    a = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nu] for t in tau])
+    b = np.array([[ambiguity(neg, t, v, coeffs=co_neg) for v in nu]
+                  for t in tau])
     np.testing.assert_allclose(b, np.conj(a), rtol=0, atol=1e-12)
     assert abs(a[0, 0] - np.conj(a[0, 1])) < 1e-12
     n_tau = 256
@@ -297,7 +304,9 @@ def test_unmodulated_pulse_is_a_triangle():
     nus = np.array([-3.0, -0.25, 0.0, 1.0, 2.2])
     A = 1.0 - np.abs(taus) / spec.T
     ref = A[:, None] * np.sinc(A[:, None] * nus[None, :] * spec.T)
-    chi = af_surface(spec, taus, nus).chi
+    co = compute_coefficients(spec)
+    chi = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nus]
+                    for t in taus])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-15)
 
 
@@ -311,14 +320,16 @@ def test_chi_at_and_near_integer_doppler(L, h):
     nuT = np.array([0.0, 1e-12, -1e-12, 4.0, 4.0 + 1e-12, -7.0 + 1e-12,
                     2.5, -2.5])
     nu = nuT / spec.T
-    chi = af_surface(spec, tau, nu, coeffs=co).chi
+    chi = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nu]
+                    for t in tau])
     ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)
 
 
 # The kernels as they were before af_surface shared its +-nu kernels and
-# sinc-term sums and bounded its buffers.  The new kernels must reproduce
-# them bit for bit, so the CLI data files keep their bytes.
+# sinc-term sums, with the delay sums taken directly, one phasor per
+# harmonic.  acf_uniform must reproduce them bit for bit, so acf.csv keeps
+# its bytes; af_surface's chirp-z must match them at rounding level.
 def _old_lag_conv(d, M, nuT):
     k = np.arange(-2 * M, 2 * M + 1)
     x = k + nuT[:, None]
@@ -395,38 +406,105 @@ def _same_bits(a, b):
 
 
 @_PROPERTY
-@given(spec=_specs(),
-       s=st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=4),
+@given(spec=_specs(), n_s=st.integers(1, 4),
+       span=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
        nuT=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
        n_tau=st.integers(1, 700))
 # T = 2 and 1 keep nu T = (k + 0.5) / T * T exact, on the tie of rint
 @example(spec=WaveformSpec(T=2.0, h=0.0, code=PskCode(
-    L=1, gamma=np.ones(1), phi=np.zeros(1))), s=[0.4], nuT=[0.5],
-    n_tau=16)
+    L=1, gamma=np.ones(1), phi=np.zeros(1))), n_s=1, span=[0.4, 0.4],
+    nuT=[0.5], n_tau=16)
 @example(spec=WaveformSpec(T=1.0, h=1.2, code=PskCode(
-    L=3, gamma=np.ones(3), phi=np.array([0.3, -2.0, 1.1]))),
-    s=[-0.25, 0.7], nuT=[-4.5, 0.0], n_tau=97)
-def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, s, nuT,
-                                                              n_tau):
+    L=3, gamma=np.ones(3), phi=np.array([0.3, -2.0, 1.1]))), n_s=3,
+    span=[-0.25, 0.7], nuT=[-4.5, 0.0], n_tau=97)
+def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, n_s, span,
+                                                              nuT, n_tau):
     co = compute_coefficients(spec)
     T = spec.T
     # tau = 0 and +-T; Dopplers on ties of rint at k +- 0.5, an asymmetric
     # grid, and more Dopplers than one block holds, not a multiple of it
-    tau = np.array([0.0, 1.0, -1.0, *s]) * T
+    lo, hi = sorted(span)
     ties = np.array([-2.5, -0.5, 0.5, 1.5, 3.5])
     # the Dopplers af_surface builds kernels for at a time
     block = max(1, closed_form._BLOCK // (1 << (4 * co.M).bit_length()))
     wide = np.linspace(-7.0, 11.0, 2 * block + 3)
     nu = np.concatenate([nuT, ties, wide]) / T
-    got = af_surface(spec, tau, nu, coeffs=co).chi
-    assert _same_bits(got, _old_af_surface(co, T, tau, nu))
-    for t, v in ((tau[-1], nu[0]), (-T, nu[-1]), (0.0, 0.5 / T)):
+    for tau in (np.arange(-n_s, n_s + 1) / n_s * T,
+                np.linspace(lo * T, hi * T, n_s + 1)):
+        got = af_surface(spec, tau, nu, coeffs=co).chi
+        np.testing.assert_allclose(got, _old_af_surface(co, T, tau, nu),
+                                   rtol=0, atol=2e-14)
+    for t, v in ((lo * T, nu[0]), (-T, nu[-1]), (0.0, 0.5 / T)):
         point = ambiguity(spec, t, v, coeffs=co)
-        assert _same_bits(np.array([point]),
-                          _old_af_surface(co, T, np.array([t]),
-                                          np.array([v]))[0])
+        old = _old_af_surface(co, T, np.array([t]), np.array([v]))[0, 0]
+        assert abs(point - old) < 2e-14
     _, R = acf_uniform(spec, n_tau, coeffs=co)
     assert _same_bits(R, _old_acf_uniform(co, T, n_tau))
+
+
+@pytest.mark.parametrize("L, h, n_tau, n_nu", [
+    (1, 0.0, 7, 3),      # h = 0: M = 0, one harmonic
+    (1, 2.5, 9, 5),      # L = 1
+    (4, 0.9, 1, 4),      # a one-point grid
+    (3, 1.2, 2, 40),     # two delays, many Dopplers
+])
+@pytest.mark.parametrize("lo, hi", [(-1.0, -0.05), (0.0, 1.0), (0.3, 0.3),
+                                    (-0.7, 0.55)])
+def test_af_surface_edges_match_direct_sums(L, h, n_tau, n_nu, lo, hi):
+    # all-negative, all-nonnegative, constant and mixed delay grids
+    spec = _spec(L=L, h=h, T=1.7, seed=4)
+    co = compute_coefficients(spec)
+    tau = np.linspace(lo, hi, n_tau) * spec.T
+    nu = np.linspace(-6.0, 9.0, n_nu) / spec.T
+    got = af_surface(spec, tau, nu, coeffs=co).chi
+    np.testing.assert_allclose(got, _old_af_surface(co, spec.T, tau, nu),
+                               rtol=0, atol=2e-14)
+
+
+def test_af_surface_takes_linspace_grids_and_rejects_others():
+    spec = _spec(L=1, h=0.5, T=2.5, seed=3)
+    co = compute_coefficients(spec)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)) * spec.T
+        tau = np.linspace(lo, hi, rng.integers(1, 600))
+        assert af_surface(spec, tau, [0.0], coeffs=co).chi.shape[0] == len(tau)
+    for tau in ([0.0, 0.1, 0.5], np.linspace(0.5, -0.5, 5),
+                np.linspace(-1.0, 1.0, 9) + [0, 0, 0, 0, 1e-9, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="tau_grid"):
+            af_surface(spec, tau, [0.0], coeffs=co)
+
+
+def test_chirp_z_delay_sums_against_extended_precision():
+    # sum_m u_m exp(-j 2 pi m s) for the u row of af_surface at nu T = 2.3,
+    # at delays b + k a that are exact in double, so the direct sums see the
+    # same delays as the transform; a's 43 bits keep a j^2 inexact
+    b, a, n = 3 / 1024, 7 / 1024 * (1.0 + 2.0 ** -40), 129
+    s = b + a * np.arange(n)
+    assert all(Fraction(x) == Fraction(b) + k * Fraction(a)
+               for k, x in enumerate(s))
+    idx = [1, 64, 128]
+    for L, tbp, seed, M in ((24, 200, 0, 484), (8, 2000, 3, 2806),
+                            (4, 4000, 1, 4061)):
+        spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, tbp, L),
+                            code=random_psk_code(L, 32, seed))
+        c = compute_coefficients(spec).c
+        assert len(c) == 2 * M + 1
+        size = 1 << (4 * M).bit_length()
+        u = c * closed_form._lag_conv(
+            closed_form._kernel_fft(M, np.array([2.3]), size),
+            np.fft.fft(np.conj(c), size), M)[0]
+        m = np.arange(-M, M + 1)
+        direct = (np.exp(-2j * np.pi * np.outer(s[idx], m)) * u).sum(axis=1)
+        fast = chirp_z(b, a, -M, 2 * M + 1, n)(u)[idx]
+        # Horner's rule in 100 bits, highest harmonic first
+        ref = np.empty(len(idx), dtype=complex)
+        with mpmath.workprec(100):
+            poly = [mpmath.mpc(w) for w in u[::-1]]
+            for r, i in enumerate(idx):
+                z = mpmath.expjpi(-2 * mpmath.mpf(s[i]))
+                ref[r] = complex(mpmath.polyval(poly, z) * z ** -M)
+        assert np.max(np.abs(fast - ref)) <= 1.5 * np.max(np.abs(direct - ref))
 
 
 def test_spectrum_entries_do_not_depend_on_the_grid(monkeypatch):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ceofdm.closed_form import af_surface
+from ceofdm.closed_form import ambiguity
 from ceofdm.eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                         ellipse_tilt, eoa_closed_form, h_for_tbp,
                         max_coupling_code, rho_norm_max)
+from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import eoa_numeric
 from ceofdm.waveform import (PskCode, WaveformSpec, freq_mod_at,
                              random_psk_code)
@@ -165,7 +166,7 @@ def test_degenerate_ellipse_rejected():
        phi=st.lists(st.floats(-np.pi, np.pi), min_size=24, max_size=24))
 def test_ellipse_follows_af_level_set_property(L, T, tbp, phi):
     # The contour at xi = 0.02 should trace a level set of |chi|^2 in the
-    # (tau, nu) plane of af_surface.  Its mirror in nu has the opposite
+    # (tau, nu) plane.  Its mirror in nu has the opposite
     # coupling sign.  Over 450 random codes with |rho_norm| >= 0.1 and
     # TBP >= 50 the spread of |chi|^2 along the contour was at most 0.29
     # times the spread along the mirror.
@@ -174,10 +175,11 @@ def test_ellipse_follows_af_level_set_property(L, T, tbp, phi):
     params = eoa_closed_form(spec)
     assume(abs(params.rho_norm) >= 0.1)
     pts = ellipse_contour(params, 0.02, n_points=16)
+    co = compute_coefficients(spec)
 
     def spread(tau, nu):
-        chi = af_surface(spec, tau, nu).chi
-        v = np.abs(np.diag(chi)) ** 2
+        v = np.abs([ambiguity(spec, t, n, coeffs=co)
+                    for t, n in zip(tau, nu)]) ** 2
         return np.max(v) - np.min(v)
 
     assert spread(pts[:, 0], pts[:, 1]) < 0.5 * spread(pts[:, 0], -pts[:, 1])
