@@ -90,14 +90,9 @@ def _parameters(args) -> dict:
     return out
 
 
-def _resolve_h(args, L: int) -> float:
-    if args.h is not None:
-        return args.h
-    return h_for_tbp(args.T, args.tbp / args.T, L)
-
-
 def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    h = _resolve_h(args, args.L)
+    h = (args.h if args.h is not None
+         else h_for_tbp(args.T, args.tbp / args.T, args.L))
     if args.phi_file is not None:
         phi = np.loadtxt(args.phi_file, dtype=float, ndmin=1)
         if phi.shape != (args.L,):
@@ -228,8 +223,9 @@ def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     if args.acf_n < 3:
         raise ValueError("n_tau must be at least 3 for scan, got --acf-n "
                          f"{args.acf_n}")
-    h = _resolve_h(args, args.L)
-    surf = metric_surface(args.T, h, args.grid_n, n_tau=args.acf_n)
+    # ISL and PSLR are dimensionless and h does not depend on T, so T = 1
+    h = args.h if args.h is not None else h_for_tbp(1.0, args.tbp, args.L)
+    surf = metric_surface(1.0, h, args.grid_n, n_tau=args.acf_n)
     stages.done("scan")
     path = args.out / "scan.csv"
     write_csv(path, "phi1,phi2,isl_db,pslr_db",
@@ -351,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan",
                           help="ISL/PSLR surface over two code phases")
     scan.add_argument("--L", type=int, default=2)
-    scan.add_argument("--T", type=_positive, default=1.0)
     hgrp = scan.add_mutually_exclusive_group(required=True)
     hgrp.add_argument("--h", type=float)
     hgrp.add_argument("--tbp", type=_positive)

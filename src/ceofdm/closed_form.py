@@ -41,22 +41,21 @@ k0 is the lag nearest -nu T.  It is the one lag where x can vanish and the
 two exponentials cancel, so it is left out of p and q and kept in the direct
 sinc form; every other lag has |x_k| >= 1/2.  u and v are two convolutions
 over the 4M + 1 lags, one FFT product each, so a Doppler costs O(M log M)
-and every delay after that O(M).  Since q_k(nu) = -p_{-k}(-nu), both use
-the same kernel.
+and every delay after that O(M).  Since q_k = -conj(p_k), v_n is
+-conj(c_n sum_m p_{m-n} conj(c_m)), the lag correlation of the same kernel
+with conj(c), and one kernel per Doppler serves both.
 
-af_surface takes the FFTs of c and conj(c) once per call and, for each
-block of Dopplers, the kernel FFTs P(nu) and P(-nu) once each.  The
-tau >= 0 rows use P(nu) for u and P(-nu) for v; the tau < 0 rows, found as
-conj chi(-tau, -nu), use them the other way round.  g depends on nu only
-through k0, so each half sums g once per distinct k0 of the Doppler grid
-(21 for 64 Dopplers in +-10/T), while the sinc and phase factors stay per
-Doppler.  On a uniform delay grid s_i = s_0 + i ds, each delay sum
-sum_m W_m z_m is a chirp-z transform in m.  Each half builds one transform
-over its own ascending delays and applies it to the g rows and to each
-Doppler block's u and v rows, at O((M + n_tau) log) per row.  A Doppler
-block's kernels hold _BLOCK complex elements, or one kernel row if that is
-longer, so beyond the transforms and the output the working set does not
-grow with the grid.
+_chi_causal evaluates this on a half tau >= 0 for one Doppler grid;
+af_surface calls it once for that half and once for the tau < 0 rows, found
+as conj chi(-tau, -nu).  g depends on nu only through k0, so each call sums
+g once per distinct k0 of the Doppler grid (21 for 64 Dopplers in +-10/T),
+while the sinc and phase factors stay per Doppler.  On a uniform delay grid
+s_i = s_0 + i ds, each delay sum sum_m W_m z_m is a chirp-z transform in m.
+Each call builds one transform over its own ascending delays and applies it
+to the g rows and to each Doppler block's u and v rows, at
+O((M + n_tau) log) per row.  A Doppler block's kernels hold _BLOCK complex
+elements, or one kernel row if that is longer, so beyond the transforms and
+the output the working set does not grow with the grid.
 
 At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
 
@@ -207,6 +206,38 @@ def chirp_z(b: float, a: float, q: float, n_in: int, n_out: int):
     return transform
 
 
+def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
+                nuT: np.ndarray) -> np.ndarray:
+    """chi at the delays s T >= 0, s = s_0 + i ds ascending, and the
+    Dopplers nuT / T; one row per delay."""
+    size = 1 << (4 * M).bit_length()
+    F_conj = np.fft.fft(np.conj(c), size)
+    # the FFT of conj(c) reversed turns _lag_conv into a lag correlation
+    F_rev = np.fft.fft(np.conj(c[::-1]), size)
+    sums = chirp_z(s[0], ds, -M, 2 * M + 1, len(s))
+    # the distinct k0, sorted; np.unique would import numpy.ma
+    k0s = np.sort(-np.rint(nuT))
+    k0s = k0s[np.append(True, k0s[1:] != k0s[:-1])]
+    g_sums = sums(_sinc_rows(c, M, k0s)).T
+    A = (1.0 - s)[:, None]
+    chi = np.empty((len(s), len(nuT)), dtype=complex)
+    block = max(1, _BLOCK // size)
+    for j in range(0, len(nuT), block):
+        x = nuT[j:j + block]
+        P = _kernel_fft(M, x, size)
+        u = c * _lag_conv(P, F_conj, M)
+        v = -np.conj(c * _lag_conv(P, F_rev, M)[:, ::-1])
+        S = sums(np.concatenate([u, v])).T
+        k0 = -np.rint(x)
+        chi[:, j:j + block] = (
+            np.exp(-1j * np.pi * np.outer(s, x)) * S[:, :len(x)]
+            - np.exp(1j * np.pi * np.outer(s, x)) * S[:, len(x):]
+            + A * np.sinc(A * (k0 + x)) * np.exp(-1j * np.pi * np.outer(s, k0))
+            * g_sums[:, np.searchsorted(k0s, k0)])
+    chi[s >= 1.0] = 0.0
+    return chi
+
+
 def ambiguity(spec: WaveformSpec, tau: float, nu: float,
               coeffs: GbfCoefficients | None = None) -> complex:
     """chi(tau, nu) at a single delay/Doppler point.
@@ -240,48 +271,13 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
     if ds < 0.0 or np.any(np.abs(s - (s[:1] + ds * np.arange(len(s))))
                           > 16.0 * np.spacing(np.max(np.abs(s), initial=0.0))):
         raise ValueError("tau_grid must be ascending and uniformly spaced")
-    c, M = coeffs.c, coeffs.M
-    size = 1 << (4 * M).bit_length()
-    F = np.fft.fft(c, size)
-    F_conj = np.fft.fft(np.conj(c), size)
-    block = max(1, _BLOCK // size)
-    nuT_all = nus * spec.T
-    # The tau >= 0 rows are chi(s, nu T) and the tau < 0 rows
-    # conj chi(-s, -nu T), each half in ascending |s|; each half keeps its
-    # transform and its sinc-term sums over the distinct k0 of the whole
-    # Doppler grid.
-    halves = []
-    for rows, sign in ((np.flatnonzero(s >= 0), 1.0),
-                       (np.flatnonzero(s < 0)[::-1], -1.0)):
-        if len(rows):
-            s_h = sign * s[rows]
-            sums = chirp_z(s_h[0], ds, -M, 2 * M + 1, len(rows))
-            # the distinct k0, sorted; np.unique would import numpy.ma
-            k0s = np.sort(-np.rint(sign * nuT_all))
-            k0s = k0s[np.append(True, k0s[1:] != k0s[:-1])]
-            halves.append((rows, sign, s_h, sums, k0s,
-                           sums(_sinc_rows(c, M, k0s)).T))
+    c, M, nuT = coeffs.c, coeffs.M, nus * spec.T
+    neg = s < 0
     chi = np.empty((len(taus), len(nus)), dtype=complex)
-    for j in range(0, len(nus), block):
-        nuT = nuT_all[j:j + block]
-        P_pos, P_neg = _kernel_fft(M, nuT, size), _kernel_fft(M, -nuT, size)
-        for rows, sign, s_h, sums, k0s, g_sums in halves:
-            # u takes the kernel of the half's own Doppler, v the other one
-            P, Q = (P_pos, P_neg) if sign > 0 else (P_neg, P_pos)
-            nuT_h = sign * nuT
-            u = c * _lag_conv(P, F_conj, M)
-            v = -np.conj(c) * _lag_conv(Q, F, M)
-            S = sums(np.concatenate([u, v])).T
-            S_u, S_v = S[:, :len(nuT)], S[:, len(nuT):]
-            k0 = -np.rint(nuT_h)
-            A = (1.0 - s_h)[:, None]
-            part = (np.exp(-1j * np.pi * np.outer(s_h, nuT_h)) * S_u
-                    - np.exp(1j * np.pi * np.outer(s_h, nuT_h)) * S_v
-                    + A * np.sinc(A * (k0 + nuT_h))
-                    * np.exp(-1j * np.pi * np.outer(s_h, k0))
-                    * g_sums[:, np.searchsorted(k0s, k0)])
-            part[s_h >= 1.0] = 0.0
-            chi[rows, j:j + block] = part if sign > 0 else np.conj(part)
+    if not neg.all():
+        chi[~neg] = _chi_causal(c, M, s[~neg], ds, nuT)
+    if neg.any():
+        chi[neg] = np.conj(_chi_causal(c, M, -s[neg][::-1], ds, -nuT))[::-1]
     return AmbiguitySurface(tau=taus, nu=nus, chi=chi)
 
 

@@ -3,9 +3,9 @@
 The mainlobe boundary delta_tau is the first local minimum of |R(tau)|^2 for
 tau > 0, refined by a three-point parabola through the neighboring samples.
 A monotone |R|^2 (for example the h = 0 triangle) has no null; delta_tau then
-falls back to T, PSLR reads the -300 dB floor because no sample lies beyond
-it, and the report is flagged so that value is recognizable as degenerate
-rather than trusted.
+falls back to T, PSLR and ISL read the -300 dB floor because no sample lies
+beyond it, and the report is flagged so those values are recognizable as
+degenerate rather than trusted.
 
 PSLR is the largest sampled |R|^2 at or beyond delta_tau (the mainlobe peak
 is |R(0)|^2 = 1).  ISL is the sidelobe-to-mainlobe energy ratio with both
@@ -79,6 +79,8 @@ def isl(tau_grid, acf_abs2, delta_tau: float) -> float:
     """Integrated sidelobe-to-mainlobe energy ratio in dB."""
     tau = np.asarray(tau_grid, dtype=float)
     y = np.asarray(acf_abs2, dtype=float)
+    if delta_tau >= tau[-1]:
+        return DB_FLOOR
     split = int(np.argmin(np.abs(tau - delta_tau)))
     split = min(max(split, 1), len(tau) - 2)
     main = float(simpson(y[:split + 1], tau[:split + 1]))

@@ -1,6 +1,8 @@
+import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,18 +178,47 @@ def test_debug_env_reraises(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [["gen", "--L", 2, "--tbp", 200],
-                                  ["scan", "--tbp", 200],
-                                  ["compare-lfm", "--tbp", 200, "--L", 2]],
-                         ids=["gen", "scan", "compare-lfm"])
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--L", 2, "--tbp", 200, "--T", 0], "--T"),
+    (["scan", "--tbp", 0], "--tbp"),
+    (["compare-lfm", "--tbp", 200, "--L", 2, "--T", 0], "--T"),
+], ids=["gen", "scan", "compare-lfm"])
 def test_zero_duration_is_usage_error_naming_the_flag(tmp_path, capsys,
-                                                     argv):
+                                                     argv, flag):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
-        _run(*argv, "--T", 0, "--out", out)
+        _run(*argv, "--out", out)
     assert exc.value.code == 2
-    assert "argument --T:" in capsys.readouterr().err
+    assert f"argument {flag}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_scan_takes_no_duration(tmp_path, capsys):
+    # ISL and PSLR are dimensionless, so scan has no --T to set
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        _run("scan", "--h", 5.81, "--T", 1, "--out", out)
+    assert exc.value.code == 2
+    assert "--T" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_documents_every_cli_option_and_no_other():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    # the text under each "### <command>" heading, up to the next heading
+    sections = dict(re.findall(r"^### (\S+)\n(.*?)(?=^#)", readme,
+                               re.MULTILINE | re.DOTALL))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sections) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        options = {s for a in parser._actions for s in a.option_strings
+                   if s.startswith("--")} - {"--help"}
+        for option in options:
+            assert re.search(re.escape(option) + r"(?![\w-])", readme), \
+                (name, option)
+        flags = set(re.findall(r"--[A-Za-z][\w-]*", sections[name]))
+        assert flags <= options, (name, flags - options)
 
 
 def test_scan_rejects_other_carrier_counts(tmp_path):

@@ -461,6 +461,57 @@ def test_af_surface_edges_match_direct_sums(L, h, n_tau, n_nu, lo, hi):
                                rtol=0, atol=2e-14)
 
 
+@_PROPERTY
+@given(spec=_specs(), nuT=st.lists(st.floats(-30.0, 30.0), min_size=1,
+                                   max_size=6))
+def test_v_from_own_kernel_matches_kernel_at_minus_nu_property(spec, nuT):
+    # v_n = conj(c_n) sum_m q_{m-n} c_m from the kernel at nu, by
+    # q_k = -conj(p_k), against v from the kernel at -nu, by
+    # q_k(nu) = -p_{-k}(-nu).  The rows _chi_causal hands its chirp-z
+    # transform are the g rows, then per Doppler block the u and v rows.
+    co = compute_coefficients(spec)
+    c, M = co.c, co.M
+    # 0, integers, the ties of rint at k +- 0.5, and |nu T| up to 30
+    nuT = np.concatenate([nuT, [0.0, 1.0, -3.0, 0.5, -0.5, 2.5, -29.5, 30.0]])
+    rows = []
+    chirp_z = closed_form.chirp_z
+
+    def spy(*args):
+        sums = chirp_z(*args)
+        return lambda x: rows.append(x) or sums(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(closed_form, "chirp_z", spy)
+        closed_form._chi_causal(c, M, np.zeros(1), 0.0, nuT)
+    v = np.concatenate([r[len(r) // 2:] for r in rows[1:]])
+    size = 1 << (4 * M).bit_length()
+    old = -np.conj(c) * closed_form._lag_conv(
+        closed_form._kernel_fft(M, -nuT, size), np.fft.fft(c, size), M)
+    np.testing.assert_allclose(v, old, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("lo, hi, n_tau, per_doppler", [
+    (0.0, 0.9, 33, 1),     # tau >= 0
+    (-0.9, -0.1, 17, 1),   # tau < 0
+    (0.4, 0.4, 1, 1),      # a single point
+    (-0.9, 0.9, 64, 2),    # both halves
+])
+def test_af_surface_builds_one_kernel_row_per_doppler_and_half(
+        monkeypatch, lo, hi, n_tau, per_doppler):
+    spec = _spec(L=3, h=1.2, seed=2)
+    built = []
+    kernel_fft = closed_form._kernel_fft
+
+    def counted(M, nuT, size):
+        built.append(len(nuT))
+        return kernel_fft(M, nuT, size)
+
+    monkeypatch.setattr(closed_form, "_kernel_fft", counted)
+    nu = np.linspace(-10.0, 10.0, 1 if n_tau == 1 else 40)
+    af_surface(spec, np.linspace(lo, hi, n_tau), nu)
+    assert sum(built) == per_doppler * len(nu)
+
+
 def test_af_surface_takes_linspace_grids_and_rejects_others():
     spec = _spec(L=1, h=0.5, T=2.5, seed=3)
     co = compute_coefficients(spec)

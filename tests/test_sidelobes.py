@@ -66,10 +66,13 @@ def test_isl_of_synthetic_plateau():
 def test_degenerate_report_is_flagged():
     code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
     spec = WaveformSpec(T=1.0, h=0.0, code=code)
-    rep = sidelobe_report(spec, n_tau=256)
-    assert not rep.null_found
-    assert rep.delta_tau == spec.T
-    assert rep.pslr_db == DB_FLOOR  # nothing beyond the fallback boundary
+    for n_tau in (3, 16, 256, 4096):
+        rep = sidelobe_report(spec, n_tau=n_tau)
+        assert not rep.null_found
+        assert rep.delta_tau == spec.T
+        # nothing beyond the fallback boundary, whatever the grid
+        assert rep.pslr_db == DB_FLOOR
+        assert rep.isl_db == DB_FLOOR
 
 
 def test_report_from_complex_and_magnitude_input_agree():
