@@ -10,15 +10,13 @@ import os
 # A value already in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .closed_form import (AmbiguitySurface, SpectrumSamples, acf_uniform,
-                          af_surface, ambiguity, spectrum)
+from .closed_form import acf_uniform, af_surface, ambiguity, spectrum
 from .eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
                   ellipse_tilt, eoa_closed_form, h_for_tbp,
                   max_coupling_code, rho_norm_max)
 from .gbf import GbfCoefficients, TruncationFailure, compute_coefficients
 from .oracle import af_numeric_grid, eoa_numeric, oracle_fs, spectrum_numeric
-from .sidelobes import (MetricSurface, SidelobeReport, metric_surface,
-                        sidelobe_report)
+from .sidelobes import SidelobeReport, metric_surface, sidelobe_report
 from .waveform import (ComplexSymbolVector, NonRealCoefficients, OutOfSupport,
                        PskCode, Undersampled, WaveformSpec, ZeroDcViolation,
                        code_from_symbols, freq_mod_at, load_spec,
@@ -29,10 +27,9 @@ from .waveform import (ComplexSymbolVector, NonRealCoefficients, OutOfSupport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguitySurface", "ComplexSymbolVector", "DegenerateEllipse",
-    "EoaParameters", "GbfCoefficients", "MetricSurface",
-    "NonRealCoefficients", "OutOfSupport", "PskCode", "SidelobeReport",
-    "SpectrumSamples", "TruncationFailure", "Undersampled", "WaveformSpec",
+    "ComplexSymbolVector", "DegenerateEllipse", "EoaParameters",
+    "GbfCoefficients", "NonRealCoefficients", "OutOfSupport", "PskCode",
+    "SidelobeReport", "TruncationFailure", "Undersampled", "WaveformSpec",
     "ZeroDcViolation", "acf_uniform", "af_numeric_grid", "af_surface",
     "ambiguity", "code_from_symbols", "compute_coefficients",
     "ellipse_contour", "ellipse_tilt", "eoa_closed_form", "eoa_numeric",

@@ -4,11 +4,13 @@ main creates --out, runs one command and then writes manifest.json there.  A
 command writes its data files, prints one line and returns its spec file and
 the names of the files it wrote, which the manifest lists.  The manifest's
 stages list gives the wall time of each step main and the command took, in
-order.  Data files are pure functions of the inputs, so re-running a command
-reproduces them byte for byte; only the manifest's timestamp and stage
-times change.  A failed command writes no manifest and main prints one
-error line, or re-raises the exception when CEOFDM_DEBUG=1 is set in the
-environment.
+order.  A step is one layer: a computation, its oracle check, or the writing
+of its CSV file (named <step>_csv); a kernel step on a grid also gives the
+number of points it evaluated.  Data files are pure functions of the inputs,
+so re-running a command reproduces them byte for byte; only the manifest's
+timestamp and stage times change.  A failed command writes no manifest and
+main prints one error line, or re-raises the exception when CEOFDM_DEBUG=1
+is set in the environment.
 """
 
 from __future__ import annotations
@@ -68,15 +70,17 @@ def write_csv(path, header: str, columns) -> None:
 
 
 class _Stages:
-    """Wall times of consecutive steps, each from the end of the previous."""
+    """Wall times of consecutive steps, each from the end of the previous,
+    plus any counts a step reports, such as the points a kernel evaluated."""
 
     def __init__(self) -> None:
         self.times: list[dict] = []
         self._last = time.perf_counter()
 
-    def done(self, name: str) -> None:
+    def done(self, name: str, **counts) -> None:
         now = time.perf_counter()
-        self.times.append({"stage": name, "wall_s": now - self._last})
+        self.times.append({"stage": name, "wall_s": now - self._last,
+                           **counts})
         self._last = now
 
 
@@ -113,9 +117,10 @@ def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     fs = 2.0 * oversample_floor(spec)
     t = sample_times(spec, fs)
     s = sample(spec, fs)
+    stages.done("samples")
     samples_path = args.out / "samples.csv"
     write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
-    stages.done("samples")
+    stages.done("samples_csv")
 
     print(f"wrote {spec_path} (h = {h:.6g}) and {samples_path}")
     return spec_path, [spec_path.name, samples_path.name]
@@ -132,6 +137,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
                          f"--af {args.af[0]} {args.af[1]}")
     spec = load_spec(args.spec)
     coeffs = compute_coefficients(spec)
+    stages.done("coefficients")
     outputs = []
 
     def out(name: str) -> Path:
@@ -140,17 +146,17 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
     write_csv(out("coefficients.csv"), "m,re,im,abs2",
               [coeffs.m_index, coeffs.c])
-    stages.done("coefficients")
+    stages.done("coefficients_csv")
 
     fs = oracle_fs(spec) if args.oracle else None
 
     if args.spectrum:
         f_max = (2.0 * spec.L + 8.0) / spec.T
         f = np.linspace(-f_max, f_max, 1025)
-        samples = spectrum(spec, f, coeffs=coeffs)
-        write_csv(out("spectrum.csv"), "f,re,im,abs2",
-                  [samples.f, samples.values])
-        stages.done("spectrum")
+        S = spectrum(spec, f, coeffs=coeffs)
+        stages.done("spectrum", points=S.size)
+        write_csv(out("spectrum.csv"), "f,re,im,abs2", [f, S])
+        stages.done("spectrum_csv")
 
     if args.acf or args.sidelobes:
         tau, R = acf_uniform(spec, n_tau=args.acf_n, coeffs=coeffs)
@@ -161,6 +167,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
             write_csv(out("acf.csv"), "tau,re,im,abs2", [tau, R])
         else:
             ref = af_numeric_grid(spec, tau, np.zeros(1), fs)[:, 0]
+            stages.done("acf_oracle")
             err = R - ref
             write_csv(out("acf.csv"),
                       "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
@@ -170,13 +177,13 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
     if args.af is not None:
         tau_n, nu_n = args.af
-        surf = af_surface(spec,
-                          np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n),
-                          np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n),
-                          coeffs=coeffs)
+        taus = np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n)
+        nus = np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n)
+        chi = af_surface(spec, taus, nus, coeffs=coeffs)
+        stages.done("af", points=chi.size)
         write_csv(out("af.csv"), "tau,nu,re,im,abs2",
-                  [*np.meshgrid(surf.tau, surf.nu, indexing="ij"), surf.chi])
-        stages.done("af")
+                  [*np.meshgrid(taus, nus, indexing="ij"), chi])
+        stages.done("af_csv")
 
     if args.eoa:
         closed = eoa_closed_form(spec).as_dict()
@@ -186,6 +193,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
                     "h": spec.h,
                     "L": spec.L,
                     "T": spec.T})
+        stages.done("eoa")
         if fs is not None:
             rows = []
             for name, value in eoa_numeric(spec, fs).items():
@@ -199,7 +207,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
                              "fs": fs,
                              "rule": "simpson"})
             write_json(out("oracle_eoa.json"), rows)
-        stages.done("eoa")
+            stages.done("eoa_oracle")
 
     if args.sidelobes:
         rep = report_from_acf(tau, R)
@@ -225,12 +233,11 @@ def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
                          f"{args.acf_n}")
     # ISL and PSLR are dimensionless and h does not depend on T, so T = 1
     h = args.h if args.h is not None else h_for_tbp(1.0, args.tbp, args.L)
-    surf = metric_surface(1.0, h, args.grid_n, n_tau=args.acf_n)
-    stages.done("scan")
+    phis, isl_db, pslr_db = metric_surface(h, args.grid_n, n_tau=args.acf_n)
+    stages.done("scan", points=isl_db.size)
     path = args.out / "scan.csv"
     write_csv(path, "phi1,phi2,isl_db,pslr_db",
-              [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
-               surf.isl_db, surf.pslr_db])
+              [*np.meshgrid(phis, phis, indexing="ij"), isl_db, pslr_db])
     stages.done("scan_csv")
     print(f"wrote {path} ({args.grid_n * args.grid_n} rows, h = {h:.6g})")
     return None, [path.name]
@@ -253,8 +260,9 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     n_f = 4001
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, n_f)
     ce = spectrum(spec, f)
-    write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [ce.f, ce.values])
-    stages.done("ce_spectrum")
+    stages.done("ce_spectrum", points=ce.size)
+    write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [f, ce])
+    stages.done("ce_spectrum_csv")
 
     # the unit-energy LFM chirp with sweep delta_f on the midpoint grid
     # t_n = (n + (1 - len(t)) / 2) d
@@ -263,8 +271,9 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     lfm = d * chirp_z(f[0] * d, 4.0 * delta_f / (n_f - 1) * d,
                       (1 - len(t)) / 2, len(t), n_f)(
         np.exp(1j * np.pi * (delta_f / args.T) * t * t) / np.sqrt(args.T))
-    write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
     stages.done("lfm_spectrum")
+    write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
+    stages.done("lfm_spectrum_csv")
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0
     lfm_beta2_numeric = float(
@@ -277,7 +286,7 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         "h": h,
         "seed": args.seed,
         "m_psk": args.mpsk,
-        "ce_oob_fraction": _oob_fraction(f, np.abs(ce.values) ** 2,
+        "ce_oob_fraction": _oob_fraction(f, np.abs(ce) ** 2,
                                          delta_f / 2.0),
         "lfm_oob_fraction": _oob_fraction(f, np.abs(lfm) ** 2,
                                           delta_f / 2.0),

@@ -63,11 +63,11 @@ At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
 
 On the grid tau_j = j T / N, z_m depends on m mod N alone, so after binning
 the harmonics each sum is one length-N FFT.  The binning is exact for any N.
+
+Each kernel returns the arrays it computes and no grid the caller passed in.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,30 +80,13 @@ from .waveform import OutOfSupport, WaveformSpec
 _BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class SpectrumSamples:
-    """Closed-form spectrum values S(f) on an explicit frequency grid."""
-
-    f: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class AmbiguitySurface:
-    """chi(tau, nu) on a delay/Doppler grid, row-major over tau."""
-
-    tau: np.ndarray
-    nu: np.ndarray
-    chi: np.ndarray
-
-
 def _resolve_coeffs(spec, coeffs):
     return compute_coefficients(spec) if coeffs is None else coeffs
 
 
 def spectrum(spec: WaveformSpec, f_grid,
-             coeffs: GbfCoefficients | None = None) -> SpectrumSamples:
-    """Evaluate S(f) on f_grid (Hz).
+             coeffs: GbfCoefficients | None = None) -> np.ndarray:
+    """S(f) on f_grid (Hz), a complex array of f_grid's shape.
 
     The reciprocals are formed in one reused buffer of 2 * _BLOCK reals, or
     one row if that is longer, and each value is a sum over its own row in
@@ -111,9 +94,8 @@ def spectrum(spec: WaveformSpec, f_grid,
     for bit, whatever the buffer size or the machine's thread settings.
     """
     coeffs = _resolve_coeffs(spec, coeffs)
-    f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     m, M = coeffs.m_index, coeffs.M
-    x = spec.T * f
+    x = spec.T * np.asarray(f_grid, dtype=float).ravel()
     n = np.rint(x)
     r = x - n
     on = r == 0.0
@@ -125,12 +107,12 @@ def spectrum(spec: WaveformSpec, f_grid,
              * np.sin(np.pi * r))
     # rows with r = 0 are set below; 0.5 keeps their reciprocals finite
     x = np.where(on, 0.5, x)
-    vals = np.empty(len(f), dtype=complex)
+    vals = np.empty(len(x), dtype=complex)
     buf = np.empty(max(2 * _BLOCK, len(m)))
     # einsum sums a row longer than its iterator's 8192-element buffer in
     # pieces whose order depends on the other rows, so those go one by one
     step = len(buf) // len(m) if len(m) <= 8192 else 1
-    for i in range(0, len(f), step):
+    for i in range(0, len(x), step):
         rows = x[i:i + step]
         inv = buf[:len(rows) * len(m)].reshape(len(rows), len(m))
         np.subtract.outer(rows, m, out=inv)
@@ -142,7 +124,7 @@ def spectrum(spec: WaveformSpec, f_grid,
     n = n[on]
     c_n = coeffs.c[np.clip(n, -M, M).astype(int) + M]
     vals[on] = np.where(np.abs(n) <= M, np.sqrt(spec.T) * c_n, 0.0)
-    return SpectrumSamples(f=f, values=vals)
+    return vals.reshape(np.shape(f_grid))
 
 
 def _kernel_fft(M: int, nuT: np.ndarray, size: int) -> np.ndarray:
@@ -217,7 +199,7 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
     sums = chirp_z(s[0], ds, -M, 2 * M + 1, len(s))
     # the distinct k0, sorted; np.unique would import numpy.ma
     k0s = np.sort(-np.rint(nuT))
-    k0s = k0s[np.append(True, k0s[1:] != k0s[:-1])]
+    k0s = k0s[np.diff(k0s, prepend=np.nan) != 0.0]
     g_sums = sums(_sinc_rows(c, M, k0s)).T
     A = (1.0 - s)[:, None]
     chi = np.empty((len(s), len(nuT)), dtype=complex)
@@ -244,13 +226,13 @@ def ambiguity(spec: WaveformSpec, tau: float, nu: float,
 
     Raises OutOfSupport for |tau| > T; chi(+-T, nu) = 0 exactly.
     """
-    surf = af_surface(spec, [tau], [nu], coeffs)
-    return complex(surf.chi[0, 0])
+    return complex(af_surface(spec, [tau], [nu], coeffs)[0, 0])
 
 
 def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
-               coeffs: GbfCoefficients | None = None) -> AmbiguitySurface:
-    """chi on the outer product of tau_grid and nu_grid.
+               coeffs: GbfCoefficients | None = None) -> np.ndarray:
+    """chi on the outer product of tau_grid and nu_grid: a complex array
+    with one row per delay and one column per Doppler.
 
     tau_grid must be ascending and uniform, as np.linspace makes it, or one
     delay; any other delay grid raises ValueError.  Negative delays come
@@ -278,7 +260,7 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
         chi[~neg] = _chi_causal(c, M, s[~neg], ds, nuT)
     if neg.any():
         chi[neg] = np.conj(_chi_causal(c, M, -s[neg][::-1], ds, -nuT))[::-1]
-    return AmbiguitySurface(tau=taus, nu=nus, chi=chi)
+    return chi
 
 
 def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,

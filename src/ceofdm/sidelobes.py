@@ -105,23 +105,15 @@ def sidelobe_report(spec: WaveformSpec, n_tau: int = 4096) -> SidelobeReport:
     return report_from_acf(tau, R)
 
 
-@dataclass(frozen=True)
-class MetricSurface:
-    """ISL and PSLR over a two-subcarrier phase grid."""
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-    isl_db: np.ndarray
-    pslr_db: np.ndarray
-
-
-def metric_surface(T: float, h: float, grid_n: int,
-                   n_tau: int = 4096) -> MetricSurface:
-    """Scan ISL and PSLR over (phi_1, phi_2) in [-pi, pi)^2 for L = 2.
+def metric_surface(h: float, grid_n: int, n_tau: int = 4096):
+    """ISL and PSLR over (phi_1, phi_2) in [-pi, pi)^2 for L = 2 at T = 1,
+    which serves any T: both are dimensionless and h does not depend on T.
 
     The grid is uniform and endpoint-exclusive, phi_i = -pi + 2 pi k / grid_n,
-    which is closed under phase negation modulo 2 pi; the scan order (and the
-    output layout) is row-major in (phi_1, phi_2).
+    which is closed under phase negation modulo 2 pi.  Returns (phis, isl_db,
+    pslr_db): the phases of both axes and two arrays whose entry [i, j]
+    belongs to (phi_1, phi_2) = (phis[i], phis[j]), as acf_uniform returns
+    (tau, R).
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -131,7 +123,7 @@ def metric_surface(T: float, h: float, grid_n: int,
     for i, p1 in enumerate(phis):
         for j, p2 in enumerate(phis):
             code = PskCode(L=2, gamma=np.ones(2), phi=np.array([p1, p2]))
-            rep = sidelobe_report(WaveformSpec(T=T, h=h, code=code),
+            rep = sidelobe_report(WaveformSpec(T=1.0, h=h, code=code),
                                   n_tau=n_tau)
             isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
-    return MetricSurface(phi1=phis, phi2=phis, isl_db=isl_db, pslr_db=pslr_db)
+    return phis, isl_db, pslr_db

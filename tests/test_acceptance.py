@@ -62,7 +62,7 @@ def test_criterion_03_closed_form_af_matches_quadrature():
     nu = np.linspace(-10.0, 10.0, 17)
     for L, h in [(1, 0.5), (2, 5.81), (24, 0.1856)]:
         spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 32, 7))
-        closed = af_surface(spec, tau, nu).chi
+        closed = af_surface(spec, tau, nu)
         numeric = af_numeric_grid(spec, tau, nu, fs)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     ok = worst < 1e-6
@@ -183,8 +183,8 @@ def test_criterion_07_property_suite():
     spec = WaveformSpec(T=1.0, h=1.1, code=random_psk_code(3, 32, 6))
     tau = np.linspace(-0.8, 0.8, 5)
     nu = np.linspace(-6.0, 6.0, 5)
-    surf = af_surface(spec, tau, nu).chi
-    sym_dev = float(np.max(np.abs(surf - np.conj(surf[::-1, ::-1]))))
+    chi = af_surface(spec, tau, nu)
+    sym_dev = float(np.max(np.abs(chi - np.conj(chi[::-1, ::-1]))))
     origin_dev = max(abs(acf_uniform(WaveformSpec(
         T=1.0, h=0.8, code=random_psk_code(4, 32, s)), n_tau=64)[1][0] - 1.0)
         for s in range(5))
@@ -207,8 +207,8 @@ def test_criterion_08_windowed_af_volume():
     spec = WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0))
     tau = np.linspace(0.0, spec.T, 257)
     nu = np.linspace(-20.0, 20.0, 801)
-    surf = af_surface(spec, tau, nu)
-    v = simpson(np.abs(surf.chi) ** 2, x=nu, axis=1)
+    chi = af_surface(spec, tau, nu)
+    v = simpson(np.abs(chi) ** 2, x=nu, axis=1)
     volume = 2.0 * simpson(v, x=tau)  # nu-profile is even in tau
     ok = abs(volume - 1.0) <= 0.05
     _report("criterion-08", ok,
@@ -245,15 +245,15 @@ def test_criterion_09_seeded_band_contains_single_draw_statistics():
 
 def test_criterion_10_phase_scan_surface():
     n = 64
-    surf = metric_surface(1.0, 5.81, n, n_tau=4096)
+    _, isl_db, pslr_db = metric_surface(5.81, n, n_tau=4096)
     sym_dev = 0.0
     for i in range(n):
         for j in range(n):
             ii, jj = (n - i) % n, (n - j) % n
             sym_dev = max(sym_dev,
-                          abs(surf.isl_db[i, j] - surf.isl_db[ii, jj]),
-                          abs(surf.pslr_db[i, j] - surf.pslr_db[ii, jj]))
-    spread = float(surf.isl_db.max() - surf.isl_db.min())
+                          abs(isl_db[i, j] - isl_db[ii, jj]),
+                          abs(pslr_db[i, j] - pslr_db[ii, jj]))
+    spread = float(isl_db.max() - isl_db.min())
     ok = sym_dev < 1e-9 and spread > 1.0
     _report("criterion-10", ok,
             f"64x64 scan at L=2, h=5.81 completed; phase-negation symmetry "

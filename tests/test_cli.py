@@ -227,19 +227,22 @@ def test_scan_rejects_other_carrier_counts(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "analyze", "scan",
-                                     "compare-lfm"])
-def test_manifest_lists_every_output(tmp_path, command):
+@pytest.mark.parametrize("case", ["gen", "analyze", "analyze-oracle", "scan",
+                                  "compare-lfm"])
+def test_manifest_lists_every_output(tmp_path, case):
     spec = tmp_path / "g" / "spec.json"
     _run("gen", "--L", 2, "--h", 0.5, "--out", spec.parent)
     out = tmp_path / "out"
+    analyze = ["--spec", spec, "--spectrum", "--acf", "--af", 3, 3, "--eoa",
+               "--sidelobes", "--acf-n", 64]
     argv = {
         "gen": ["--L", 2, "--h", 0.5, "--seed", 1],
-        "analyze": ["--spec", spec, "--spectrum", "--acf", "--af", 3, 3,
-                    "--eoa", "--sidelobes", "--oracle", "--acf-n", 64],
+        "analyze": analyze,
+        "analyze-oracle": [*analyze, "--oracle"],
         "scan": ["--h", 0.5, "--grid-n", 2, "--acf-n", 64],
         "compare-lfm": ["--tbp", 20, "--L", 2],
-    }[command]
+    }[case]
+    command = case.removesuffix("-oracle")
     assert _run(command, *argv, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
@@ -250,14 +253,25 @@ def test_manifest_lists_every_output(tmp_path, command):
     assert manifest["python_version"] == platform.python_version()
     assert manifest["numpy_version"] == np.__version__
     stages = manifest["stages"]
+    # one layer per stage: each kernel, oracle check and writer on its own
     assert [st["stage"] for st in stages] == ["parse", *{
-        "gen": ["spec", "samples"],
-        "analyze": ["coefficients", "spectrum", "acf", "acf_csv", "af",
-                    "eoa", "sidelobes"],
+        "gen": ["spec", "samples", "samples_csv"],
+        "analyze": ["coefficients", "coefficients_csv", "spectrum",
+                    "spectrum_csv", "acf", "acf_csv", "af", "af_csv", "eoa",
+                    "sidelobes"],
+        "analyze-oracle": ["coefficients", "coefficients_csv", "spectrum",
+                           "spectrum_csv", "acf", "acf_oracle", "acf_csv",
+                           "af", "af_csv", "eoa", "eoa_oracle", "sidelobes"],
         "scan": ["scan", "scan_csv"],
-        "compare-lfm": ["ce_spectrum", "lfm_spectrum", "comparison"],
-    }[command]]
+        "compare-lfm": ["ce_spectrum", "ce_spectrum_csv", "lfm_spectrum",
+                        "lfm_spectrum_csv", "comparison"],
+    }[case]]
     assert all(st["wall_s"] >= 0.0 for st in stages)
+    # the grid kernels count the points they evaluated
+    assert {st["stage"]: st["points"] for st in stages if "points" in st} \
+        == {"gen": {}, "analyze": {"spectrum": 1025, "af": 9},
+            "analyze-oracle": {"spectrum": 1025, "af": 9},
+            "scan": {"scan": 4}, "compare-lfm": {"ce_spectrum": 4001}}[case]
 
 
 def test_scan_small_grid_symmetry(tmp_path):

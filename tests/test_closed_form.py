@@ -63,7 +63,7 @@ def test_constant_waveform_spectrum_is_sinc():
     spec = WaveformSpec(T=2.0, h=0.0, code=code)
     f = np.linspace(-4, 4, 81)
     s = spectrum(spec, f)
-    np.testing.assert_allclose(s.values, np.sqrt(2.0) * np.sinc(2.0 * f),
+    np.testing.assert_allclose(s, np.sqrt(2.0) * np.sinc(2.0 * f),
                                atol=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_spectrum_on_harmonic_grid_returns_coefficients():
     co = compute_coefficients(spec)
     k = np.arange(-co.M, co.M + 1)
     s = spectrum(spec, k / spec.T, coeffs=co)
-    np.testing.assert_allclose(s.values, np.sqrt(spec.T) * co.c, atol=1e-12)
+    np.testing.assert_allclose(s, np.sqrt(spec.T) * co.c, atol=1e-12)
 
 
 def test_spectrum_discrete_parseval_is_exact():
@@ -80,7 +80,7 @@ def test_spectrum_discrete_parseval_is_exact():
     co = compute_coefficients(spec)
     k = np.arange(-co.M, co.M + 1)
     s = spectrum(spec, k / spec.T, coeffs=co)
-    total = np.sum(np.abs(s.values) ** 2) / spec.T
+    total = np.sum(np.abs(s) ** 2) / spec.T
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -90,7 +90,7 @@ def test_spectrum_dense_grid_energy_near_unity():
     spec = _spec(L=1, h=0.5, seed=3)
     f = np.linspace(-150.0, 150.0, 60001)
     s = spectrum(spec, f)
-    energy = np.trapezoid(np.abs(s.values) ** 2, f)
+    energy = np.trapezoid(np.abs(s) ** 2, f)
     assert energy == pytest.approx(1.0, abs=1e-3)
 
 
@@ -106,7 +106,7 @@ def test_spectrum_matches_pairwise_sinc_sum_property(spec, far):
     k = np.arange(-co.M - 60, co.M + 61, dtype=float)
     far = co.M + np.array(far)
     f = np.concatenate([k, k + 1e-9, k - 3e-13, far, -far]) / spec.T
-    got = spectrum(spec, f, coeffs=co).values
+    got = spectrum(spec, f, coeffs=co)
     ref = np.sqrt(spec.T) * (np.sinc(spec.T * f[:, None] - co.m_index) @ co.c)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
@@ -157,14 +157,14 @@ def test_af_surface_layout_and_hash():
     spec = _spec(L=2, h=0.6, seed=7)
     tau = np.linspace(-0.5, 0.5, 5)
     nu = np.linspace(-3, 3, 7)
-    surf = af_surface(spec, tau, nu)
-    assert surf.chi.shape == (5, 7)
+    chi = af_surface(spec, tau, nu)
+    assert chi.shape == (5, 7)
     co = compute_coefficients(spec)
     for i in (0, 2, 4):
         for j in (0, 3, 6):
             # a one-point grid takes its delay sums by its own transform
             ref = ambiguity(spec, tau[i], nu[j], coeffs=co)
-            assert abs(surf.chi[i, j] - ref) < 2e-14
+            assert abs(chi[i, j] - ref) < 2e-14
 
 
 def test_acf_uniform_matches_pointwise_ambiguity():
@@ -216,8 +216,8 @@ def test_af_volume_over_wide_doppler_window_is_unity():
     spec = _spec(L=2, h=0.5, seed=1)
     tau = np.linspace(0.0, spec.T, 257)
     nu = np.linspace(-40.0, 40.0, 801)
-    surf = af_surface(spec, tau, nu)
-    v = simpson(np.abs(surf.chi) ** 2, x=nu, axis=1)
+    chi = af_surface(spec, tau, nu)
+    v = simpson(np.abs(chi) ** 2, x=nu, axis=1)
     volume = 2.0 * simpson(v, x=tau)  # nu-profile is even in tau
     assert volume == pytest.approx(1.0, abs=0.02)
 
@@ -227,21 +227,21 @@ def test_csv_exports_round_trip(tmp_path):
     f = np.linspace(-3, 3, 11)
     s = spectrum(spec, f)
     path = tmp_path / "spectrum.csv"
-    write_csv(path, "f,re,im,abs2", [s.f, s.values])
+    write_csv(path, "f,re,im,abs2", [f, s])
     data = np.genfromtxt(path, delimiter=",", names=True)
-    np.testing.assert_allclose(data["re"] + 1j * data["im"], s.values,
+    np.testing.assert_allclose(data["re"] + 1j * data["im"], s,
                                atol=1e-16)
 
     tau = np.linspace(-0.4, 0.4, 3)
     nu = np.linspace(-2, 2, 3)
-    surf = af_surface(spec, tau, nu)
+    chi = af_surface(spec, tau, nu)
     path = tmp_path / "af.csv"
     write_csv(path, "tau,nu,re,im,abs2",
-              [*np.meshgrid(tau, nu, indexing="ij"), surf.chi])
+              [*np.meshgrid(tau, nu, indexing="ij"), chi])
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert len(data) == 9
     np.testing.assert_allclose(
-        (data["re"] + 1j * data["im"]).reshape(3, 3), surf.chi, atol=1e-16)
+        (data["re"] + 1j * data["im"]).reshape(3, 3), chi, atol=1e-16)
 
     tg, R = acf_uniform(spec, n_tau=16)
     path = tmp_path / "acf.csv"
@@ -431,7 +431,7 @@ def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, n_s, span,
     nu = np.concatenate([nuT, ties, wide]) / T
     for tau in (np.arange(-n_s, n_s + 1) / n_s * T,
                 np.linspace(lo * T, hi * T, n_s + 1)):
-        got = af_surface(spec, tau, nu, coeffs=co).chi
+        got = af_surface(spec, tau, nu, coeffs=co)
         np.testing.assert_allclose(got, _old_af_surface(co, T, tau, nu),
                                    rtol=0, atol=2e-14)
     for t, v in ((lo * T, nu[0]), (-T, nu[-1]), (0.0, 0.5 / T)):
@@ -456,7 +456,7 @@ def test_af_surface_edges_match_direct_sums(L, h, n_tau, n_nu, lo, hi):
     co = compute_coefficients(spec)
     tau = np.linspace(lo, hi, n_tau) * spec.T
     nu = np.linspace(-6.0, 9.0, n_nu) / spec.T
-    got = af_surface(spec, tau, nu, coeffs=co).chi
+    got = af_surface(spec, tau, nu, coeffs=co)
     np.testing.assert_allclose(got, _old_af_surface(co, spec.T, tau, nu),
                                rtol=0, atol=2e-14)
 
@@ -519,11 +519,37 @@ def test_af_surface_takes_linspace_grids_and_rejects_others():
     for _ in range(200):
         lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)) * spec.T
         tau = np.linspace(lo, hi, rng.integers(1, 600))
-        assert af_surface(spec, tau, [0.0], coeffs=co).chi.shape[0] == len(tau)
+        assert af_surface(spec, tau, [0.0], coeffs=co).shape[0] == len(tau)
     for tau in ([0.0, 0.1, 0.5], np.linspace(0.5, -0.5, 5),
                 np.linspace(-1.0, 1.0, 9) + [0, 0, 0, 0, 1e-9, 0, 0, 0, 0]):
         with pytest.raises(ValueError, match="tau_grid"):
             af_surface(spec, tau, [0.0], coeffs=co)
+
+
+def test_kernels_return_arrays_of_their_grids_shape():
+    spec = _spec(L=3, h=1.2, seed=2)
+    co = compute_coefficients(spec)
+    f = np.linspace(-9.0, 9.0, 6)
+    S = spectrum(spec, f, coeffs=co)
+    assert S.shape == (6,) and S.dtype == complex
+    # a grid of any shape gives that shape, entry for entry
+    assert spectrum(spec, f[2], coeffs=co).shape == ()
+    np.testing.assert_array_equal(
+        spectrum(spec, f.reshape(2, 3), coeffs=co), S.reshape(2, 3))
+    for n_tau, n_nu in ((1, 1), (5, 1), (1, 7), (5, 7)):
+        chi = af_surface(spec, np.linspace(-0.5, 0.5, n_tau),
+                         np.linspace(-3.0, 3.0, n_nu), coeffs=co)
+        assert chi.shape == (n_tau, n_nu) and chi.dtype == complex
+
+
+def test_af_surface_on_empty_grids():
+    spec = _spec(L=3, h=1.2, seed=2)
+    co = compute_coefficients(spec)
+    # tau >= 0, tau < 0 and both halves, each with no Doppler
+    for tau in ([0.1, 0.2], [-0.3, -0.1], np.linspace(-0.5, 0.5, 5)):
+        assert af_surface(spec, tau, [], coeffs=co).shape == (len(tau), 0)
+    assert af_surface(spec, [], [0.0, 1.5], coeffs=co).shape == (0, 2)
+    assert af_surface(spec, [], [], coeffs=co).shape == (0, 0)
 
 
 def test_chirp_z_delay_sums_against_extended_precision():
@@ -583,17 +609,16 @@ def test_spectrum_entries_do_not_depend_on_the_grid(monkeypatch):
             on[::rows] = on[rows - 1::rows] = True
         x[on] = k[on]
         f = x / spec.T
-        full = spectrum(spec, f, coeffs=co).values
+        full = spectrum(spec, f, coeffs=co)
         assert np.any(np.abs(x[on]) > co.M)
         for block in (1, (7 * n_m + 1) // 2, closed_form._BLOCK):
             with monkeypatch.context() as mp:
                 mp.setattr(closed_form, "_BLOCK", block)
-                assert _same_bits(spectrum(spec, f, coeffs=co).values, full)
+                assert _same_bits(spectrum(spec, f, coeffs=co), full)
         for i in (*range(0, n_f, max(1, n_f // 40)), n_f - 1):
-            assert _same_bits(spectrum(spec, f[i], coeffs=co).values,
-                              full[i:i + 1])
+            assert _same_bits(spectrum(spec, f[i], coeffs=co), full[i])
         for a, b in ((1, 8), (3, n_f // 2), (n_f // 3, n_f)):
-            assert _same_bits(spectrum(spec, f[a:b], coeffs=co).values,
+            assert _same_bits(spectrum(spec, f[a:b], coeffs=co),
                               full[a:b])
 
 

@@ -114,27 +114,37 @@ def test_metrics_match_quadrature_acf():
 
 def test_metric_surface_symmetry_and_export(tmp_path):
     n = 8
-    surf = metric_surface(1.0, 5.8116, n, n_tau=1024)
-    assert surf.isl_db.shape == (n, n)
-    assert len(surf.phi1) == n and surf.phi1[0] == pytest.approx(-np.pi)
+    phis, isl_db, pslr_db = metric_surface(5.8116, n, n_tau=1024)
+    assert isl_db.shape == (n, n)
+    assert len(phis) == n and phis[0] == pytest.approx(-np.pi)
     # phase negation maps grid index k to (n - k) mod n
     for i in range(n):
         for j in range(n):
             ii, jj = (n - i) % n, (n - j) % n
-            assert surf.isl_db[i, j] == pytest.approx(surf.isl_db[ii, jj],
-                                                      abs=1e-9)
-            assert surf.pslr_db[i, j] == pytest.approx(surf.pslr_db[ii, jj],
-                                                       abs=1e-9)
+            assert isl_db[i, j] == pytest.approx(isl_db[ii, jj], abs=1e-9)
+            assert pslr_db[i, j] == pytest.approx(pslr_db[ii, jj], abs=1e-9)
     path = tmp_path / "scan.csv"
     write_csv(path, "phi1,phi2,isl_db,pslr_db",
-              [*np.meshgrid(surf.phi1, surf.phi2, indexing="ij"),
-               surf.isl_db, surf.pslr_db])
+              [*np.meshgrid(phis, phis, indexing="ij"), isl_db, pslr_db])
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert len(data) == n * n
-    np.testing.assert_allclose(data["isl_db"].reshape(n, n), surf.isl_db,
+    np.testing.assert_allclose(data["isl_db"].reshape(n, n), isl_db,
                                atol=1e-16)
+
+
+def test_metric_surface_returns_phases_and_metric_arrays():
+    for n in (2, 3):
+        phis, isl_db, pslr_db = metric_surface(5.8116, n, n_tau=256)
+        assert phis.shape == (n,)
+        assert np.array_equal(phis, -np.pi + 2.0 * np.pi * np.arange(n) / n)
+        assert isl_db.shape == pslr_db.shape == (n, n)
+    # entry [i, j] is the code (phis[i], phis[j]) at T = 1
+    code = PskCode(L=2, gamma=np.ones(2), phi=np.array([phis[1], phis[2]]))
+    rep = sidelobe_report(WaveformSpec(T=1.0, h=5.8116, code=code),
+                          n_tau=256)
+    assert (isl_db[1, 2], pslr_db[1, 2]) == (rep.isl_db, rep.pslr_db)
 
 
 def test_metric_surface_rejects_tiny_grid():
     with pytest.raises(ValueError):
-        metric_surface(1.0, 1.0, 1)
+        metric_surface(1.0, 1)
