@@ -20,6 +20,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -98,7 +99,10 @@ def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     h = (args.h if args.h is not None
          else h_for_tbp(args.T, args.tbp / args.T, args.L))
     if args.phi_file is not None:
-        phi = np.loadtxt(args.phi_file, dtype=float, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file is reported by the shape check below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            phi = np.loadtxt(args.phi_file, dtype=float, ndmin=1)
         if phi.shape != (args.L,):
             raise ValueError(
                 f"phi file holds {phi.size} phases, expected {args.L}")
@@ -136,8 +140,9 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         raise ValueError("--af needs at least 1 delay and 1 Doppler, got "
                          f"--af {args.af[0]} {args.af[1]}")
     spec = load_spec(args.spec)
-    coeffs = compute_coefficients(spec)
-    stages.done("coefficients")
+    c = compute_coefficients(spec)
+    M = len(c) // 2
+    stages.done("coefficients", M=M)
     outputs = []
 
     def out(name: str) -> Path:
@@ -145,7 +150,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         return args.out / name
 
     write_csv(out("coefficients.csv"), "m,re,im,abs2",
-              [coeffs.m_index, coeffs.c])
+              [np.arange(-M, M + 1), c])
     stages.done("coefficients_csv")
 
     fs = oracle_fs(spec) if args.oracle else None
@@ -153,13 +158,13 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     if args.spectrum:
         f_max = (2.0 * spec.L + 8.0) / spec.T
         f = np.linspace(-f_max, f_max, 1025)
-        S = spectrum(spec, f, coeffs=coeffs)
+        S = spectrum(c, spec.T, f)
         stages.done("spectrum", points=S.size)
         write_csv(out("spectrum.csv"), "f,re,im,abs2", [f, S])
         stages.done("spectrum_csv")
 
     if args.acf or args.sidelobes:
-        tau, R = acf_uniform(spec, n_tau=args.acf_n, coeffs=coeffs)
+        tau, R = acf_uniform(c, spec.T, n_tau=args.acf_n)
         stages.done("acf")
 
     if args.acf:
@@ -179,7 +184,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         tau_n, nu_n = args.af
         taus = np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n)
         nus = np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n)
-        chi = af_surface(spec, taus, nus, coeffs=coeffs)
+        chi = af_surface(c, spec.T, taus, nus)
         stages.done("af", points=chi.size)
         write_csv(out("af.csv"), "tau,nu,re,im,abs2",
                   [*np.meshgrid(taus, nus, indexing="ij"), chi])
@@ -259,8 +264,9 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
     n_f = 4001
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, n_f)
-    ce = spectrum(spec, f)
-    stages.done("ce_spectrum", points=ce.size)
+    c = compute_coefficients(spec)
+    ce = spectrum(c, spec.T, f)
+    stages.done("ce_spectrum", points=ce.size, M=len(c) // 2)
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [f, ce])
     stages.done("ce_spectrum_csv")
 

@@ -64,15 +64,16 @@ At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
 On the grid tau_j = j T / N, z_m depends on m mod N alone, so after binning
 the harmonics each sum is one length-N FFT.  The binning is exact for any N.
 
-Each kernel returns the arrays it computes and no grid the caller passed in.
+Each kernel takes T and c = c_{-M..M} from gbf.compute_coefficients, the one
+input that describes the pulse: it depends on h and the code, not on T.  A
+kernel returns the arrays it computes and no grid the caller passed in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gbf import GbfCoefficients, compute_coefficients
-from .waveform import OutOfSupport, WaveformSpec
+from .waveform import OutOfSupport
 
 # af_surface builds the kernels of as many Dopplers at a time as fit in
 # _BLOCK complex elements; spectrum forms its reciprocals in one buffer of
@@ -80,12 +81,14 @@ from .waveform import OutOfSupport, WaveformSpec
 _BLOCK = 1 << 14
 
 
-def _resolve_coeffs(spec, coeffs):
-    return compute_coefficients(spec) if coeffs is None else coeffs
+def _order(c: np.ndarray) -> int:
+    """M of c = c_{-M..M}; ValueError unless c is 1-d and odd in length."""
+    if c.ndim != 1 or len(c) % 2 == 0:
+        raise ValueError(f"c must be 1-d and odd in length, got {c.shape}")
+    return len(c) // 2
 
 
-def spectrum(spec: WaveformSpec, f_grid,
-             coeffs: GbfCoefficients | None = None) -> np.ndarray:
+def spectrum(c: np.ndarray, T: float, f_grid) -> np.ndarray:
     """S(f) on f_grid (Hz), a complex array of f_grid's shape.
 
     The reciprocals are formed in one reused buffer of 2 * _BLOCK reals, or
@@ -93,17 +96,17 @@ def spectrum(spec: WaveformSpec, f_grid,
     a fixed order.  So a single frequency equals its entry in any grid, bit
     for bit, whatever the buffer size or the machine's thread settings.
     """
-    coeffs = _resolve_coeffs(spec, coeffs)
-    m, M = coeffs.m_index, coeffs.M
-    x = spec.T * np.asarray(f_grid, dtype=float).ravel()
+    M = _order(c)
+    m = np.arange(-M, M + 1)
+    x = T * np.asarray(f_grid, dtype=float).ravel()
     n = np.rint(x)
     r = x - n
     on = r == 0.0
     # (-1)^m c_m, split into contiguous real vectors, which take einsum's
     # vectorized loop
-    alt = np.where(m % 2, -coeffs.c, coeffs.c)
+    alt = np.where(m % 2, -c, c)
     re, im = np.ascontiguousarray(alt.real), np.ascontiguousarray(alt.imag)
-    scale = (np.sqrt(spec.T) / np.pi * np.where(n % 2, -1.0, 1.0)
+    scale = (np.sqrt(T) / np.pi * np.where(n % 2, -1.0, 1.0)
              * np.sin(np.pi * r))
     # rows with r = 0 are set below; 0.5 keeps their reciprocals finite
     x = np.where(on, 0.5, x)
@@ -122,8 +125,8 @@ def spectrum(spec: WaveformSpec, f_grid,
         vals.real[i:i + step] = row_scale * np.einsum("ij,j->i", inv, re)
         vals.imag[i:i + step] = row_scale * np.einsum("ij,j->i", inv, im)
     n = n[on]
-    c_n = coeffs.c[np.clip(n, -M, M).astype(int) + M]
-    vals[on] = np.where(np.abs(n) <= M, np.sqrt(spec.T) * c_n, 0.0)
+    c_n = c[np.clip(n, -M, M).astype(int) + M]
+    vals[on] = np.where(np.abs(n) <= M, np.sqrt(T) * c_n, 0.0)
     return vals.reshape(np.shape(f_grid))
 
 
@@ -220,17 +223,15 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
     return chi
 
 
-def ambiguity(spec: WaveformSpec, tau: float, nu: float,
-              coeffs: GbfCoefficients | None = None) -> complex:
+def ambiguity(c: np.ndarray, T: float, tau: float, nu: float) -> complex:
     """chi(tau, nu) at a single delay/Doppler point.
 
     Raises OutOfSupport for |tau| > T; chi(+-T, nu) = 0 exactly.
     """
-    return complex(af_surface(spec, [tau], [nu], coeffs)[0, 0])
+    return complex(af_surface(c, T, [tau], [nu])[0, 0])
 
 
-def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
-               coeffs: GbfCoefficients | None = None) -> np.ndarray:
+def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     """chi on the outer product of tau_grid and nu_grid: a complex array
     with one row per delay and one column per Doppler.
 
@@ -242,18 +243,18 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
     step, both over T; these lie within a few ulps of tau_grid / T.
     Results repeat bit for bit across runs, but not across grid shapes.
     """
-    coeffs = _resolve_coeffs(spec, coeffs)
+    M = _order(c)
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
-    if np.any(np.abs(taus) > spec.T * (1.0 + 1e-12)):
+    if np.any(np.abs(taus) > T * (1.0 + 1e-12)):
         raise OutOfSupport("tau grid extends beyond the pulse length")
-    s = taus / spec.T
+    s = taus / T
     ds = (s[-1] - s[0]) / (len(s) - 1) if len(s) > 1 else 0.0
     # 20000 random np.linspace grids lay at most 7 ulps off s_0 + i ds
     if ds < 0.0 or np.any(np.abs(s - (s[:1] + ds * np.arange(len(s))))
                           > 16.0 * np.spacing(np.max(np.abs(s), initial=0.0))):
         raise ValueError("tau_grid must be ascending and uniformly spaced")
-    c, M, nuT = coeffs.c, coeffs.M, nus * spec.T
+    nuT = nus * T
     neg = s < 0
     chi = np.empty((len(taus), len(nus)), dtype=complex)
     if not neg.all():
@@ -263,8 +264,7 @@ def af_surface(spec: WaveformSpec, tau_grid, nu_grid,
     return chi
 
 
-def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
-                coeffs: GbfCoefficients | None = None):
+def acf_uniform(c: np.ndarray, T: float, n_tau: int = 4096):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
     The grid includes tau = T, where R vanishes identically, and n_tau < 1
@@ -276,15 +276,14 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
     """
     if n_tau < 1:
         raise ValueError(f"n_tau must be at least 1, got {n_tau}")
-    coeffs = _resolve_coeffs(spec, coeffs)
-    c, M = coeffs.c, coeffs.M
+    M = _order(c)
     size = 1 << (4 * M).bit_length()
     # at nu = 0 the kernels p and q are one array
     P = _kernel_fft(M, np.zeros(1), size)
     u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
     v = -np.conj(c) * _lag_conv(P, np.fft.fft(c, size), M)[0]
     g = _sinc_rows(c, M, np.zeros(1))[0]
-    bins = coeffs.m_index % n_tau
+    bins = np.arange(-M, M + 1) % n_tau
 
     def dft(w):
         folded = (np.bincount(bins, w.real, n_tau)
@@ -293,5 +292,5 @@ def acf_uniform(spec: WaveformSpec, n_tau: int = 4096,
 
     A = 1.0 - np.arange(n_tau) / n_tau
     body = A * dft(g) + dft(u - v)
-    tau = np.arange(n_tau + 1) * (spec.T / n_tau)
+    tau = np.arange(n_tau + 1) * (T / n_tau)
     return tau, np.concatenate([body, [0.0]])

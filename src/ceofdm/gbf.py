@@ -8,10 +8,11 @@ exp(j 2 pi m t / T) with
 
 For L = 1 these reduce to c_m = j^m exp(j m phi_1) J_m(2 pi h gamma_1) with
 J_m the ordinary Bessel function (Jacobi-Anger); for L > 1 they are
-generalized multi-tone analogues.  The engine computes them by FFT of the
-uniformly sampled phase factor, which aliases coefficients at |m| > N_fft - M;
-the FFT size is padded to at least 4 (2M + 1) so the aliased tail sits below
-the truncation residual being measured.
+generalized multi-tone analogues.  They depend on h and the code, not on T,
+and with T they are the closed-form kernels' one input.  The engine computes
+them by FFT of the uniformly sampled phase factor, which aliases coefficients
+at |m| > N_fft - M; the FFT size is padded to at least 4 (2M + 1) so the
+aliased tail sits below the truncation residual being measured.
 
 Truncation order schedule: start at M0 = ceil(e pi h L (L+1) / 2) + 8 (a
 safety factor of e/2 over the peak harmonic extent 2 pi h L(L+1)/2 of the
@@ -22,7 +23,6 @@ drops below TOL, failing at M > 2^20.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,26 +34,6 @@ TOL = 1e-12
 
 class TruncationFailure(RuntimeError):
     """Coefficient truncation could not meet tolerance within the M cap."""
-
-
-@dataclass(frozen=True)
-class GbfCoefficients:
-    """Truncated coefficient block c_{-M}..c_M with its Parseval residual."""
-
-    M: int
-    c: np.ndarray
-    residual: float
-
-    def __post_init__(self):
-        c = np.array(self.c, dtype=complex)
-        if c.shape != (2 * self.M + 1,):
-            raise ValueError("coefficient array must have length 2M + 1")
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def m_index(self) -> np.ndarray:
-        return np.arange(-self.M, self.M + 1)
 
 
 def _initial_order(spec: WaveformSpec) -> int:
@@ -80,8 +60,9 @@ def _coefficients_at_order(spec: WaveformSpec, M: int, g_prev=None):
     return c, residual, g
 
 
-def compute_coefficients(spec: WaveformSpec) -> GbfCoefficients:
-    """Compute the coefficient block at the smallest scheduled order meeting TOL.
+def compute_coefficients(spec: WaveformSpec) -> np.ndarray:
+    """The read-only array c_{-M}..c_M at the smallest scheduled order M
+    meeting TOL; M = len(c) // 2.
 
     TOL bounds two things at the returned order: the Parseval residual
     1 - sum_{|m|<=M} |c_m|^2, and the magnitude of the outermost
@@ -101,5 +82,6 @@ def compute_coefficients(spec: WaveformSpec) -> GbfCoefficients:
         c, residual, g = _coefficients_at_order(spec, M, g)
         edge = max(abs(c[0]), abs(c[-1]))
         if residual < TOL and edge <= TOL:
-            return GbfCoefficients(M=M, c=c, residual=residual)
+            c.setflags(write=False)
+            return c
         M *= 2

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import acf_uniform
+from .gbf import compute_coefficients
 from .waveform import PskCode, WaveformSpec, simpson
 
 DB_FLOOR = -300.0
@@ -99,12 +100,6 @@ def report_from_acf(tau_grid, acf_values) -> SidelobeReport:
                           null_found=found)
 
 
-def sidelobe_report(spec: WaveformSpec, n_tau: int = 4096) -> SidelobeReport:
-    """Closed-form ACF on the default uniform grid, then metrics."""
-    tau, R = acf_uniform(spec, n_tau=n_tau)
-    return report_from_acf(tau, R)
-
-
 def metric_surface(h: float, grid_n: int, n_tau: int = 4096):
     """ISL and PSLR over (phi_1, phi_2) in [-pi, pi)^2 for L = 2 at T = 1,
     which serves any T: both are dimensionless and h does not depend on T.
@@ -123,7 +118,7 @@ def metric_surface(h: float, grid_n: int, n_tau: int = 4096):
     for i, p1 in enumerate(phis):
         for j, p2 in enumerate(phis):
             code = PskCode(L=2, gamma=np.ones(2), phi=np.array([p1, p2]))
-            rep = sidelobe_report(WaveformSpec(T=1.0, h=h, code=code),
-                                  n_tau=n_tau)
+            c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
+            rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
             isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
     return phis, isl_db, pslr_db

@@ -343,9 +343,22 @@ def save_spec(spec: WaveformSpec, path) -> None:
 
 
 def load_spec(path) -> WaveformSpec:
+    """The spec in a JSON object with T, h, L, phi and optionally gamma and
+    m_psk, as save_spec writes it; L and m_psk must be JSON integers.  A
+    malformed file raises ValueError naming the file and the key."""
     with open(path) as fh:
         d = json.load(fh)
-    L = int(d["L"])
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: a spec is a JSON object with keys T, h, L "
+                         "and phi")
+    for key in ("T", "h", "L", "phi"):
+        if d.get(key) is None:
+            raise ValueError(f"{path}: no value for key {key!r}")
+    for key in ("L", "m_psk"):
+        if d.get(key) is not None and type(d[key]) is not int:
+            raise ValueError(f"{path}: key {key!r} must be a JSON integer, "
+                             f"got {d[key]!r}")
+    L = d["L"]
     phi = np.asarray(d["phi"], dtype=float)
     gamma = np.asarray(d.get("gamma", np.ones(L)), dtype=float)
     code = PskCode(L=L, gamma=gamma, phi=phi, m_psk=d.get("m_psk"))

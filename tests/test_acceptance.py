@@ -21,7 +21,7 @@ from ceofdm.eoa import (eoa_closed_form, h_for_tbp, max_coupling_code,
                         rho_norm_max)
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import af_numeric_grid, eoa_numeric
-from ceofdm.sidelobes import metric_surface, sidelobe_report
+from ceofdm.sidelobes import metric_surface, report_from_acf
 from ceofdm.waveform import (PskCode, WaveformSpec, oversample_floor,
                              phase_at, random_psk_code, wrap_phase)
 
@@ -62,7 +62,7 @@ def test_criterion_03_closed_form_af_matches_quadrature():
     nu = np.linspace(-10.0, 10.0, 17)
     for L, h in [(1, 0.5), (2, 5.81), (24, 0.1856)]:
         spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 32, 7))
-        closed = af_surface(spec, tau, nu)
+        closed = af_surface(compute_coefficients(spec), spec.T, tau, nu)
         numeric = af_numeric_grid(spec, tau, nu, fs)
         worst = max(worst, float(np.max(np.abs(closed - numeric))))
     ok = worst < 1e-6
@@ -100,21 +100,24 @@ def test_criterion_05_coefficient_engine():
     residual_worst = 0.0
     for L, h in [(1, 0.5), (2, 5.81), (24, 0.1856)]:
         spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 32, 7))
+        c = compute_coefficients(spec)
         residual_worst = max(residual_worst,
-                             abs(compute_coefficients(spec).residual))
+                             abs(float(1.0 - np.sum(np.abs(c) ** 2))))
 
     code = PskCode(L=1, gamma=np.ones(1), phi=np.array([-np.pi / 4]))
     spec1 = WaveformSpec(T=1.0, h=0.5, code=code)
-    co1 = compute_coefficients(spec1)
+    c1 = compute_coefficients(spec1)
+    M1 = len(c1) // 2
     bessel_worst = max(
-        abs(co1.c[co1.M + m] - (1j ** m) * np.exp(-1j * m * np.pi / 4)
+        abs(c1[M1 + m] - (1j ** m) * np.exp(-1j * m * np.pi / 4)
             * float(mpmath.besselj(m, np.pi)))
-        for m in range(-co1.M, co1.M + 1))
+        for m in range(-M1, M1 + 1))
 
     spec2 = WaveformSpec(T=1.0, h=5.81, code=random_psk_code(2, 32, 7))
-    co2 = compute_coefficients(spec2)
+    c2 = compute_coefficients(spec2)
+    M2 = len(c2) // 2
     t = np.linspace(-0.5, 0.5, 4096)
-    resynth = co2.c @ np.exp(2j * np.pi * np.outer(co2.m_index, t))
+    resynth = c2 @ np.exp(2j * np.pi * np.outer(np.arange(-M2, M2 + 1), t))
     resynth_worst = float(np.max(np.abs(
         resynth - np.exp(1j * phase_at(spec2, t)))))
 
@@ -175,19 +178,19 @@ def test_criterion_07_property_suite():
     neg = WaveformSpec(T=1.0, h=5.81,
                        code=PskCode(L=2, gamma=spec.code.gamma,
                                     phi=wrap_phase(-spec.code.phi)))
-    a = sidelobe_report(spec, n_tau=2048)
-    b = sidelobe_report(neg, n_tau=2048)
+    a = report_from_acf(*acf_uniform(compute_coefficients(spec), 1.0, 2048))
+    b = report_from_acf(*acf_uniform(compute_coefficients(neg), 1.0, 2048))
     metric_dev = max(abs(a.pslr_db - b.pslr_db), abs(a.isl_db - b.isl_db))
 
     # ambiguity point symmetry and unit ACF origin
     spec = WaveformSpec(T=1.0, h=1.1, code=random_psk_code(3, 32, 6))
     tau = np.linspace(-0.8, 0.8, 5)
     nu = np.linspace(-6.0, 6.0, 5)
-    chi = af_surface(spec, tau, nu)
+    chi = af_surface(compute_coefficients(spec), spec.T, tau, nu)
     sym_dev = float(np.max(np.abs(chi - np.conj(chi[::-1, ::-1]))))
-    origin_dev = max(abs(acf_uniform(WaveformSpec(
-        T=1.0, h=0.8, code=random_psk_code(4, 32, s)), n_tau=64)[1][0] - 1.0)
-        for s in range(5))
+    origin_dev = max(abs(acf_uniform(compute_coefficients(WaveformSpec(
+        T=1.0, h=0.8, code=random_psk_code(4, 32, s))), 1.0, n_tau=64)[1][0]
+        - 1.0) for s in range(5))
 
     ok = (beta2_dev < 1e-12 and rho_dev < 1e-12 and bound_ok
           and metric_dev < 1e-9 and sym_dev < 1e-12 and origin_dev < 1e-12)
@@ -207,7 +210,7 @@ def test_criterion_08_windowed_af_volume():
     spec = WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0))
     tau = np.linspace(0.0, spec.T, 257)
     nu = np.linspace(-20.0, 20.0, 801)
-    chi = af_surface(spec, tau, nu)
+    chi = af_surface(compute_coefficients(spec), spec.T, tau, nu)
     v = simpson(np.abs(chi) ** 2, x=nu, axis=1)
     volume = 2.0 * simpson(v, x=tau)  # nu-profile is even in tau
     ok = abs(volume - 1.0) <= 0.05
@@ -226,7 +229,8 @@ def test_criterion_09_seeded_band_contains_single_draw_statistics():
     for seed in range(100):
         spec = WaveformSpec(T=1.0, h=0.1856,
                             code=random_psk_code(24, 32, seed))
-        rep = sidelobe_report(spec, n_tau=4096)
+        rep = report_from_acf(*acf_uniform(compute_coefficients(spec),
+                                           spec.T, n_tau=4096))
         pslr.append(rep.pslr_db)
         isl.append(rep.isl_db)
         rho_norm.append(eoa_closed_form(spec).rho_norm)

@@ -14,10 +14,11 @@ import ceofdm
 from ceofdm import __version__
 from ceofdm import cli
 from ceofdm.cli import main, write_csv
-from ceofdm.closed_form import chirp_z
+from ceofdm.closed_form import acf_uniform, chirp_z
 from ceofdm.eoa import h_for_tbp
+from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import _dft, _nodes, oracle_fs, spectrum_numeric
-from ceofdm.sidelobes import sidelobe_report
+from ceofdm.sidelobes import report_from_acf
 from ceofdm.waveform import (PskCode, WaveformSpec, load_spec, random_psk_code,
                              save_spec, wrap_phase)
 
@@ -56,7 +57,7 @@ def test_gen_reruns_are_byte_identical(tmp_path):
     assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
 
 
-def test_gen_phi_file(tmp_path):
+def test_gen_phi_file(tmp_path, capsys):
     phi = np.array([0.1, -2.0, 3.0])
     pf = tmp_path / "phi.txt"
     np.savetxt(pf, phi)
@@ -68,6 +69,15 @@ def test_gen_phi_file(tmp_path):
     # wrong length is a usage error, reported on stderr with exit 2
     assert _run("gen", "--L", 5, "--h", 0.5, "--phi-file", pf,
                 "--out", out) == 2
+    # so is an empty file, with one error line and no loadtxt warning
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    capsys.readouterr()
+    assert _run("gen", "--L", 2, "--h", 1, "--phi-file", empty,
+                "--out", tmp_path / "e") == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: phi file holds 0 phases, expected 2"]
+    assert not (tmp_path / "e").exists()
 
 
 def test_analyze_eoa_report(tmp_path):
@@ -115,7 +125,9 @@ def test_analyze_sidelobes_and_manifest(tmp_path):
     side = json.loads((rep / "sidelobes.json").read_text())
     assert side["null_found"] and side["pslr_db"] < 0
     # the report reuses the --acf delays, not the --af ones
-    ref = sidelobe_report(load_spec(out / "spec.json"), n_tau=1024)
+    spec = load_spec(out / "spec.json")
+    ref = report_from_acf(*acf_uniform(compute_coefficients(spec), spec.T,
+                                       1024))
     assert (side["delta_tau"], side["pslr_db"], side["isl_db"]) == \
         (ref.delta_tau, ref.pslr_db, ref.isl_db)
     assert side["tau_max"] == 1.0
@@ -140,6 +152,24 @@ def test_analyze_missing_spec(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: truncation order")
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"h": 1.0, "L": 2, "phi": [0.0, 1.0]}', "'T'"),
+    ("[1.0, 2.0]", "JSON object"),
+    ('{"T": 1.0, "h": 1.0, "L": 2.7, "phi": [0.0, 1.0]}', "'L'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "m_psk": 2.5}',
+     "'m_psk'"),
+], ids=["no-T", "list", "fractional-L", "fractional-m_psk"])
+def test_analyze_rejects_malformed_spec(tmp_path, capsys, text, key):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    out = tmp_path / "r"
+    assert _run("analyze", "--spec", path, "--eoa", "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+    assert key in err[0]
+    assert not out.exists()
 
 
 def test_analyze_rejects_empty_delay_grid(tmp_path, capsys):
@@ -272,6 +302,20 @@ def test_manifest_lists_every_output(tmp_path, case):
         == {"gen": {}, "analyze": {"spectrum": 1025, "af": 9},
             "analyze-oracle": {"spectrum": 1025, "af": 9},
             "scan": {"scan": 4}, "compare-lfm": {"ce_spectrum": 4001}}[case]
+    # and the stage that computes the coefficients gives their order M
+    orders = {st["stage"]: st["M"] for st in stages if "M" in st}
+    if command == "analyze":
+        M = len(compute_coefficients(load_spec(spec))) // 2
+        assert orders == {"coefficients": M}
+        rows = np.genfromtxt(out / "coefficients.csv", delimiter=",",
+                             names=True)
+        assert len(rows) == 2 * M + 1
+    elif command == "compare-lfm":
+        ce = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 20.0, 2),
+                          code=random_psk_code(2, 32, 0))
+        assert orders == {"ce_spectrum": len(compute_coefficients(ce)) // 2}
+    else:
+        assert orders == {}
 
 
 def test_scan_small_grid_symmetry(tmp_path):

@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,16 +24,17 @@ def _spec(L=2, h=0.5, T=1.0, seed=1):
     return WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, seed))
 
 
-def _naive_chi(coeffs, T, tau, nu):
+def _naive_chi(c, T, tau, nu):
     # direct double sum over (m, n); the library must match it exactly.
     # exp(-j pi (m + n) tau / T) splits into one phasor per index, and the
     # sinc matrix takes its entries from the 4M + 1 lags m - n.
-    m, M = coeffs.m_index, coeffs.M
+    M = len(c) // 2
+    m = np.arange(-M, M + 1)
     A = (T - abs(tau)) / T
     phasor = np.exp(-1j * np.pi * m * tau / T)
     lags = np.sinc(A * (nu * T + np.arange(-2 * M, 2 * M + 1)))
     snc = lags[m[:, None] - m[None, :] + 2 * M]
-    return A * ((coeffs.c * phasor) @ snc @ (np.conj(coeffs.c) * phasor))
+    return A * ((c * phasor) @ snc @ (np.conj(c) * phasor))
 
 
 # derandomized so that every run draws the same examples, and nothing is
@@ -62,24 +65,26 @@ def test_constant_waveform_spectrum_is_sinc():
     code = PskCode(L=1, gamma=np.ones(1), phi=np.zeros(1))
     spec = WaveformSpec(T=2.0, h=0.0, code=code)
     f = np.linspace(-4, 4, 81)
-    s = spectrum(spec, f)
+    s = spectrum(compute_coefficients(spec), spec.T, f)
     np.testing.assert_allclose(s, np.sqrt(2.0) * np.sinc(2.0 * f),
                                atol=1e-12)
 
 
 def test_spectrum_on_harmonic_grid_returns_coefficients():
     spec = _spec(L=3, h=0.7, T=2.0, seed=5)
-    co = compute_coefficients(spec)
-    k = np.arange(-co.M, co.M + 1)
-    s = spectrum(spec, k / spec.T, coeffs=co)
-    np.testing.assert_allclose(s, np.sqrt(spec.T) * co.c, atol=1e-12)
+    c = compute_coefficients(spec)
+    M = len(c) // 2
+    k = np.arange(-M, M + 1)
+    s = spectrum(c, spec.T, k / spec.T)
+    np.testing.assert_allclose(s, np.sqrt(spec.T) * c, atol=1e-12)
 
 
 def test_spectrum_discrete_parseval_is_exact():
     spec = _spec(L=2, h=1.0, seed=2)
-    co = compute_coefficients(spec)
-    k = np.arange(-co.M, co.M + 1)
-    s = spectrum(spec, k / spec.T, coeffs=co)
+    c = compute_coefficients(spec)
+    M = len(c) // 2
+    k = np.arange(-M, M + 1)
+    s = spectrum(c, spec.T, k / spec.T)
     total = np.sum(np.abs(s) ** 2) / spec.T
     assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -89,7 +94,7 @@ def test_spectrum_dense_grid_energy_near_unity():
     # band must be much wider than the coefficient support for 1e-3
     spec = _spec(L=1, h=0.5, seed=3)
     f = np.linspace(-150.0, 150.0, 60001)
-    s = spectrum(spec, f)
+    s = spectrum(compute_coefficients(spec), spec.T, f)
     energy = np.trapezoid(np.abs(s) ** 2, f)
     assert energy == pytest.approx(1.0, abs=1e-3)
 
@@ -102,77 +107,82 @@ def test_spectrum_dense_grid_energy_near_unity():
 def test_spectrum_matches_pairwise_sinc_sum_property(spec, far):
     # T f on the harmonics k (where k / T * T may miss k by an ulp), within
     # 1e-9 and 3e-13 of them, and far beyond the band on both sides
-    co = compute_coefficients(spec)
-    k = np.arange(-co.M - 60, co.M + 61, dtype=float)
-    far = co.M + np.array(far)
+    c = compute_coefficients(spec)
+    M = len(c) // 2
+    k = np.arange(-M - 60, M + 61, dtype=float)
+    far = M + np.array(far)
     f = np.concatenate([k, k + 1e-9, k - 3e-13, far, -far]) / spec.T
-    got = spectrum(spec, f, coeffs=co)
-    ref = np.sqrt(spec.T) * (np.sinc(spec.T * f[:, None] - co.m_index) @ co.c)
+    got = spectrum(c, spec.T, f)
+    m = np.arange(-M, M + 1)
+    ref = np.sqrt(spec.T) * (np.sinc(spec.T * f[:, None] - m) @ c)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 def test_ambiguity_matches_naive_double_sum():
     spec = _spec(L=1, h=0.5, seed=1)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     for tau, nu in [(0.0, 0.0), (0.3, 2.0), (-0.45, -7.0), (0.71, 0.5)]:
-        ref = _naive_chi(co, spec.T, tau, nu)
-        assert abs(ambiguity(spec, tau, nu, coeffs=co) - ref) < 1e-12
+        ref = _naive_chi(c, spec.T, tau, nu)
+        assert abs(ambiguity(c, spec.T, tau, nu) - ref) < 1e-12
 
 
 def test_ambiguity_origin_is_unity():
     for seed in range(3):
         spec = _spec(L=4, h=0.8, seed=seed)
-        assert abs(ambiguity(spec, 0.0, 0.0) - 1.0) < 1e-12
+        c = compute_coefficients(spec)
+        assert abs(ambiguity(c, spec.T, 0.0, 0.0) - 1.0) < 1e-12
 
 
 def test_ambiguity_sign_convention_against_quadrature():
     # the residual-phase sign is the one thing the regrouping cannot check
     spec = _spec(L=2, h=0.9, seed=4)
+    c = compute_coefficients(spec)
     for tau, nu in [(0.35, 3.0), (-0.2, -5.0)]:
-        closed = ambiguity(spec, tau, nu)
+        closed = ambiguity(c, spec.T, tau, nu)
         ref = af_numeric_grid(spec, [tau], [nu], 8192.0)[0, 0]
         assert abs(closed - ref) < 1e-8
 
 
 def test_ambiguity_point_symmetry():
     spec = _spec(L=3, h=1.1, seed=6)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     for tau, nu in [(0.25, 1.5), (0.6, -4.0)]:
-        a = ambiguity(spec, tau, nu, coeffs=co)
-        b = ambiguity(spec, -tau, -nu, coeffs=co)
+        a = ambiguity(c, spec.T, tau, nu)
+        b = ambiguity(c, spec.T, -tau, -nu)
         assert abs(a - np.conj(b)) < 1e-12
 
 
 def test_ambiguity_support_boundary():
     for spec in (_spec(), _spec(L=1, h=2.5, T=1.5, seed=12),
                  _spec(L=24, h=0.1856, seed=12)):
+        c = compute_coefficients(spec)
         for tau in (-spec.T, spec.T):
             for nu in (0.0, 3.0, -2.5 / spec.T, 7.3):
-                assert ambiguity(spec, tau, nu) == 0
+                assert ambiguity(c, spec.T, tau, nu) == 0
     with pytest.raises(OutOfSupport):
-        ambiguity(spec, 1.5 * spec.T, 0.0)
+        ambiguity(c, spec.T, 1.5 * spec.T, 0.0)
 
 
 def test_af_surface_layout_and_hash():
     spec = _spec(L=2, h=0.6, seed=7)
     tau = np.linspace(-0.5, 0.5, 5)
     nu = np.linspace(-3, 3, 7)
-    chi = af_surface(spec, tau, nu)
+    c = compute_coefficients(spec)
+    chi = af_surface(c, spec.T, tau, nu)
     assert chi.shape == (5, 7)
-    co = compute_coefficients(spec)
     for i in (0, 2, 4):
         for j in (0, 3, 6):
             # a one-point grid takes its delay sums by its own transform
-            ref = ambiguity(spec, tau[i], nu[j], coeffs=co)
+            ref = ambiguity(c, spec.T, tau[i], nu[j])
             assert abs(chi[i, j] - ref) < 2e-14
 
 
 def test_acf_uniform_matches_pointwise_ambiguity():
     spec = _spec(L=2, h=2.0, seed=8)
-    co = compute_coefficients(spec)
-    tau, R = acf_uniform(spec, n_tau=128, coeffs=co)
+    c = compute_coefficients(spec)
+    tau, R = acf_uniform(c, spec.T, n_tau=128)
     assert len(tau) == 129 and tau[0] == 0.0 and tau[-1] == spec.T
-    ref = np.array([ambiguity(spec, t, 0.0, coeffs=co) for t in tau])
+    ref = np.array([ambiguity(c, spec.T, t, 0.0) for t in tau])
     np.testing.assert_allclose(R, ref, atol=1e-10)
     assert R[-1] == 0.0
     assert abs(R[0] - 1.0) < 1e-12
@@ -181,21 +191,22 @@ def test_acf_uniform_matches_pointwise_ambiguity():
 def test_acf_uniform_folds_harmonics_on_small_grids():
     # n_tau below the coefficient span folds several harmonics into each bin
     spec = _spec(L=2, h=5.0, seed=9)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     for n_tau in (64, 97):
-        assert 2 * co.M + 1 > n_tau
-        tau, R = acf_uniform(spec, n_tau=n_tau, coeffs=co)
-        ref = np.array([ambiguity(spec, t, 0.0, coeffs=co) for t in tau])
+        assert len(c) > n_tau
+        tau, R = acf_uniform(c, spec.T, n_tau=n_tau)
+        ref = np.array([ambiguity(c, spec.T, t, 0.0) for t in tau])
         np.testing.assert_allclose(R, ref, atol=1e-10)
-        naive = [_naive_chi(co, spec.T, t, 0.0) for t in tau]
+        naive = [_naive_chi(c, spec.T, t, 0.0) for t in tau]
         np.testing.assert_allclose(R, naive, rtol=0, atol=1e-12)
 
 
 def test_acf_uniform_rejects_empty_delay_grid():
     spec = _spec(L=2, h=0.5, seed=1)
+    c = compute_coefficients(spec)
     for n_tau in (0, -4):
         with pytest.raises(ValueError, match="n_tau"):
-            acf_uniform(spec, n_tau=n_tau)
+            acf_uniform(c, spec.T, n_tau=n_tau)
 
 
 def test_acf_mainlobe_narrows_with_modulation_index():
@@ -203,7 +214,7 @@ def test_acf_mainlobe_narrows_with_modulation_index():
     widths = []
     for h in (0.3, 3.0):
         spec = WaveformSpec(T=1.0, h=h, code=code)
-        tau, R = acf_uniform(spec, n_tau=1024)
+        tau, R = acf_uniform(compute_coefficients(spec), spec.T, n_tau=1024)
         below = np.flatnonzero(np.abs(R) < 0.5)
         widths.append(tau[below[0]])
     assert widths[1] < widths[0]
@@ -216,7 +227,7 @@ def test_af_volume_over_wide_doppler_window_is_unity():
     spec = _spec(L=2, h=0.5, seed=1)
     tau = np.linspace(0.0, spec.T, 257)
     nu = np.linspace(-40.0, 40.0, 801)
-    chi = af_surface(spec, tau, nu)
+    chi = af_surface(compute_coefficients(spec), spec.T, tau, nu)
     v = simpson(np.abs(chi) ** 2, x=nu, axis=1)
     volume = 2.0 * simpson(v, x=tau)  # nu-profile is even in tau
     assert volume == pytest.approx(1.0, abs=0.02)
@@ -224,8 +235,9 @@ def test_af_volume_over_wide_doppler_window_is_unity():
 
 def test_csv_exports_round_trip(tmp_path):
     spec = _spec(L=1, h=0.4, seed=11)
+    c = compute_coefficients(spec)
     f = np.linspace(-3, 3, 11)
-    s = spectrum(spec, f)
+    s = spectrum(c, spec.T, f)
     path = tmp_path / "spectrum.csv"
     write_csv(path, "f,re,im,abs2", [f, s])
     data = np.genfromtxt(path, delimiter=",", names=True)
@@ -234,7 +246,7 @@ def test_csv_exports_round_trip(tmp_path):
 
     tau = np.linspace(-0.4, 0.4, 3)
     nu = np.linspace(-2, 2, 3)
-    chi = af_surface(spec, tau, nu)
+    chi = af_surface(c, spec.T, tau, nu)
     path = tmp_path / "af.csv"
     write_csv(path, "tau,nu,re,im,abs2",
               [*np.meshgrid(tau, nu, indexing="ij"), chi])
@@ -243,7 +255,7 @@ def test_csv_exports_round_trip(tmp_path):
     np.testing.assert_allclose(
         (data["re"] + 1j * data["im"]).reshape(3, 3), chi, atol=1e-16)
 
-    tg, R = acf_uniform(spec, n_tau=16)
+    tg, R = acf_uniform(c, spec.T, n_tau=16)
     path = tmp_path / "acf.csv"
     write_csv(path, "tau,re,im,abs2", [tg, R])
     data = np.genfromtxt(path, delimiter=",", names=True)
@@ -255,22 +267,22 @@ def test_csv_exports_round_trip(tmp_path):
        s=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
        nuT=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=3))
 def test_af_surface_matches_naive_double_sum_property(spec, s, nuT):
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     tau = np.array(s) * spec.T
     nu = np.array(nuT) / spec.T
-    chi = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nu]
+    chi = np.array([[ambiguity(c, spec.T, t, v) for v in nu]
                     for t in tau])
-    ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
+    ref = np.array([[_naive_chi(c, spec.T, t, v) for v in nu] for t in tau])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)
 
 
 @_PROPERTY
 @given(spec=_specs(), n_tau=st.integers(3, 700))
 def test_acf_uniform_matches_naive_double_sum_property(spec, n_tau):
-    co = compute_coefficients(spec)
-    tau, R = acf_uniform(spec, n_tau=n_tau, coeffs=co)
+    c = compute_coefficients(spec)
+    tau, R = acf_uniform(c, spec.T, n_tau=n_tau)
     idx = np.unique(np.linspace(0, n_tau, 5).astype(int))
-    ref = [_naive_chi(co, spec.T, tau[j], 0.0) for j in idx]
+    ref = [_naive_chi(c, spec.T, tau[j], 0.0) for j in idx]
     np.testing.assert_allclose(R[idx], ref, rtol=0, atol=1e-12)
     assert abs(R[0] - 1.0) < 1e-12 and R[-1] == 0.0
 
@@ -283,29 +295,29 @@ def test_phase_negation_conjugates_chi_property(spec, nuT):
     neg = _negated(spec)
     tau = np.array([0.0, 0.3, -0.7]) * spec.T
     nu = np.array([nuT, -nuT]) / spec.T
-    co, co_neg = compute_coefficients(spec), compute_coefficients(neg)
-    a = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nu] for t in tau])
-    b = np.array([[ambiguity(neg, t, v, coeffs=co_neg) for v in nu]
+    c, c_neg = compute_coefficients(spec), compute_coefficients(neg)
+    a = np.array([[ambiguity(c, spec.T, t, v) for v in nu] for t in tau])
+    b = np.array([[ambiguity(c_neg, neg.T, t, v) for v in nu]
                   for t in tau])
     np.testing.assert_allclose(b, np.conj(a), rtol=0, atol=1e-12)
     assert abs(a[0, 0] - np.conj(a[0, 1])) < 1e-12
     n_tau = 256
-    np.testing.assert_allclose(acf_uniform(neg, n_tau)[1],
-                               np.conj(acf_uniform(spec, n_tau)[1]),
+    np.testing.assert_allclose(acf_uniform(c_neg, neg.T, n_tau)[1],
+                               np.conj(acf_uniform(c, spec.T, n_tau)[1]),
                                rtol=0, atol=1e-12)
 
 
 def test_unmodulated_pulse_is_a_triangle():
     code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
     spec = WaveformSpec(T=2.0, h=0.0, code=code)
-    tau, R = acf_uniform(spec, n_tau=100)
+    c = compute_coefficients(spec)
+    tau, R = acf_uniform(c, spec.T, n_tau=100)
     np.testing.assert_allclose(R, 1.0 - tau / spec.T, rtol=0, atol=1e-15)
     taus = np.array([-1.5, -0.5, 0.0, 0.7, 2.0])
     nus = np.array([-3.0, -0.25, 0.0, 1.0, 2.2])
     A = 1.0 - np.abs(taus) / spec.T
     ref = A[:, None] * np.sinc(A[:, None] * nus[None, :] * spec.T)
-    co = compute_coefficients(spec)
-    chi = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nus]
+    chi = np.array([[ambiguity(c, spec.T, t, v) for v in nus]
                     for t in taus])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-15)
 
@@ -315,14 +327,14 @@ def test_chi_at_and_near_integer_doppler(L, h):
     # nu T on an integer makes one lag's bracket cancel exactly; 2.5 is the
     # tie between two nearest lags
     spec = _spec(L=L, h=h, T=0.8, seed=14)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     tau = np.array([-0.6, 0.0, 0.25, 0.79]) * spec.T
     nuT = np.array([0.0, 1e-12, -1e-12, 4.0, 4.0 + 1e-12, -7.0 + 1e-12,
                     2.5, -2.5])
     nu = nuT / spec.T
-    chi = np.array([[ambiguity(spec, t, v, coeffs=co) for v in nu]
+    chi = np.array([[ambiguity(c, spec.T, t, v) for v in nu]
                     for t in tau])
-    ref = np.array([[_naive_chi(co, spec.T, t, v) for v in nu] for t in tau])
+    ref = np.array([[_naive_chi(c, spec.T, t, v) for v in nu] for t in tau])
     np.testing.assert_allclose(chi, ref, rtol=0, atol=1e-12)
 
 
@@ -371,23 +383,25 @@ def _old_chi_causal(c, M, s, nuT):
     return chi
 
 
-def _old_af_surface(co, T, taus, nus):
+def _old_af_surface(c, T, taus, nus):
+    M = len(c) // 2
     s = taus / T
     neg = s < 0
     chi = np.empty((len(taus), len(nus)), dtype=complex)
     for j in range(0, len(nus), 64):
         nuT = nus[j:j + 64] * T
         if np.any(~neg):
-            chi[~neg, j:j + 64] = _old_chi_causal(co.c, co.M, s[~neg], nuT)
+            chi[~neg, j:j + 64] = _old_chi_causal(c, M, s[~neg], nuT)
         if np.any(neg):
             chi[neg, j:j + 64] = np.conj(
-                _old_chi_causal(co.c, co.M, -s[neg], -nuT))
+                _old_chi_causal(c, M, -s[neg], -nuT))
     return chi
 
 
-def _old_acf_uniform(co, T, n_tau):
-    u, v, g, _ = _old_harmonic_weights(co.c, co.M, np.zeros(1))
-    bins = co.m_index % n_tau
+def _old_acf_uniform(c, T, n_tau):
+    M = len(c) // 2
+    u, v, g, _ = _old_harmonic_weights(c, M, np.zeros(1))
+    bins = np.arange(-M, M + 1) % n_tau
 
     def dft(w):
         folded = (np.bincount(bins, w.real, n_tau)
@@ -419,27 +433,28 @@ def _same_bits(a, b):
     span=[-0.25, 0.7], nuT=[-4.5, 0.0], n_tau=97)
 def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, n_s, span,
                                                               nuT, n_tau):
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     T = spec.T
     # tau = 0 and +-T; Dopplers on ties of rint at k +- 0.5, an asymmetric
     # grid, and more Dopplers than one block holds, not a multiple of it
     lo, hi = sorted(span)
     ties = np.array([-2.5, -0.5, 0.5, 1.5, 3.5])
     # the Dopplers af_surface builds kernels for at a time
-    block = max(1, closed_form._BLOCK // (1 << (4 * co.M).bit_length()))
+    M = len(c) // 2
+    block = max(1, closed_form._BLOCK // (1 << (4 * M).bit_length()))
     wide = np.linspace(-7.0, 11.0, 2 * block + 3)
     nu = np.concatenate([nuT, ties, wide]) / T
     for tau in (np.arange(-n_s, n_s + 1) / n_s * T,
                 np.linspace(lo * T, hi * T, n_s + 1)):
-        got = af_surface(spec, tau, nu, coeffs=co)
-        np.testing.assert_allclose(got, _old_af_surface(co, T, tau, nu),
+        got = af_surface(c, spec.T, tau, nu)
+        np.testing.assert_allclose(got, _old_af_surface(c, T, tau, nu),
                                    rtol=0, atol=2e-14)
     for t, v in ((lo * T, nu[0]), (-T, nu[-1]), (0.0, 0.5 / T)):
-        point = ambiguity(spec, t, v, coeffs=co)
-        old = _old_af_surface(co, T, np.array([t]), np.array([v]))[0, 0]
+        point = ambiguity(c, spec.T, t, v)
+        old = _old_af_surface(c, T, np.array([t]), np.array([v]))[0, 0]
         assert abs(point - old) < 2e-14
-    _, R = acf_uniform(spec, n_tau, coeffs=co)
-    assert _same_bits(R, _old_acf_uniform(co, T, n_tau))
+    _, R = acf_uniform(c, spec.T, n_tau)
+    assert _same_bits(R, _old_acf_uniform(c, T, n_tau))
 
 
 @pytest.mark.parametrize("L, h, n_tau, n_nu", [
@@ -453,11 +468,11 @@ def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, n_s, span,
 def test_af_surface_edges_match_direct_sums(L, h, n_tau, n_nu, lo, hi):
     # all-negative, all-nonnegative, constant and mixed delay grids
     spec = _spec(L=L, h=h, T=1.7, seed=4)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     tau = np.linspace(lo, hi, n_tau) * spec.T
     nu = np.linspace(-6.0, 9.0, n_nu) / spec.T
-    got = af_surface(spec, tau, nu, coeffs=co)
-    np.testing.assert_allclose(got, _old_af_surface(co, spec.T, tau, nu),
+    got = af_surface(c, spec.T, tau, nu)
+    np.testing.assert_allclose(got, _old_af_surface(c, spec.T, tau, nu),
                                rtol=0, atol=2e-14)
 
 
@@ -469,8 +484,8 @@ def test_v_from_own_kernel_matches_kernel_at_minus_nu_property(spec, nuT):
     # q_k = -conj(p_k), against v from the kernel at -nu, by
     # q_k(nu) = -p_{-k}(-nu).  The rows _chi_causal hands its chirp-z
     # transform are the g rows, then per Doppler block the u and v rows.
-    co = compute_coefficients(spec)
-    c, M = co.c, co.M
+    c = compute_coefficients(spec)
+    M = len(c) // 2
     # 0, integers, the ties of rint at k +- 0.5, and |nu T| up to 30
     nuT = np.concatenate([nuT, [0.0, 1.0, -3.0, 0.5, -0.5, 2.5, -29.5, 30.0]])
     rows = []
@@ -508,48 +523,49 @@ def test_af_surface_builds_one_kernel_row_per_doppler_and_half(
 
     monkeypatch.setattr(closed_form, "_kernel_fft", counted)
     nu = np.linspace(-10.0, 10.0, 1 if n_tau == 1 else 40)
-    af_surface(spec, np.linspace(lo, hi, n_tau), nu)
+    af_surface(compute_coefficients(spec), spec.T, np.linspace(lo, hi, n_tau),
+               nu)
     assert sum(built) == per_doppler * len(nu)
 
 
 def test_af_surface_takes_linspace_grids_and_rejects_others():
     spec = _spec(L=1, h=0.5, T=2.5, seed=3)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     rng = np.random.default_rng(8)
     for _ in range(200):
         lo, hi = np.sort(rng.uniform(-1.0, 1.0, 2)) * spec.T
         tau = np.linspace(lo, hi, rng.integers(1, 600))
-        assert af_surface(spec, tau, [0.0], coeffs=co).shape[0] == len(tau)
+        assert af_surface(c, spec.T, tau, [0.0]).shape[0] == len(tau)
     for tau in ([0.0, 0.1, 0.5], np.linspace(0.5, -0.5, 5),
                 np.linspace(-1.0, 1.0, 9) + [0, 0, 0, 0, 1e-9, 0, 0, 0, 0]):
         with pytest.raises(ValueError, match="tau_grid"):
-            af_surface(spec, tau, [0.0], coeffs=co)
+            af_surface(c, spec.T, tau, [0.0])
 
 
 def test_kernels_return_arrays_of_their_grids_shape():
     spec = _spec(L=3, h=1.2, seed=2)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     f = np.linspace(-9.0, 9.0, 6)
-    S = spectrum(spec, f, coeffs=co)
+    S = spectrum(c, spec.T, f)
     assert S.shape == (6,) and S.dtype == complex
     # a grid of any shape gives that shape, entry for entry
-    assert spectrum(spec, f[2], coeffs=co).shape == ()
+    assert spectrum(c, spec.T, f[2]).shape == ()
     np.testing.assert_array_equal(
-        spectrum(spec, f.reshape(2, 3), coeffs=co), S.reshape(2, 3))
+        spectrum(c, spec.T, f.reshape(2, 3)), S.reshape(2, 3))
     for n_tau, n_nu in ((1, 1), (5, 1), (1, 7), (5, 7)):
-        chi = af_surface(spec, np.linspace(-0.5, 0.5, n_tau),
-                         np.linspace(-3.0, 3.0, n_nu), coeffs=co)
+        chi = af_surface(c, spec.T, np.linspace(-0.5, 0.5, n_tau),
+                         np.linspace(-3.0, 3.0, n_nu))
         assert chi.shape == (n_tau, n_nu) and chi.dtype == complex
 
 
 def test_af_surface_on_empty_grids():
     spec = _spec(L=3, h=1.2, seed=2)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     # tau >= 0, tau < 0 and both halves, each with no Doppler
     for tau in ([0.1, 0.2], [-0.3, -0.1], np.linspace(-0.5, 0.5, 5)):
-        assert af_surface(spec, tau, [], coeffs=co).shape == (len(tau), 0)
-    assert af_surface(spec, [], [0.0, 1.5], coeffs=co).shape == (0, 2)
-    assert af_surface(spec, [], [], coeffs=co).shape == (0, 0)
+        assert af_surface(c, spec.T, tau, []).shape == (len(tau), 0)
+    assert af_surface(c, spec.T, [], [0.0, 1.5]).shape == (0, 2)
+    assert af_surface(c, spec.T, [], []).shape == (0, 0)
 
 
 def test_chirp_z_delay_sums_against_extended_precision():
@@ -565,7 +581,7 @@ def test_chirp_z_delay_sums_against_extended_precision():
                             (4, 4000, 1, 4061)):
         spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, tbp, L),
                             code=random_psk_code(L, 32, seed))
-        c = compute_coefficients(spec).c
+        c = compute_coefficients(spec)
         assert len(c) == 2 * M + 1
         size = 1 << (4 * M).bit_length()
         u = c * closed_form._lag_conv(
@@ -593,32 +609,32 @@ def test_spectrum_entries_do_not_depend_on_the_grid(monkeypatch):
     for spec, n_f in ((_spec(L=24, h=0.1856, seed=3), 4001),
                       (_spec(L=2, h=5.0, T=2.5, seed=9), 1025),
                       (_spec(L=1, h=600.0, seed=2), 41)):
-        co = compute_coefficients(spec)
-        n_m = len(co.m_index)
+        c = compute_coefficients(spec)
+        n_m, M = len(c), len(c) // 2
         # buffers of one row, of 7 rows and the default, each with a
         # partial last chunk
         default = max(1, 2 * closed_form._BLOCK // n_m)
         assert n_f % 7 and n_f % default
-        x = rng.uniform(-1.5, 1.5, n_f) * co.M
+        x = rng.uniform(-1.5, 1.5, n_f) * M
         # r == 0 rows, inside and beyond +-M, on the first and last row of
         # every chunk
-        k = rng.integers(-co.M - 40, co.M + 41, n_f)
-        k[::5] = np.where(k[::5] < 0, -co.M - 1, co.M + 3)
+        k = rng.integers(-M - 40, M + 41, n_f)
+        k[::5] = np.where(k[::5] < 0, -M - 1, M + 3)
         on = np.zeros(n_f, dtype=bool)
         for rows in (7, default):
             on[::rows] = on[rows - 1::rows] = True
         x[on] = k[on]
         f = x / spec.T
-        full = spectrum(spec, f, coeffs=co)
-        assert np.any(np.abs(x[on]) > co.M)
+        full = spectrum(c, spec.T, f)
+        assert np.any(np.abs(x[on]) > M)
         for block in (1, (7 * n_m + 1) // 2, closed_form._BLOCK):
             with monkeypatch.context() as mp:
                 mp.setattr(closed_form, "_BLOCK", block)
-                assert _same_bits(spectrum(spec, f, coeffs=co), full)
+                assert _same_bits(spectrum(c, spec.T, f), full)
         for i in (*range(0, n_f, max(1, n_f // 40)), n_f - 1):
-            assert _same_bits(spectrum(spec, f[i], coeffs=co), full[i])
+            assert _same_bits(spectrum(c, spec.T, f[i]), full[i])
         for a, b in ((1, 8), (3, n_f // 2), (n_f // 3, n_f)):
-            assert _same_bits(spectrum(spec, f[a:b], coeffs=co),
+            assert _same_bits(spectrum(c, spec.T, f[a:b]),
                               full[a:b])
 
 
@@ -636,10 +652,33 @@ def test_kernels_work_in_a_bounded_buffer():
     L = 24
     spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 200.0, L),
                         code=random_psk_code(L, 32, 0))
-    co = compute_coefficients(spec)
-    assert co.M == 484
+    c = compute_coefficients(spec)
+    assert len(c) // 2 == 484
     tau = np.linspace(-0.9, 0.9, 64)
     nu = np.linspace(-10.0, 10.0, 64)
-    assert _traced_peak(lambda: af_surface(spec, tau, nu, coeffs=co)) < 6e6
+    assert _traced_peak(lambda: af_surface(c, spec.T, tau, nu)) < 6e6
     f = np.linspace(-400.0, 400.0, 4001)
-    assert _traced_peak(lambda: spectrum(spec, f, coeffs=co)) < 1 << 20
+    assert _traced_peak(lambda: spectrum(c, spec.T, f)) < 1 << 20
+
+
+def test_closed_form_imports_neither_gbf_nor_the_spec():
+    # the kernels read the pulse from (c, T) alone: the one package name
+    # they import is the exception for delays beyond the pulse
+    tree = ast.parse(Path(closed_form.__file__).read_text())
+    imports = {(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names}
+    assert imports == {("waveform", "OutOfSupport")}
+
+
+@pytest.mark.parametrize("c", [np.zeros(4, dtype=complex),
+                               np.ones((3, 3), dtype=complex),
+                               np.zeros(0, dtype=complex)],
+                         ids=["even", "2-d", "empty"])
+def test_kernels_reject_coefficients_without_a_centre(c):
+    for kernel in (lambda: spectrum(c, 1.0, [0.0, 0.5]),
+                   lambda: af_surface(c, 1.0, [0.0, 0.5], [0.0]),
+                   lambda: ambiguity(c, 1.0, 0.25, 1.0),
+                   lambda: acf_uniform(c, 1.0, 16)):
+        with pytest.raises(ValueError, match="odd"):
+            kernel()

@@ -175,10 +175,10 @@ def test_ellipse_follows_af_level_set_property(L, T, tbp, phi):
     params = eoa_closed_form(spec)
     assume(abs(params.rho_norm) >= 0.1)
     pts = ellipse_contour(params, 0.02, n_points=16)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
 
     def spread(tau, nu):
-        v = np.abs([ambiguity(spec, t, n, coeffs=co)
+        v = np.abs([ambiguity(c, spec.T, t, n)
                     for t, n in zip(tau, nu)]) ** 2
         return np.max(v) - np.min(v)
 

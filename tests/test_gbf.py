@@ -4,8 +4,9 @@ import pytest
 
 from ceofdm import gbf, waveform
 from ceofdm.cli import write_csv
+from ceofdm.closed_form import spectrum
 from ceofdm.eoa import h_for_tbp
-from ceofdm.gbf import GbfCoefficients, TruncationFailure, compute_coefficients
+from ceofdm.gbf import TruncationFailure, compute_coefficients
 from ceofdm.waveform import (PskCode, WaveformSpec, _harmonic_sum, phase_at,
                              random_psk_code, wrap_phase)
 
@@ -14,26 +15,33 @@ def _spec(L=2, h=0.5, T=1.0, seed=1):
     return WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, seed))
 
 
+def _residual(c):
+    # the Parseval residual, the same expression the engine evaluates
+    return float(1.0 - np.sum(np.abs(c) ** 2))
+
+
 def test_constant_waveform_has_single_coefficient():
     spec = WaveformSpec(T=1.0, h=0.0,
                         code=PskCode(L=3, gamma=np.ones(3), phi=np.zeros(3)))
-    co = compute_coefficients(spec)
-    assert co.c[co.M] == pytest.approx(1.0, abs=1e-15)
-    others = np.delete(co.c, co.M)
+    c = compute_coefficients(spec)
+    M = len(c) // 2
+    assert c[M] == pytest.approx(1.0, abs=1e-15)
+    others = np.delete(c, M)
     np.testing.assert_allclose(others, 0.0, atol=1e-15)
-    assert co.residual < 1e-12
+    assert _residual(c) < 1e-12
 
 
 def test_single_carrier_reduces_to_ordinary_bessel():
     # c_m = j^m e^{j m phi_1} J_m(2 pi h) for L = 1
     for h, phi1 in [(0.5, -np.pi / 4), (1.3, 1.0), (2.0, np.pi)]:
         code = PskCode(L=1, gamma=np.ones(1), phi=np.array([phi1]))
-        co = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
+        c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
+        M = len(c) // 2
         with mpmath.workdps(30):
-            for m in range(-co.M, co.M + 1):
+            for m in range(-M, M + 1):
                 ref = (1j ** m) * np.exp(1j * m * phi1) * float(
                     mpmath.besselj(m, 2 * np.pi * h))
-                assert abs(co.c[co.M + m] - ref) < 1e-10
+                assert abs(c[M + m] - ref) < 1e-10
 
 
 def _coefficients_from_scratch(spec):
@@ -80,9 +88,9 @@ def test_doubled_order_reuses_samples_bit_for_bit(case, monkeypatch):
         M, c, residual = _coefficients_from_scratch(spec)
         assert M == 2 * gbf._initial_order(spec)
         sizes.clear()
-        co = compute_coefficients(spec)
-        assert co.M == M and co.residual == residual
-        assert co.c.tobytes() == c.tobytes()
+        got = compute_coefficients(spec)
+        assert len(got) // 2 == M and _residual(got) == residual
+        assert got.tobytes() == c.tobytes()
         # the rebuild evaluates only the odd samples of its grid
         assert sizes == [sizes[0], sizes[0]]
 
@@ -90,26 +98,28 @@ def test_doubled_order_reuses_samples_bit_for_bit(case, monkeypatch):
 def test_parseval_residual_below_tol():
     for seed in range(5):
         spec = _spec(L=8, h=0.4, seed=seed)
-        co = compute_coefficients(spec)
+        c = compute_coefficients(spec)
         # rounding can push the coefficient energy a hair past 1
-        assert -1e-14 < co.residual < 1e-12
-        assert len(co.c) == 2 * co.M + 1
+        assert -1e-14 < _residual(c) < 1e-12
+        assert len(c) % 2 == 1
 
 
 def test_coefficients_deterministic():
     spec = _spec(L=4, h=1.1, seed=3)
     a = compute_coefficients(spec)
     b = compute_coefficients(spec)
-    assert a.M == b.M
-    np.testing.assert_array_equal(a.c, b.c)
+    assert len(a) == len(b)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_resynthesis_matches_phase_samples():
     spec = _spec(L=4, h=0.8, seed=2)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
+    M = len(c) // 2
     t = np.linspace(-spec.T / 2, spec.T / 2, 4096)
     ref = np.exp(1j * phase_at(spec, t))
-    resynth = co.c @ np.exp(2j * np.pi * np.outer(co.m_index, t) / spec.T)
+    m = np.arange(-M, M + 1)
+    resynth = c @ np.exp(2j * np.pi * np.outer(m, t) / spec.T)
     err = np.abs(resynth - ref)
     assert err.max() < 1e-11
 
@@ -122,13 +132,13 @@ def test_phase_negation_flips_coefficient_index():
                                     phi=wrap_phase(-spec.code.phi)))
     a = compute_coefficients(spec)
     b = compute_coefficients(neg)
-    assert a.M == b.M
-    np.testing.assert_allclose(b.c, a.c[::-1], atol=5e-15)
+    assert len(a) == len(b)
+    np.testing.assert_allclose(b, a[::-1], atol=5e-15)
 
 
 def test_truncation_order_grows_with_h():
-    assert compute_coefficients(_spec(L=2, h=0.1)).M < compute_coefficients(
-        _spec(L=2, h=5.0)).M
+    assert len(compute_coefficients(_spec(L=2, h=0.1))) < len(
+        compute_coefficients(_spec(L=2, h=5.0)))
 
 
 def test_truncation_cap_enforced():
@@ -139,19 +149,36 @@ def test_truncation_cap_enforced():
 
 
 def test_coefficient_accessor_bounds():
-    co = compute_coefficients(_spec())
-    # c holds c_{-M}..c_M in m_index order, so c_0 sits at position M
-    assert co.m_index[co.M] == 0 and len(co.m_index) == len(co.c)
+    c = compute_coefficients(_spec())
+    M = len(c) // 2
+    m = np.arange(-M, M + 1)
+    # c holds c_{-M}..c_M in m order, so c_0 sits at position M
+    assert m[M] == 0 and len(m) == len(c)
+    # an even length has no c_0 to centre on, and the kernels reject it
     with pytest.raises(ValueError):
-        GbfCoefficients(M=2, c=np.zeros(4, dtype=complex), residual=0.0)
+        spectrum(np.zeros(4, dtype=complex), 1.0, [0.0])
+
+
+def test_coefficients_are_one_read_only_array_independent_of_T():
+    # the kernels' one input: c_{-M}..c_M depends on h and the code alone
+    code = random_psk_code(3, 32, 6)
+    a = compute_coefficients(WaveformSpec(T=1.0, h=0.7, code=code))
+    b = compute_coefficients(WaveformSpec(T=2.5, h=0.7, code=code))
+    for c in (a, b):
+        assert isinstance(c, np.ndarray) and c.dtype == complex
+        assert c.ndim == 1 and len(c) % 2 == 1
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 0.0
+    assert a.tobytes() == b.tobytes()
 
 
 def test_coefficient_csv_round_trip(tmp_path):
-    co = compute_coefficients(_spec(L=3, h=0.6, seed=4))
+    c = compute_coefficients(_spec(L=3, h=0.6, seed=4))
+    M = len(c) // 2
     path = tmp_path / "coeffs.csv"
-    write_csv(path, "m,re,im,abs2", [co.m_index, co.c])
+    write_csv(path, "m,re,im,abs2", [np.arange(-M, M + 1), c])
     data = np.genfromtxt(path, delimiter=",", names=True)
-    assert len(data) == 2 * co.M + 1
-    np.testing.assert_allclose(data["re"] + 1j * data["im"], co.c,
-                               atol=1e-16)
-    np.testing.assert_allclose(data["abs2"], np.abs(co.c) ** 2, atol=1e-16)
+    assert len(data) == 2 * M + 1
+    np.testing.assert_allclose(data["re"] + 1j * data["im"], c, atol=1e-16)
+    np.testing.assert_allclose(data["abs2"], np.abs(c) ** 2, atol=1e-16)

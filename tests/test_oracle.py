@@ -111,11 +111,11 @@ def test_af_grid_evaluates_phase_once_on_dyadic_grid(monkeypatch):
 
 def test_af_converges_to_closed_form():
     spec = _spec(L=2, h=0.9, seed=4)
-    co = compute_coefficients(spec)
+    c = compute_coefficients(spec)
     pts = [(0.35, 3.0), (-0.2, -5.0), (0.61, 1.7)]
 
     def worst(fs):
-        return max(abs(ambiguity(spec, t, n, coeffs=co)
+        return max(abs(ambiguity(c, spec.T, t, n)
                        - af_numeric_grid(spec, [t], [n], fs)[0, 0])
                    for t, n in pts)
 
@@ -175,14 +175,14 @@ def test_spectrum_numeric_matches_closed_form():
     spec = _spec(L=2, h=5.8116, seed=3)
     f = np.linspace(-30.3, 30.3, 101)  # deliberately off the 1/T grid
     sn = spectrum_numeric(spec, 8192.0, f)
-    sc = spectrum(spec, f)
+    sc = spectrum(compute_coefficients(spec), spec.T, f)
     assert np.max(np.abs(sn - sc)) < 1e-4
 
 
 def test_spectrum_numeric_converges_with_rate():
     spec = _spec(L=2, h=5.8116, seed=3)
     f = np.linspace(-30.3, 30.3, 41)
-    sc = spectrum(spec, f)
+    sc = spectrum(compute_coefficients(spec), spec.T, f)
 
     def worst(fs):
         return np.max(np.abs(spectrum_numeric(spec, fs, f) - sc))

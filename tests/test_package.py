@@ -13,11 +13,15 @@ def test_star_import_binds_exactly_the_export_list():
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(ceofdm.__all__)
     assert len(set(ceofdm.__all__)) == len(ceofdm.__all__)
-    # the kernels return bare arrays, so their result records are gone
+    # the kernels take the coefficient array and T and return bare arrays,
+    # so the coefficient and result records and the spec wrappers are gone
     for module, name in ((oracle, "af_numeric"), (gbf, "resynthesize"),
                          (closed_form, "SpectrumSamples"),
                          (closed_form, "AmbiguitySurface"),
-                         (sidelobes, "MetricSurface")):
+                         (sidelobes, "MetricSurface"),
+                         (gbf, "GbfCoefficients"),
+                         (closed_form, "_resolve_coeffs"),
+                         (sidelobes, "sidelobe_report")):
         assert not hasattr(module, name)
         assert name not in ceofdm.__all__
 

@@ -3,15 +3,20 @@ import pytest
 
 from ceofdm.cli import write_csv
 from ceofdm.closed_form import acf_uniform
+from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import af_numeric_grid
 from ceofdm.sidelobes import (DB_FLOOR, isl, mainlobe_null, metric_surface,
-                              pslr, report_from_acf, sidelobe_report)
+                              pslr, report_from_acf)
 from ceofdm.waveform import (PskCode, WaveformSpec, random_psk_code,
                              wrap_phase)
 
 
 def _spec(h=5.8116, seed=5):
     return WaveformSpec(T=1.0, h=h, code=random_psk_code(2, 32, seed))
+
+
+def _acf(spec, n_tau):
+    return acf_uniform(compute_coefficients(spec), spec.T, n_tau)
 
 
 def test_null_of_squared_cosine():
@@ -67,7 +72,7 @@ def test_degenerate_report_is_flagged():
     code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
     spec = WaveformSpec(T=1.0, h=0.0, code=code)
     for n_tau in (3, 16, 256, 4096):
-        rep = sidelobe_report(spec, n_tau=n_tau)
+        rep = report_from_acf(*_acf(spec, n_tau))
         assert not rep.null_found
         assert rep.delta_tau == spec.T
         # nothing beyond the fallback boundary, whatever the grid
@@ -78,7 +83,7 @@ def test_degenerate_report_is_flagged():
 def test_report_from_complex_and_magnitude_input_agree():
     # a real input is R itself, not |R|^2: both give the metrics of |R|^2
     spec = _spec()
-    tau, R = acf_uniform(spec, n_tau=512)
+    tau, R = _acf(spec, 512)
     assert report_from_acf(tau, np.abs(R)) == report_from_acf(tau, R)
 
 
@@ -87,16 +92,16 @@ def test_metrics_invariant_under_phase_negation():
     neg = WaveformSpec(T=spec.T, h=spec.h,
                        code=PskCode(L=2, gamma=spec.code.gamma,
                                     phi=wrap_phase(-spec.code.phi)))
-    a = sidelobe_report(spec, n_tau=1024)
-    b = sidelobe_report(neg, n_tau=1024)
+    a = report_from_acf(*_acf(spec, 1024))
+    b = report_from_acf(*_acf(neg, 1024))
     assert abs(a.pslr_db - b.pslr_db) < 1e-9
     assert abs(a.isl_db - b.isl_db) < 1e-9
 
 
 def test_metrics_converge_with_grid():
     spec = _spec(seed=5)
-    coarse = sidelobe_report(spec, n_tau=2048)
-    fine = sidelobe_report(spec, n_tau=8192)
+    coarse = report_from_acf(*_acf(spec, 2048))
+    fine = report_from_acf(*_acf(spec, 8192))
     assert abs(coarse.pslr_db - fine.pslr_db) < 0.01
     assert abs(coarse.isl_db - fine.isl_db) < 0.01
 
@@ -104,7 +109,7 @@ def test_metrics_converge_with_grid():
 def test_metrics_match_quadrature_acf():
     # same metrics when the ACF comes from the numeric integral instead
     spec = _spec(seed=5)
-    tau, R = acf_uniform(spec, n_tau=512)
+    tau, R = _acf(spec, 512)
     ref = af_numeric_grid(spec, tau, np.zeros(1), 8192.0)[:, 0]
     a = report_from_acf(tau, R)
     b = report_from_acf(tau, ref)
@@ -140,8 +145,8 @@ def test_metric_surface_returns_phases_and_metric_arrays():
         assert isl_db.shape == pslr_db.shape == (n, n)
     # entry [i, j] is the code (phis[i], phis[j]) at T = 1
     code = PskCode(L=2, gamma=np.ones(2), phi=np.array([phis[1], phis[2]]))
-    rep = sidelobe_report(WaveformSpec(T=1.0, h=5.8116, code=code),
-                          n_tau=256)
+    rep = report_from_acf(*_acf(WaveformSpec(T=1.0, h=5.8116, code=code),
+                                256))
     assert (isl_db[1, 2], pslr_db[1, 2]) == (rep.isl_db, rep.pslr_db)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ceofdm.closed_form import acf_uniform
+from ceofdm.gbf import compute_coefficients
 from ceofdm.waveform import (ComplexSymbolVector, NonRealCoefficients,
                              OutOfSupport, PskCode, Undersampled,
                              WaveformSpec, ZeroDcViolation, code_from_symbols,
@@ -251,7 +252,8 @@ def test_simpson_matches_scipy_on_every_isl_split(L, h, n_tau):
     # sidelobes.isl integrates |R|^2 on both sides of a split node; every
     # split of an acf_uniform grid gives parts of each length and parity
     from scipy.integrate import simpson as scipy_simpson
-    tau, R = acf_uniform(_spec(L=L, h=h, seed=3), n_tau=n_tau)
+    spec = _spec(L=L, h=h, seed=3)
+    tau, R = acf_uniform(compute_coefficients(spec), spec.T, n_tau=n_tau)
     for y in (np.abs(R) ** 2, R):
         for split in range(1, n_tau):
             for part in (slice(None, split + 1), slice(split, None)):
