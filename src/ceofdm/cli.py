@@ -230,21 +230,20 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
 
 def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    if args.L != 2:
-        raise ValueError(f"scan supports L = 2 only, got L = {args.L}")
     # each code's report needs a mainlobe null, so at least 3 delay steps
     if args.acf_n < 3:
         raise ValueError("n_tau must be at least 3 for scan, got --acf-n "
                          f"{args.acf_n}")
     # ISL and PSLR are dimensionless and h does not depend on T, so T = 1
     h = args.h if args.h is not None else h_for_tbp(1.0, args.tbp, args.L)
-    phis, isl_db, pslr_db = metric_surface(h, args.grid_n, n_tau=args.acf_n)
-    stages.done("scan", points=isl_db.size)
+    phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)
+    stages.done("scan", points=isl.size)
     path = args.out / "scan.csv"
-    write_csv(path, "phi1,phi2,isl_db,pslr_db",
-              [*np.meshgrid(phis, phis, indexing="ij"), isl_db, pslr_db])
+    header = "".join(f"phi{l}," for l in range(1, args.L + 1))
+    write_csv(path, header + "isl_db,pslr_db",
+              [*np.meshgrid(*[phis] * args.L, indexing="ij"), isl, pslr])
     stages.done("scan_csv")
-    print(f"wrote {path} ({args.grid_n * args.grid_n} rows, h = {h:.6g})")
+    print(f"wrote {path} ({isl.size} rows, h = {h:.6g})")
     return None, [path.name]
 
 
@@ -360,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(func=cmd_analyze)
 
     scan = sub.add_parser("scan",
-                          help="ISL/PSLR surface over two code phases")
+                          help="ISL/PSLR of every code of a phase grid")
     scan.add_argument("--L", type=int, default=2)
     hgrp = scan.add_mutually_exclusive_group(required=True)
     hgrp.add_argument("--h", type=float)

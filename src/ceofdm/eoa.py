@@ -5,12 +5,13 @@ beta2 tau^2 - 2 rho tau nu + tau2 nu^2 = xi in the (tau, nu) plane of
 af_surface, which shares |chi| with chi(tau, nu) = int u(t) conj(u(t + tau))
 exp(j 2 pi nu t) dt (Levanon and Mozeson).  Here
 
-    beta2 = (4 pi^4 h^2 / 3 T^2) (2 L^3 + 3 L^2 + L),
+    beta2 = (4 pi^4 h^2 / 3 T^2) 6 sum_l l^2 gamma_l^2,
     tau2  = pi^2 T^2 / 3,
-    rho   = 4 pi^2 h sum_l gamma_l (-1)^l cos(phi_l),
+    rho   = 4 pi^2 h sum_l gamma_l (-1)^l cos(phi_l).
 
-all for unit-amplitude codes in the beta2 case.  The normalized coupling
-rho_norm = rho / sqrt(beta2 tau2) is bounded in magnitude by
+For unit-amplitude codes 6 sum_l l^2 = 2 L^3 + 3 L^2 + L, and over those
+codes the normalized coupling rho_norm = rho / sqrt(beta2 tau2) is bounded
+in magnitude by
 
     rho_norm_max(L) = (6 / pi) L / sqrt(2 L^3 + 3 L^2 + L),
 
@@ -60,9 +61,11 @@ class EoaParameters:
 def eoa_closed_form(spec: WaveformSpec) -> EoaParameters:
     """Closed-form mainlobe parameters for a waveform spec."""
     L, h, T = spec.L, spec.h, spec.T
-    beta2 = (4.0 * np.pi ** 4 * h ** 2 / (3.0 * T ** 2)) * _poly(L)
-    tau2 = np.pi ** 2 * T ** 2 / 3.0
     ell = np.arange(1, L + 1)
+    # 6 sum l^2 gamma^2 is _poly(L) exactly for unit amplitudes
+    beta2 = (4.0 * np.pi ** 4 * h ** 2 / (3.0 * T ** 2)) * (
+        6.0 * float(np.sum(ell ** 2 * spec.code.gamma ** 2)))
+    tau2 = np.pi ** 2 * T ** 2 / 3.0
     rho = 4.0 * np.pi ** 2 * h * float(
         np.sum(spec.code.gamma * ((-1.0) ** ell) * np.cos(spec.code.phi)))
     denom = math.sqrt(beta2 * tau2)

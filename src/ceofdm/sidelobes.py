@@ -1,4 +1,4 @@
-"""Autocorrelation sidelobe metrics and the two-subcarrier phase scan.
+"""Autocorrelation sidelobe metrics and the scan over a grid of PSK codes.
 
 The mainlobe boundary delta_tau is the first local minimum of |R(tau)|^2 for
 tau > 0, refined by a three-point parabola through the neighboring samples.
@@ -100,25 +100,23 @@ def report_from_acf(tau_grid, acf_values) -> SidelobeReport:
                           null_found=found)
 
 
-def metric_surface(h: float, grid_n: int, n_tau: int = 4096):
-    """ISL and PSLR over (phi_1, phi_2) in [-pi, pi)^2 for L = 2 at T = 1,
-    which serves any T: both are dimensionless and h does not depend on T.
-
-    The grid is uniform and endpoint-exclusive, phi_i = -pi + 2 pi k / grid_n,
-    which is closed under phase negation modulo 2 pi.  Returns (phis, isl_db,
-    pslr_db): the phases of both axes and two arrays whose entry [i, j]
-    belongs to (phi_1, phi_2) = (phis[i], phis[j]), as acf_uniform returns
-    (tau, R).
+def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):
+    """ISL and PSLR of every code of L phases from the uniform grid
+    phi = -pi + 2 pi k / grid_n at T = 1, which serves any T: both are
+    dimensionless and h does not depend on T.  The grid is the grid_n-PSK
+    alphabet, turned by pi for odd grid_n (which leaves |R| unchanged), and
+    is closed under phase negation mod 2 pi.  Returns (phis, isl_db,
+    pslr_db): the grid and two arrays of shape (grid_n,) * L, computed in C
+    order, whose entry [k_1, ..., k_L] is the code phis[[k_1, ..., k_L]].
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     phis = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
-    isl_db = np.empty((grid_n, grid_n))
-    pslr_db = np.empty((grid_n, grid_n))
-    for i, p1 in enumerate(phis):
-        for j, p2 in enumerate(phis):
-            code = PskCode(L=2, gamma=np.ones(2), phi=np.array([p1, p2]))
-            c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
-            rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
-            isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
+    isl_db = np.empty((grid_n,) * L)
+    pslr_db = np.empty((grid_n,) * L)
+    for idx in np.ndindex(isl_db.shape):
+        code = PskCode(L=L, gamma=np.ones(L), phi=phis[list(idx)])
+        c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
+        rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
+        isl_db[idx], pslr_db[idx] = rep.isl_db, rep.pslr_db
     return phis, isl_db, pslr_db

@@ -344,22 +344,37 @@ def save_spec(spec: WaveformSpec, path) -> None:
 
 def load_spec(path) -> WaveformSpec:
     """The spec in a JSON object with T, h, L, phi and optionally gamma and
-    m_psk, as save_spec writes it; L and m_psk must be JSON integers.  A
-    malformed file raises ValueError naming the file and the key."""
+    m_psk, as save_spec writes it; L and m_psk must be JSON integers, and T,
+    h, phi and gamma must convert to floats.  A malformed file raises
+    ValueError naming the file and the key."""
     with open(path) as fh:
-        d = json.load(fh)
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: not a JSON file ({exc})") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: a spec is a JSON object with keys T, h, L "
                          "and phi")
-    for key in ("T", "h", "L", "phi"):
+    # gamma may be left out (unit amplitudes), but not set to null
+    for key in ("T", "h", "L", "phi") + (("gamma",) if "gamma" in d else ()):
         if d.get(key) is None:
             raise ValueError(f"{path}: no value for key {key!r}")
     for key in ("L", "m_psk"):
         if d.get(key) is not None and type(d[key]) is not int:
             raise ValueError(f"{path}: key {key!r} must be a JSON integer, "
                              f"got {d[key]!r}")
+
+    def number(key, convert=float):
+        try:
+            return convert(d[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: key {key!r} must be numeric, got "
+                             f"{d[key]!r}") from None
+
+    def array(key):
+        return number(key, lambda v: np.asarray(v, dtype=float))
+
     L = d["L"]
-    phi = np.asarray(d["phi"], dtype=float)
-    gamma = np.asarray(d.get("gamma", np.ones(L)), dtype=float)
-    code = PskCode(L=L, gamma=gamma, phi=phi, m_psk=d.get("m_psk"))
-    return WaveformSpec(T=float(d["T"]), h=float(d["h"]), code=code)
+    gamma = array("gamma") if "gamma" in d else np.ones(L)
+    code = PskCode(L=L, gamma=gamma, phi=array("phi"), m_psk=d.get("m_psk"))
+    return WaveformSpec(T=number("T"), h=number("h"), code=code)

@@ -160,7 +160,16 @@ def test_analyze_missing_spec(tmp_path, capsys):
     ('{"T": 1.0, "h": 1.0, "L": 2.7, "phi": [0.0, 1.0]}', "'L'"),
     ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "m_psk": 2.5}',
      "'m_psk'"),
-], ids=["no-T", "list", "fractional-L", "fractional-m_psk"])
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0],}', "not a JSON file"),
+    ('{"T": "abc", "h": 1.0, "L": 2, "phi": [0.0, 1.0]}', "'T'"),
+    ('{"T": 1.0, "h": [1.0], "L": 2, "phi": [0.0, 1.0]}', "'h'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": "ab"}', "'phi'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": [1, "a"]}',
+     "'gamma'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": null}',
+     "'gamma'"),
+], ids=["no-T", "list", "fractional-L", "fractional-m_psk", "not-json",
+        "text-T", "list-h", "text-phi", "text-gamma", "null-gamma"])
 def test_analyze_rejects_malformed_spec(tmp_path, capsys, text, key):
     path = tmp_path / "spec.json"
     path.write_text(text)
@@ -251,9 +260,20 @@ def test_readme_documents_every_cli_option_and_no_other():
         assert flags <= options, (name, flags - options)
 
 
-def test_scan_rejects_other_carrier_counts(tmp_path):
+def test_scan_writes_every_code_of_any_carrier_count(tmp_path, capsys):
     out = tmp_path / "s"
-    assert _run("scan", "--L", 3, "--h", 1.0, "--out", out) == 2
+    assert _run("scan", "--L", 3, "--h", 0.5, "--grid-n", 2, "--acf-n", 64,
+                "--out", out) == 0
+    lines = (out / "scan.csv").read_text().splitlines()
+    assert lines[0] == "phi1,phi2,phi3,isl_db,pslr_db"
+    phis = np.genfromtxt(out / "scan.csv", delimiter=",", skip_header=1)
+    # the 2^3 codes in C order: the last phase varies fastest
+    np.testing.assert_array_equal(
+        phis[:, :3], -np.pi + np.pi * np.array(list(np.ndindex(2, 2, 2))))
+    capsys.readouterr()
+    out = tmp_path / "z"
+    assert _run("scan", "--L", 0, "--h", 0.5, "--out", out) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
     assert not out.exists()
 
 

@@ -42,11 +42,29 @@ def test_single_carrier_bandwidth_value():
 
 def test_closed_forms_match_quadrature():
     fs = 16384.0
-    spec = _spec(L=3, h=0.9, seed=2)
-    params = eoa_closed_form(spec)
-    numeric = eoa_numeric(spec, fs)
-    assert params.beta2 == pytest.approx(numeric["beta2"], rel=1e-9)
-    assert params.rho == pytest.approx(numeric["rho"], abs=1e-8)
+    # a PSK code, then amplitudes other than 1: beta2 weighs tone l by
+    # l^2 gamma_l^2
+    specs = [_spec(L=3, h=0.9, seed=2)]
+    for gamma, phi, h in [([2.0, 1.0], [0.0, 0.0], 1.0),
+                          ([0.5, 0.0, 1.7], [0.1, 2.0, -0.4], 0.6),
+                          ([0.2, 1.3, 0.9, 2.4], [3.0, -1.2, 0.5, 1.1], 0.3)]:
+        code = PskCode(L=len(gamma), gamma=gamma, phi=phi)
+        specs.append(WaveformSpec(T=1.3, h=h, code=code))
+    for spec in specs:
+        params = eoa_closed_form(spec)
+        numeric = eoa_numeric(spec, fs)
+        assert params.beta2 == pytest.approx(numeric["beta2"], rel=1e-9)
+        assert params.rho == pytest.approx(numeric["rho"], abs=1e-8)
+
+
+def test_unit_code_bandwidth_keeps_its_polynomial_bits():
+    # unit amplitudes give (4 pi^4 h^2 / 3 T^2) (2 L^3 + 3 L^2 + L) exactly
+    for L in (1, 2, 3, 8, 24, 100):
+        for T, h in [(1.0, 5.81), (2.5, 0.1856), (0.3, 1e-3)]:
+            spec = WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, L))
+            ref = (4.0 * np.pi ** 4 * h ** 2 / (3.0 * T ** 2)) * float(
+                2 * L ** 3 + 3 * L ** 2 + L)
+            assert eoa_closed_form(spec).beta2 == ref
 
 
 def test_rho_norm_max_values():

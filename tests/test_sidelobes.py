@@ -118,36 +118,57 @@ def test_metrics_match_quadrature_acf():
 
 
 def test_metric_surface_symmetry_and_export(tmp_path):
-    n = 8
-    phis, isl_db, pslr_db = metric_surface(5.8116, n, n_tau=1024)
-    assert isl_db.shape == (n, n)
-    assert len(phis) == n and phis[0] == pytest.approx(-np.pi)
-    # phase negation maps grid index k to (n - k) mod n
-    for i in range(n):
-        for j in range(n):
-            ii, jj = (n - i) % n, (n - j) % n
-            assert isl_db[i, j] == pytest.approx(isl_db[ii, jj], abs=1e-9)
-            assert pslr_db[i, j] == pytest.approx(pslr_db[ii, jj], abs=1e-9)
+    # phase negation maps grid index k to (n - k) mod n on every axis
+    for L, n, n_tau in ((2, 8, 1024), (3, 4, 256)):
+        phis, isl_db, pslr_db = metric_surface(5.8116, n, n_tau=n_tau, L=L)
+        assert isl_db.shape == pslr_db.shape == (n,) * L
+        assert len(phis) == n and phis[0] == pytest.approx(-np.pi)
+        neg = np.ix_(*[(n - np.arange(n)) % n] * L)
+        np.testing.assert_allclose(isl_db[neg], isl_db, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(pslr_db[neg], pslr_db, rtol=0, atol=1e-9)
     path = tmp_path / "scan.csv"
-    write_csv(path, "phi1,phi2,isl_db,pslr_db",
-              [*np.meshgrid(phis, phis, indexing="ij"), isl_db, pslr_db])
+    write_csv(path, "phi1,phi2,phi3,isl_db,pslr_db",
+              [*np.meshgrid(phis, phis, phis, indexing="ij"), isl_db,
+               pslr_db])
     data = np.genfromtxt(path, delimiter=",", names=True)
-    assert len(data) == n * n
-    np.testing.assert_allclose(data["isl_db"].reshape(n, n), isl_db,
+    assert len(data) == n ** L
+    np.testing.assert_allclose(data["isl_db"].reshape((n,) * L), isl_db,
                                atol=1e-16)
 
 
+def _nested_l2_surface(h, grid_n, n_tau):
+    # the two-loop L = 2 scan that the one C-order loop replaced
+    phis = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
+    isl_db = np.empty((grid_n, grid_n))
+    pslr_db = np.empty((grid_n, grid_n))
+    for i, p1 in enumerate(phis):
+        for j, p2 in enumerate(phis):
+            code = PskCode(L=2, gamma=np.ones(2), phi=np.array([p1, p2]))
+            c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
+            rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
+            isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
+    return phis, isl_db, pslr_db
+
+
+@pytest.mark.parametrize("h", [5.79, 0.5])
+def test_metric_surface_matches_nested_l2_scan_bit_for_bit(h):
+    new = metric_surface(h, 5)
+    for a, b in zip(new, _nested_l2_surface(h, 5, 4096)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_metric_surface_returns_phases_and_metric_arrays():
-    for n in (2, 3):
-        phis, isl_db, pslr_db = metric_surface(5.8116, n, n_tau=256)
+    # entry [k_1, ..., k_L] is the code phis[[k_1, ..., k_L]] at T = 1
+    for L, n in ((2, 2), (2, 3), (1, 4), (3, 3)):
+        phis, isl_db, pslr_db = metric_surface(5.8116, n, n_tau=256, L=L)
         assert phis.shape == (n,)
         assert np.array_equal(phis, -np.pi + 2.0 * np.pi * np.arange(n) / n)
-        assert isl_db.shape == pslr_db.shape == (n, n)
-    # entry [i, j] is the code (phis[i], phis[j]) at T = 1
-    code = PskCode(L=2, gamma=np.ones(2), phi=np.array([phis[1], phis[2]]))
-    rep = report_from_acf(*_acf(WaveformSpec(T=1.0, h=5.8116, code=code),
-                                256))
-    assert (isl_db[1, 2], pslr_db[1, 2]) == (rep.isl_db, rep.pslr_db)
+        assert isl_db.shape == pslr_db.shape == (n,) * L
+        for idx in np.ndindex(isl_db.shape):
+            code = PskCode(L=L, gamma=np.ones(L), phi=phis[list(idx)])
+            rep = report_from_acf(*_acf(
+                WaveformSpec(T=1.0, h=5.8116, code=code), 256))
+            assert (isl_db[idx], pslr_db[idx]) == (rep.isl_db, rep.pslr_db)
 
 
 def test_metric_surface_rejects_tiny_grid():
