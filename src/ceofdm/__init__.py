@@ -11,12 +11,11 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .closed_form import acf_uniform, af_surface, ambiguity, spectrum
-from .eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
-                  ellipse_tilt, eoa_closed_form, h_for_tbp,
-                  max_coupling_code, rho_norm_max)
+from .eoa import (DegenerateEllipse, ellipse_contour, ellipse_tilt,
+                  eoa_closed_form, h_for_tbp, max_coupling_code, rho_norm_max)
 from .gbf import TruncationFailure, compute_coefficients
 from .oracle import af_numeric_grid, eoa_numeric, oracle_fs, spectrum_numeric
-from .sidelobes import SidelobeReport, metric_surface
+from .sidelobes import metric_surface
 from .waveform import (ComplexSymbolVector, NonRealCoefficients, OutOfSupport,
                        PskCode, Undersampled, WaveformSpec, ZeroDcViolation,
                        code_from_symbols, freq_mod_at, load_spec,
@@ -27,9 +26,9 @@ from .waveform import (ComplexSymbolVector, NonRealCoefficients, OutOfSupport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexSymbolVector", "DegenerateEllipse", "EoaParameters",
-    "NonRealCoefficients", "OutOfSupport", "PskCode", "SidelobeReport",
-    "TruncationFailure", "Undersampled", "WaveformSpec", "ZeroDcViolation",
+    "ComplexSymbolVector", "DegenerateEllipse", "NonRealCoefficients",
+    "OutOfSupport", "PskCode", "TruncationFailure", "Undersampled",
+    "WaveformSpec", "ZeroDcViolation",
     "acf_uniform", "af_numeric_grid", "af_surface", "ambiguity",
     "code_from_symbols", "compute_coefficients", "ellipse_contour",
     "ellipse_tilt", "eoa_closed_form", "eoa_numeric", "freq_mod_at",

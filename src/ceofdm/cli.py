@@ -191,7 +191,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         stages.done("af_csv")
 
     if args.eoa:
-        closed = eoa_closed_form(spec).as_dict()
+        closed = eoa_closed_form(spec)
         write_json(out("eoa.json"),
                    {**closed,
                     "rho_norm_max": rho_norm_max(spec.L),
@@ -215,12 +215,8 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
             stages.done("eoa_oracle")
 
     if args.sidelobes:
-        rep = report_from_acf(tau, R)
         write_json(out("sidelobes.json"),
-                   {"delta_tau": rep.delta_tau,
-                    "pslr_db": rep.pslr_db,
-                    "isl_db": rep.isl_db,
-                    "null_found": rep.null_found,
+                   {**report_from_acf(tau, R),
                     "n_tau": args.acf_n,
                     "tau_max": float(tau[-1])})
         stages.done("sidelobes")
@@ -230,10 +226,13 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
 
 def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    # each code's report needs a mainlobe null, so at least 3 delay steps
+    # each code's report needs a mainlobe null, so at least 3 delay steps;
+    # the metric arrays have one axis per phase, and numpy allows 64
     if args.acf_n < 3:
         raise ValueError("n_tau must be at least 3 for scan, got --acf-n "
                          f"{args.acf_n}")
+    if not 1 <= args.L <= 64:
+        raise ValueError(f"--L must be in 1..64 for scan, got --L {args.L}")
     # ISL and PSLR are dimensionless and h does not depend on T, so T = 1
     h = args.h if args.h is not None else h_for_tbp(1.0, args.tbp, args.L)
     phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)

@@ -54,15 +54,23 @@ s_i = s_0 + i ds, each delay sum sum_m W_m z_m is a chirp-z transform in m.
 Each call builds one transform over its own ascending delays and applies it
 to the g rows and to each Doppler block's u and v rows, at
 O((M + n_tau) log) per row.  A Doppler block's kernels hold _BLOCK complex
-elements, or one kernel row if that is longer, so beyond the transforms and
-the output the working set does not grow with the grid.
+elements, or one kernel row if that is longer, and the g rows go through the
+transform in blocks of as many rows, so beyond the transforms and the
+output the working set does not grow with the grid.
 
-At nu = 0, p_k = q_k = (-1)^k / (j 2 pi k), k0 = 0 and
+At nu = 0, k0 = 0, g_n = |c_n|^2 and p_k = q_k = (-1)^k / (j 2 pi k).  That
+kernel is imaginary and odd in k, so conj(p_{n-m}) = -p_{n-m} = p_{m-n} and
 
-    R(tau) = A sum_m |c_m|^2 z_m + sum_m (u_m - v_m) z_m.
+    conj(u_n) = conj(c_n) sum_m conj(p_{n-m}) c_m
+              = conj(c_n) sum_m p_{m-n} c_m = v_n.
 
-On the grid tau_j = j T / N, z_m depends on m mod N alone, so after binning
-the harmonics each sum is one length-N FFT.  The binning is exact for any N.
+So u - v = 2j Im u, and
+
+    R(tau) = A sum_m |c_m|^2 z_m + 2j sum_m Im(u_m) z_m,
+
+two sums of real weights from one lag convolution.  On the grid
+tau_j = j T / N, z_m depends on m mod N alone, so after binning the
+harmonics each sum is one length-N FFT.  The binning is exact for any N.
 
 Each kernel takes T and c = c_{-M..M} from gbf.compute_coefficients, the one
 input that describes the pulse: it depends on h and the code, not on T.  A
@@ -203,10 +211,12 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
     # the distinct k0, sorted; np.unique would import numpy.ma
     k0s = np.sort(-np.rint(nuT))
     k0s = k0s[np.diff(k0s, prepend=np.nan) != 0.0]
-    g_sums = sums(_sinc_rows(c, M, k0s)).T
+    block = max(1, _BLOCK // size)
+    g_sums = np.empty((len(s), len(k0s)), dtype=complex)
+    for j in range(0, len(k0s), block):
+        g_sums[:, j:j + block] = sums(_sinc_rows(c, M, k0s[j:j + block])).T
     A = (1.0 - s)[:, None]
     chi = np.empty((len(s), len(nuT)), dtype=complex)
-    block = max(1, _BLOCK // size)
     for j in range(0, len(nuT), block):
         x = nuT[j:j + block]
         P = _kernel_fft(M, x, size)
@@ -268,8 +278,8 @@ def acf_uniform(c: np.ndarray, T: float, n_tau: int = 4096):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
     The grid includes tau = T, where R vanishes identically, and n_tau < 1
-    raises ValueError.  Each harmonic sum is binned by m mod n_tau and
-    evaluated with one length-n_tau FFT.
+    raises ValueError.  The two real harmonic sums of the module docstring
+    are binned by m mod n_tau and evaluated with one length-n_tau FFT each.
 
     Returns:
         (tau, R): arrays of length n_tau + 1.
@@ -278,19 +288,11 @@ def acf_uniform(c: np.ndarray, T: float, n_tau: int = 4096):
         raise ValueError(f"n_tau must be at least 1, got {n_tau}")
     M = _order(c)
     size = 1 << (4 * M).bit_length()
-    # at nu = 0 the kernels p and q are one array
     P = _kernel_fft(M, np.zeros(1), size)
     u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
-    v = -np.conj(c) * _lag_conv(P, np.fft.fft(c, size), M)[0]
-    g = _sinc_rows(c, M, np.zeros(1))[0]
     bins = np.arange(-M, M + 1) % n_tau
-
-    def dft(w):
-        folded = (np.bincount(bins, w.real, n_tau)
-                  + 1j * np.bincount(bins, w.imag, n_tau))
-        return np.fft.fft(folded)
-
+    G = np.fft.fft(np.bincount(bins, c.real ** 2 + c.imag ** 2, n_tau))
+    U = np.fft.fft(np.bincount(bins, u.imag, n_tau))
     A = 1.0 - np.arange(n_tau) / n_tau
-    body = A * dft(g) + dft(u - v)
     tau = np.arange(n_tau + 1) * (T / n_tau)
-    return tau, np.concatenate([body, [0.0]])
+    return tau, np.concatenate([A * G + 2j * U, [0.0]])

@@ -27,7 +27,6 @@ gives h = T delta_f / (2 pi sqrt(2 L^3 + 3 L^2 + L)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +42,9 @@ def _poly(L: int) -> float:
     return float(2 * L ** 3 + 3 * L ** 2 + L)
 
 
-@dataclass(frozen=True)
-class EoaParameters:
-    """Ellipse-of-ambiguity description of the mainlobe."""
-
-    beta2: float
-    tau2: float
-    rho: float
-    rho_norm: float
-    f0: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"beta2": self.beta2, "tau2": self.tau2, "rho": self.rho,
-                "rho_norm": self.rho_norm, "f0": self.f0}
-
-
-def eoa_closed_form(spec: WaveformSpec) -> EoaParameters:
-    """Closed-form mainlobe parameters for a waveform spec."""
+def eoa_closed_form(spec: WaveformSpec) -> dict:
+    """Closed-form mainlobe parameters of a waveform spec: the dict of
+    beta2, tau2, rho, rho_norm and the centroid f0 that eoa.json holds."""
     L, h, T = spec.L, spec.h, spec.T
     ell = np.arange(1, L + 1)
     # 6 sum l^2 gamma^2 is _poly(L) exactly for unit amplitudes
@@ -70,8 +55,8 @@ def eoa_closed_form(spec: WaveformSpec) -> EoaParameters:
         np.sum(spec.code.gamma * ((-1.0) ** ell) * np.cos(spec.code.phi)))
     denom = math.sqrt(beta2 * tau2)
     rho_norm = rho / denom if denom > 0 else 0.0
-    return EoaParameters(beta2=float(beta2), tau2=float(tau2), rho=rho,
-                         rho_norm=float(rho_norm))
+    return {"beta2": float(beta2), "tau2": float(tau2), "rho": rho,
+            "rho_norm": float(rho_norm), "f0": 0.0}
 
 
 def rho_norm_max(L: int) -> float:
@@ -98,16 +83,17 @@ def h_for_tbp(T: float, delta_f: float, L: int) -> float:
     return T * delta_f / (2.0 * np.pi * math.sqrt(_poly(L)))
 
 
-def ellipse_tilt(params: EoaParameters) -> float:
+def ellipse_tilt(params: dict) -> float:
     """Rotation of the contour axes away from the (tau, nu) axes, radians.
 
     Zero for uncoupled waveforms and strictly increasing in magnitude with
     the coupling term at fixed beta2 and tau2.
     """
-    return 0.5 * math.atan2(-2.0 * params.rho, params.beta2 - params.tau2)
+    return 0.5 * math.atan2(-2.0 * params["rho"],
+                            params["beta2"] - params["tau2"])
 
 
-def ellipse_contour(params: EoaParameters, xi: float,
+def ellipse_contour(params: dict, xi: float,
                     n_points: int = 256) -> np.ndarray:
     """Points (tau, nu) on beta2 tau^2 - 2 rho tau nu + tau2 nu^2 = xi.
 
@@ -126,10 +112,11 @@ def ellipse_contour(params: EoaParameters, xi: float,
     """
     if xi <= 0:
         raise ValueError(f"xi must be positive, got {xi}")
-    if abs(params.rho_norm) >= 1.0 - 1e-9:
+    rho_norm, rho = abs(params["rho_norm"]), params["rho"]
+    if rho_norm >= 1.0 - 1e-9:
         raise DegenerateEllipse(
-            f"|rho_norm| = {abs(params.rho_norm)} leaves no open ellipse")
-    Q = np.array([[params.beta2, -params.rho], [-params.rho, params.tau2]])
+            f"|rho_norm| = {rho_norm} leaves no open ellipse")
+    Q = np.array([[params["beta2"], -rho], [-rho, params["tau2"]]])
     w, V = np.linalg.eigh(Q)
     if np.any(w <= 0):
         raise DegenerateEllipse("quadratic form is not positive definite")

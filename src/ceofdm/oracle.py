@@ -123,7 +123,8 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
 
 
 def eoa_numeric(spec: WaveformSpec, fs: float) -> dict:
-    """beta2, tau2 and rho on one Simpson grid, keyed as EoaParameters.as_dict.
+    """beta2, tau2 and rho on one Simpson grid, keyed as eoa_closed_form's
+    dict.
 
     beta2 = (1/T) int phi'(t)^2 dt - | (1/T) int j phi'(t) dt |^2 (rad Hz)^2
     comes from the phase derivative on the full support, NOT from the second

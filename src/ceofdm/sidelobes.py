@@ -18,8 +18,6 @@ are floored at -300 dB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .closed_form import acf_uniform
@@ -27,16 +25,6 @@ from .gbf import compute_coefficients
 from .waveform import PskCode, WaveformSpec, simpson
 
 DB_FLOOR = -300.0
-
-
-@dataclass(frozen=True)
-class SidelobeReport:
-    """Mainlobe null and sidelobe metrics of one sampled ACF."""
-
-    delta_tau: float
-    pslr_db: float
-    isl_db: float
-    null_found: bool = True
 
 
 def mainlobe_null(tau_grid, acf_abs2) -> tuple[float, bool]:
@@ -90,14 +78,14 @@ def isl(tau_grid, acf_abs2, delta_tau: float) -> float:
     return 10.0 * np.log10(max(side, floor * main) / main)
 
 
-def report_from_acf(tau_grid, acf_values) -> SidelobeReport:
-    """Metrics from a precomputed ACF R, complex or real; they use |R|^2."""
+def report_from_acf(tau_grid, acf_values) -> dict:
+    """Metrics from a precomputed ACF R, complex or real; they use |R|^2.
+    Returns the dict sidelobes.json holds less its grid keys: delta_tau,
+    pslr_db, isl_db and null_found."""
     y = np.abs(np.asarray(acf_values)) ** 2
     dt, found = mainlobe_null(tau_grid, y)
-    return SidelobeReport(delta_tau=dt,
-                          pslr_db=pslr(tau_grid, y, dt),
-                          isl_db=isl(tau_grid, y, dt),
-                          null_found=found)
+    return {"delta_tau": dt, "pslr_db": pslr(tau_grid, y, dt),
+            "isl_db": isl(tau_grid, y, dt), "null_found": found}
 
 
 def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):
@@ -118,5 +106,5 @@ def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):
         code = PskCode(L=L, gamma=np.ones(L), phi=phis[list(idx)])
         c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
         rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
-        isl_db[idx], pslr_db[idx] = rep.isl_db, rep.pslr_db
+        isl_db[idx], pslr_db[idx] = rep["isl_db"], rep["pslr_db"]
     return phis, isl_db, pslr_db

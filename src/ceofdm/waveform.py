@@ -345,8 +345,9 @@ def save_spec(spec: WaveformSpec, path) -> None:
 def load_spec(path) -> WaveformSpec:
     """The spec in a JSON object with T, h, L, phi and optionally gamma and
     m_psk, as save_spec writes it; L and m_psk must be JSON integers, and T,
-    h, phi and gamma must convert to floats.  A malformed file raises
-    ValueError naming the file and the key."""
+    h, phi and gamma JSON numbers (phi and gamma lists of them), never
+    booleans or strings.  A malformed file raises ValueError naming the file
+    and the key."""
     with open(path) as fh:
         try:
             d = json.load(fh)
@@ -364,15 +365,21 @@ def load_spec(path) -> WaveformSpec:
             raise ValueError(f"{path}: key {key!r} must be a JSON integer, "
                              f"got {d[key]!r}")
 
-    def number(key, convert=float):
-        try:
-            return convert(d[key])
-        except (TypeError, ValueError):
+    def is_number(v):
+        # bool is a subclass of int, so the exact type is tested
+        return type(v) in (int, float)
+
+    def number(key):
+        if not is_number(d[key]):
             raise ValueError(f"{path}: key {key!r} must be numeric, got "
-                             f"{d[key]!r}") from None
+                             f"{d[key]!r}")
+        return float(d[key])
 
     def array(key):
-        return number(key, lambda v: np.asarray(v, dtype=float))
+        if type(d[key]) is not list or not all(map(is_number, d[key])):
+            raise ValueError(f"{path}: key {key!r} must be a list of numbers, "
+                             f"got {d[key]!r}")
+        return np.asarray(d[key], dtype=float)
 
     L = d["L"]
     gamma = array("gamma") if "gamma" in d else np.ones(L)

@@ -84,7 +84,7 @@ def test_criterion_04_eoa_closed_forms_match_quadrature():
     for seed in range(20):
         spec = _random_eoa_spec(seed)
         fs = _snapped_fs(spec)
-        closed = eoa_closed_form(spec).as_dict()
+        closed = eoa_closed_form(spec)
         numeric = eoa_numeric(spec, fs)
         for k in worst:
             worst[k] = max(worst[k],
@@ -138,9 +138,9 @@ def test_criterion_06_alternating_code_maximizes_coupling():
         for bits in itertools.product((0.0, np.pi), repeat=L):
             code = PskCode(L=L, gamma=np.ones(L), phi=np.array(bits))
             best = max(best, eoa_closed_form(
-                WaveformSpec(T=T, h=h, code=code)).rho)
+                WaveformSpec(T=T, h=h, code=code))["rho"])
         rho_alt = eoa_closed_form(
-            WaveformSpec(T=T, h=h, code=max_coupling_code(L))).rho
+            WaveformSpec(T=T, h=h, code=max_coupling_code(L)))["rho"]
         ok = ok and rho_alt >= best - 1e-12 * abs(best)
         worst_rel = max(worst_rel, abs(rho_alt - 4 * np.pi ** 2 * h * L)
                         / (4 * np.pi ** 2 * h * L))
@@ -154,13 +154,13 @@ def test_criterion_06_alternating_code_maximizes_coupling():
 def test_criterion_07_property_suite():
     # bandwidth ignores code phases
     beta2 = [eoa_closed_form(WaveformSpec(
-        T=1.0, h=0.6, code=random_psk_code(8, 32, s))).beta2
+        T=1.0, h=0.6, code=random_psk_code(8, 32, s)))["beta2"]
         for s in range(100)]
     beta2_dev = (max(beta2) - min(beta2)) / beta2[0]
 
     # normalized coupling ignores h and T
     code = random_psk_code(5, 32, 3)
-    rhos = [eoa_closed_form(WaveformSpec(T=T, h=h, code=code)).rho_norm
+    rhos = [eoa_closed_form(WaveformSpec(T=T, h=h, code=code))["rho_norm"]
             for T, h in [(1.0, 0.5), (2.0, 0.5), (1.0, 3.0), (0.25, 7.0)]]
     rho_dev = (max(rhos) - min(rhos)) / abs(rhos[0])
 
@@ -171,7 +171,7 @@ def test_criterion_07_property_suite():
         for s in range(1000):
             p = eoa_closed_form(WaveformSpec(
                 T=1.0, h=0.9, code=random_psk_code(L, 32, s)))
-            bound_ok = bound_ok and abs(p.rho_norm) <= bound + 1e-12
+            bound_ok = bound_ok and abs(p["rho_norm"]) <= bound + 1e-12
 
     # sidelobe metrics invariant under phase negation
     spec = WaveformSpec(T=1.0, h=5.81, code=random_psk_code(2, 32, 5))
@@ -180,7 +180,8 @@ def test_criterion_07_property_suite():
                                     phi=wrap_phase(-spec.code.phi)))
     a = report_from_acf(*acf_uniform(compute_coefficients(spec), 1.0, 2048))
     b = report_from_acf(*acf_uniform(compute_coefficients(neg), 1.0, 2048))
-    metric_dev = max(abs(a.pslr_db - b.pslr_db), abs(a.isl_db - b.isl_db))
+    metric_dev = max(abs(a["pslr_db"] - b["pslr_db"]),
+                     abs(a["isl_db"] - b["isl_db"]))
 
     # ambiguity point symmetry and unit ACF origin
     spec = WaveformSpec(T=1.0, h=1.1, code=random_psk_code(3, 32, 6))
@@ -231,9 +232,9 @@ def test_criterion_09_seeded_band_contains_single_draw_statistics():
                             code=random_psk_code(24, 32, seed))
         rep = report_from_acf(*acf_uniform(compute_coefficients(spec),
                                            spec.T, n_tau=4096))
-        pslr.append(rep.pslr_db)
-        isl.append(rep.isl_db)
-        rho_norm.append(eoa_closed_form(spec).rho_norm)
+        pslr.append(rep["pslr_db"])
+        isl.append(rep["isl_db"])
+        rho_norm.append(eoa_closed_form(spec)["rho_norm"])
     bands = {"pslr": (min(pslr), max(pslr)),
              "isl": (min(isl), max(isl)),
              "rho_norm": (min(rho_norm), max(rho_norm))}

@@ -129,7 +129,7 @@ def test_analyze_sidelobes_and_manifest(tmp_path):
     ref = report_from_acf(*acf_uniform(compute_coefficients(spec), spec.T,
                                        1024))
     assert (side["delta_tau"], side["pslr_db"], side["isl_db"]) == \
-        (ref.delta_tau, ref.pslr_db, ref.isl_db)
+        (ref["delta_tau"], ref["pslr_db"], ref["isl_db"])
     assert side["tau_max"] == 1.0
     manifest = json.loads((rep / "manifest.json").read_text())
     assert manifest["command"] == "analyze"
@@ -168,8 +168,22 @@ def test_analyze_missing_spec(tmp_path, capsys):
      "'gamma'"),
     ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": null}',
      "'gamma'"),
+    # JSON booleans and numeric strings are not numbers, though float()
+    # would take them
+    ('{"T": true, "h": 1.0, "L": 2, "phi": [0.0, 1.0]}', "'T'"),
+    ('{"T": "1.0", "h": 1.0, "L": 2, "phi": [0.0, 1.0]}', "'T'"),
+    ('{"T": 1.0, "h": false, "L": 2, "phi": [0.0, 1.0]}', "'h'"),
+    ('{"T": 1.0, "h": "0.5", "L": 2, "phi": [0.0, 1.0]}', "'h'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [false, 1.0]}', "'phi'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, "1"]}', "'phi'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": [true, 1]}',
+     "'gamma'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": ["1", 1]}',
+     "'gamma'"),
 ], ids=["no-T", "list", "fractional-L", "fractional-m_psk", "not-json",
-        "text-T", "list-h", "text-phi", "text-gamma", "null-gamma"])
+        "text-T", "list-h", "text-phi", "text-gamma", "null-gamma",
+        "bool-T", "numeric-text-T", "bool-h", "numeric-text-h", "bool-phi",
+        "numeric-text-phi", "bool-gamma", "numeric-text-gamma"])
 def test_analyze_rejects_malformed_spec(tmp_path, capsys, text, key):
     path = tmp_path / "spec.json"
     path.write_text(text)
@@ -274,6 +288,16 @@ def test_scan_writes_every_code_of_any_carrier_count(tmp_path, capsys):
     out = tmp_path / "z"
     assert _run("scan", "--L", 0, "--h", 0.5, "--out", out) == 2
     assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("L", [0, 70])
+def test_scan_rejects_carrier_count_outside_range(tmp_path, capsys, L):
+    # checked before any code is built: 70 axes exceed numpy's 64
+    out = tmp_path / "s"
+    assert _run("scan", "--L", L, "--h", 0.5, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --L must be in 1..64 for scan, got --L {L}"]
     assert not out.exists()
 
 

@@ -340,8 +340,9 @@ def test_chi_at_and_near_integer_doppler(L, h):
 
 # The kernels as they were before af_surface shared its +-nu kernels and
 # sinc-term sums, with the delay sums taken directly, one phasor per
-# harmonic.  acf_uniform must reproduce them bit for bit, so acf.csv keeps
-# its bytes; af_surface's chirp-z must match them at rounding level.
+# harmonic.  af_surface's chirp-z must match them at rounding level, and
+# acf_uniform, which takes v = conj(u) in place of the second convolution
+# that _old_acf_uniform computes, to 1e-15.
 def _old_lag_conv(d, M, nuT):
     k = np.arange(-2 * M, 2 * M + 1)
     x = k + nuT[:, None]
@@ -453,8 +454,27 @@ def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, n_s, span,
         point = ambiguity(c, spec.T, t, v)
         old = _old_af_surface(c, T, np.array([t]), np.array([v]))[0, 0]
         assert abs(point - old) < 2e-14
+
+
+@_PROPERTY
+@given(spec=_specs(), n_tau=st.integers(1, 700))
+def test_acf_uniform_matches_two_convolution_formula_property(spec, n_tau):
+    c = compute_coefficients(spec)
     _, R = acf_uniform(c, spec.T, n_tau)
-    assert _same_bits(R, _old_acf_uniform(c, T, n_tau))
+    np.testing.assert_allclose(R, _old_acf_uniform(c, spec.T, n_tau),
+                               rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_tau", [1, 2, 3, 7, 97, 4096])
+@pytest.mark.parametrize("L, tbp", [(1, 0.0), (3, 0.0), (1, 9.0), (24, 200.0)])
+def test_acf_uniform_matches_two_convolution_formula_at_edges(L, tbp, n_tau):
+    # h = 0 (M = 0), L = 1, one to three delay steps, and grids shorter
+    # than the 2M + 1 harmonics they fold
+    h = h_for_tbp(1.3, tbp / 1.3, L) if tbp else 0.0
+    c = compute_coefficients(_spec(L=L, h=h, T=1.3, seed=3))
+    _, R = acf_uniform(c, 1.3, n_tau)
+    np.testing.assert_allclose(R, _old_acf_uniform(c, 1.3, n_tau),
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("L, h, n_tau, n_nu", [
@@ -483,7 +503,8 @@ def test_v_from_own_kernel_matches_kernel_at_minus_nu_property(spec, nuT):
     # v_n = conj(c_n) sum_m q_{m-n} c_m from the kernel at nu, by
     # q_k = -conj(p_k), against v from the kernel at -nu, by
     # q_k(nu) = -p_{-k}(-nu).  The rows _chi_causal hands its chirp-z
-    # transform are the g rows, then per Doppler block the u and v rows.
+    # transform are the g rows of the distinct k0, in blocks of as many rows
+    # as a Doppler block, then per Doppler block the u and v rows.
     c = compute_coefficients(spec)
     M = len(c) // 2
     # 0, integers, the ties of rint at k +- 0.5, and |nu T| up to 30
@@ -498,8 +519,10 @@ def test_v_from_own_kernel_matches_kernel_at_minus_nu_property(spec, nuT):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(closed_form, "chirp_z", spy)
         closed_form._chi_causal(c, M, np.zeros(1), 0.0, nuT)
-    v = np.concatenate([r[len(r) // 2:] for r in rows[1:]])
     size = 1 << (4 * M).bit_length()
+    block = max(1, closed_form._BLOCK // size)
+    g_calls = -(-len(np.unique(np.rint(nuT))) // block)
+    v = np.concatenate([r[len(r) // 2:] for r in rows[g_calls:]])
     old = -np.conj(c) * closed_form._lag_conv(
         closed_form._kernel_fft(M, -nuT, size), np.fft.fft(c, size), M)
     np.testing.assert_allclose(v, old, rtol=0, atol=1e-14)
@@ -659,6 +682,14 @@ def test_kernels_work_in_a_bounded_buffer():
     assert _traced_peak(lambda: af_surface(c, spec.T, tau, nu)) < 6e6
     f = np.linspace(-400.0, 400.0, 4001)
     assert _traced_peak(lambda: spectrum(c, spec.T, f)) < 1 << 20
+    # TBP 2000: the sinc-term rows of the 21 distinct k0 in +-10/T go
+    # through the transform in blocks too.  Peak 3.7 MB; 15.7 MB in one call
+    spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 2000.0, L),
+                        code=random_psk_code(L, 32, 0))
+    c = compute_coefficients(spec)
+    assert len(c) // 2 == 4765
+    tau = np.linspace(-0.9, 0.9, 8)
+    assert _traced_peak(lambda: af_surface(c, spec.T, tau, nu)) < 5e6
 
 
 def test_closed_form_imports_neither_gbf_nor_the_spec():

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ceofdm.closed_form import ambiguity
-from ceofdm.eoa import (DegenerateEllipse, EoaParameters, ellipse_contour,
-                        ellipse_tilt, eoa_closed_form, h_for_tbp,
-                        max_coupling_code, rho_norm_max)
+from ceofdm.eoa import (DegenerateEllipse, ellipse_contour, ellipse_tilt,
+                        eoa_closed_form, h_for_tbp, max_coupling_code,
+                        rho_norm_max)
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import eoa_numeric
 from ceofdm.waveform import (PskCode, WaveformSpec, freq_mod_at,
-                             random_psk_code)
+                             random_psk_code, write_json)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1):
@@ -29,15 +30,15 @@ def test_h_from_tbp_reproduces_bandwidth():
     for L, T, df in [(4, 1.0, 50.0), (24, 2.0, 100.0)]:
         h = h_for_tbp(T, df, L)
         spec = WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, 0))
-        beta2 = eoa_closed_form(spec).beta2
+        beta2 = eoa_closed_form(spec)["beta2"]
         assert beta2 == pytest.approx(np.pi ** 2 * df ** 2 / 3.0, rel=1e-12)
 
 
 def test_single_carrier_bandwidth_value():
     code = PskCode(L=1, gamma=np.ones(1), phi=np.array([0.7]))
     params = eoa_closed_form(WaveformSpec(T=1.0, h=1.0, code=code))
-    assert params.beta2 == pytest.approx(8.0 * np.pi ** 4, rel=1e-14)
-    assert params.tau2 == pytest.approx(np.pi ** 2 / 3.0, rel=1e-14)
+    assert params["beta2"] == pytest.approx(8.0 * np.pi ** 4, rel=1e-14)
+    assert params["tau2"] == pytest.approx(np.pi ** 2 / 3.0, rel=1e-14)
 
 
 def test_closed_forms_match_quadrature():
@@ -53,8 +54,8 @@ def test_closed_forms_match_quadrature():
     for spec in specs:
         params = eoa_closed_form(spec)
         numeric = eoa_numeric(spec, fs)
-        assert params.beta2 == pytest.approx(numeric["beta2"], rel=1e-9)
-        assert params.rho == pytest.approx(numeric["rho"], abs=1e-8)
+        assert params["beta2"] == pytest.approx(numeric["beta2"], rel=1e-9)
+        assert params["rho"] == pytest.approx(numeric["rho"], abs=1e-8)
 
 
 def test_unit_code_bandwidth_keeps_its_polynomial_bits():
@@ -64,7 +65,7 @@ def test_unit_code_bandwidth_keeps_its_polynomial_bits():
             spec = WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, L))
             ref = (4.0 * np.pi ** 4 * h ** 2 / (3.0 * T ** 2)) * float(
                 2 * L ** 3 + 3 * L ** 2 + L)
-            assert eoa_closed_form(spec).beta2 == ref
+            assert eoa_closed_form(spec)["beta2"] == ref
 
 
 def test_rho_norm_max_values():
@@ -89,9 +90,9 @@ def test_max_coupling_code_is_binary_optimum():
         for bits in itertools.product((0.0, np.pi), repeat=L):
             code = PskCode(L=L, gamma=np.ones(L), phi=np.array(bits))
             best = max(best, eoa_closed_form(
-                WaveformSpec(T=1.0, h=h, code=code)).rho)
+                WaveformSpec(T=1.0, h=h, code=code))["rho"])
         code = max_coupling_code(L)
-        rho = eoa_closed_form(WaveformSpec(T=1.0, h=h, code=code)).rho
+        rho = eoa_closed_form(WaveformSpec(T=1.0, h=h, code=code))["rho"]
         assert rho == pytest.approx(best, rel=1e-12)
         assert rho == pytest.approx(4.0 * np.pi ** 2 * h * L, rel=1e-9)
 
@@ -106,7 +107,7 @@ def test_bandwidth_ignores_code_phases():
     ref = None
     for seed in range(100):
         spec = _spec(L=8, h=0.6, seed=seed)
-        beta2 = eoa_closed_form(spec).beta2
+        beta2 = eoa_closed_form(spec)["beta2"]
         if ref is None:
             ref = beta2
         assert beta2 == pytest.approx(ref, rel=1e-12)
@@ -114,9 +115,9 @@ def test_bandwidth_ignores_code_phases():
 
 def test_rho_norm_invariant_to_h_and_T():
     code = random_psk_code(5, 32, 3)
-    ref = eoa_closed_form(WaveformSpec(T=1.0, h=0.5, code=code)).rho_norm
+    ref = eoa_closed_form(WaveformSpec(T=1.0, h=0.5, code=code))["rho_norm"]
     for T, h in [(2.0, 0.5), (1.0, 3.0), (0.25, 7.0)]:
-        val = eoa_closed_form(WaveformSpec(T=T, h=h, code=code)).rho_norm
+        val = eoa_closed_form(WaveformSpec(T=T, h=h, code=code))["rho_norm"]
         assert val == pytest.approx(ref, rel=1e-12)
 
 
@@ -125,22 +126,24 @@ def test_rho_norm_bounded_by_maximum():
         bound = rho_norm_max(L)
         for seed in range(200):
             spec = _spec(L=L, h=0.9, seed=seed)
-            assert abs(eoa_closed_form(spec).rho_norm) <= bound + 1e-12
+            assert abs(eoa_closed_form(spec)["rho_norm"]) <= bound + 1e-12
 
 
 def test_centroid_is_zero():
     # stored f0 and the time-averaged instantaneous frequency both vanish
     spec = _spec(L=6, h=1.1, seed=4)
-    assert eoa_closed_form(spec).f0 == 0.0
+    assert eoa_closed_form(spec)["f0"] == 0.0
     t = -spec.T / 2 + (np.arange(4096) + 0.5) * spec.T / 4096
     assert abs(np.mean(freq_mod_at(spec, t))) < 1e-9
 
 
-def test_parameter_dict_round_trip():
+def test_parameter_dict_round_trip(tmp_path):
+    # the dict is what eoa.json holds, and it survives the JSON writer
     params = eoa_closed_form(_spec(seed=5))
-    d = params.as_dict()
-    assert d["rho_norm"] == params.rho_norm
-    assert set(d) == {"beta2", "tau2", "rho", "rho_norm", "f0"}
+    assert set(params) == {"beta2", "tau2", "rho", "rho_norm", "f0"}
+    assert set(eoa_numeric(_spec(seed=5), 8192.0)) < set(params)
+    write_json(tmp_path / "eoa.json", params)
+    assert json.loads((tmp_path / "eoa.json").read_text()) == params
 
 
 def test_ellipse_points_satisfy_quadratic_form():
@@ -148,14 +151,14 @@ def test_ellipse_points_satisfy_quadratic_form():
     xi = 0.03
     pts = ellipse_contour(params, xi, n_points=128)
     assert pts.shape == (128, 2)
-    q = (params.beta2 * pts[:, 0] ** 2
-         - 2.0 * params.rho * pts[:, 0] * pts[:, 1]
-         + params.tau2 * pts[:, 1] ** 2)
+    q = (params["beta2"] * pts[:, 0] ** 2
+         - 2.0 * params["rho"] * pts[:, 0] * pts[:, 1]
+         + params["tau2"] * pts[:, 1] ** 2)
     np.testing.assert_allclose(q, xi, rtol=1e-9)
 
 
 def test_ellipse_axes_without_coupling():
-    params = EoaParameters(beta2=16.0, tau2=4.0, rho=0.0, rho_norm=0.0)
+    params = dict(beta2=16.0, tau2=4.0, rho=0.0, rho_norm=0.0)
     pts = ellipse_contour(params, 1.0, n_points=512)
     assert np.max(np.abs(pts[:, 0])) == pytest.approx(1.0 / 4.0, rel=1e-6)
     assert np.max(np.abs(pts[:, 1])) == pytest.approx(1.0 / 2.0, rel=1e-6)
@@ -166,13 +169,13 @@ def test_ellipse_tilt_grows_with_coupling():
     tilts = []
     for rn in (0.0, 0.2673, 0.7797):
         rho = rn * np.sqrt(16.0 * 4.0)
-        params = EoaParameters(beta2=16.0, tau2=4.0, rho=rho, rho_norm=rn)
+        params = dict(beta2=16.0, tau2=4.0, rho=rho, rho_norm=rn)
         tilts.append(abs(ellipse_tilt(params)))
     assert tilts[0] < tilts[1] < tilts[2]
 
 
 def test_degenerate_ellipse_rejected():
-    params = EoaParameters(beta2=16.0, tau2=4.0, rho=8.0, rho_norm=1.0)
+    params = dict(beta2=16.0, tau2=4.0, rho=8.0, rho_norm=1.0)
     with pytest.raises(DegenerateEllipse):
         ellipse_contour(params, 1.0)
     with pytest.raises(ValueError):
@@ -191,7 +194,7 @@ def test_ellipse_follows_af_level_set_property(L, T, tbp, phi):
     code = PskCode(L=L, gamma=np.ones(L), phi=np.array(phi[:L]))
     spec = WaveformSpec(T=T, h=h_for_tbp(T, tbp / T, L), code=code)
     params = eoa_closed_form(spec)
-    assume(abs(params.rho_norm) >= 0.1)
+    assume(abs(params["rho_norm"]) >= 0.1)
     pts = ellipse_contour(params, 0.02, n_points=16)
     c = compute_coefficients(spec)
 

@@ -143,7 +143,7 @@ def test_bandwidth_rule_agreement_at_low_rate():
     # once the grid resolves it; 2x the floor is already enough
     spec = _spec(L=6, h=0.8, seed=5)
     simp = eoa_numeric(spec, 2.0 * oversample_floor(spec))["beta2"]
-    assert simp == pytest.approx(eoa_closed_form(spec).beta2, rel=1e-10)
+    assert simp == pytest.approx(eoa_closed_form(spec)["beta2"], rel=1e-10)
 
 
 def test_rdcf_phase_cases():

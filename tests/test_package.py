@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import ceofdm
-from ceofdm import closed_form, gbf, oracle, sidelobes
+from ceofdm import closed_form, eoa, gbf, oracle, sidelobes
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,14 +14,17 @@ def test_star_import_binds_exactly_the_export_list():
     assert sorted(namespace) == sorted(ceofdm.__all__)
     assert len(set(ceofdm.__all__)) == len(ceofdm.__all__)
     # the kernels take the coefficient array and T and return bare arrays,
-    # so the coefficient and result records and the spec wrappers are gone
+    # and the reports are the dicts their JSON files hold, so the
+    # coefficient and result records and the spec wrappers are gone
     for module, name in ((oracle, "af_numeric"), (gbf, "resynthesize"),
                          (closed_form, "SpectrumSamples"),
                          (closed_form, "AmbiguitySurface"),
                          (sidelobes, "MetricSurface"),
                          (gbf, "GbfCoefficients"),
                          (closed_form, "_resolve_coeffs"),
-                         (sidelobes, "sidelobe_report")):
+                         (sidelobes, "sidelobe_report"),
+                         (sidelobes, "SidelobeReport"),
+                         (eoa, "EoaParameters")):
         assert not hasattr(module, name)
         assert name not in ceofdm.__all__
 

@@ -73,11 +73,11 @@ def test_degenerate_report_is_flagged():
     spec = WaveformSpec(T=1.0, h=0.0, code=code)
     for n_tau in (3, 16, 256, 4096):
         rep = report_from_acf(*_acf(spec, n_tau))
-        assert not rep.null_found
-        assert rep.delta_tau == spec.T
+        assert not rep["null_found"]
+        assert rep["delta_tau"] == spec.T
         # nothing beyond the fallback boundary, whatever the grid
-        assert rep.pslr_db == DB_FLOOR
-        assert rep.isl_db == DB_FLOOR
+        assert rep["pslr_db"] == DB_FLOOR
+        assert rep["isl_db"] == DB_FLOOR
 
 
 def test_report_from_complex_and_magnitude_input_agree():
@@ -94,16 +94,16 @@ def test_metrics_invariant_under_phase_negation():
                                     phi=wrap_phase(-spec.code.phi)))
     a = report_from_acf(*_acf(spec, 1024))
     b = report_from_acf(*_acf(neg, 1024))
-    assert abs(a.pslr_db - b.pslr_db) < 1e-9
-    assert abs(a.isl_db - b.isl_db) < 1e-9
+    assert abs(a["pslr_db"] - b["pslr_db"]) < 1e-9
+    assert abs(a["isl_db"] - b["isl_db"]) < 1e-9
 
 
 def test_metrics_converge_with_grid():
     spec = _spec(seed=5)
     coarse = report_from_acf(*_acf(spec, 2048))
     fine = report_from_acf(*_acf(spec, 8192))
-    assert abs(coarse.pslr_db - fine.pslr_db) < 0.01
-    assert abs(coarse.isl_db - fine.isl_db) < 0.01
+    assert abs(coarse["pslr_db"] - fine["pslr_db"]) < 0.01
+    assert abs(coarse["isl_db"] - fine["isl_db"]) < 0.01
 
 
 def test_metrics_match_quadrature_acf():
@@ -113,8 +113,8 @@ def test_metrics_match_quadrature_acf():
     ref = af_numeric_grid(spec, tau, np.zeros(1), 8192.0)[:, 0]
     a = report_from_acf(tau, R)
     b = report_from_acf(tau, ref)
-    assert abs(a.pslr_db - b.pslr_db) < 0.01
-    assert abs(a.isl_db - b.isl_db) < 0.01
+    assert abs(a["pslr_db"] - b["pslr_db"]) < 0.01
+    assert abs(a["isl_db"] - b["isl_db"]) < 0.01
 
 
 def test_metric_surface_symmetry_and_export(tmp_path):
@@ -146,7 +146,7 @@ def _nested_l2_surface(h, grid_n, n_tau):
             code = PskCode(L=2, gamma=np.ones(2), phi=np.array([p1, p2]))
             c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
             rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
-            isl_db[i, j], pslr_db[i, j] = rep.isl_db, rep.pslr_db
+            isl_db[i, j], pslr_db[i, j] = rep["isl_db"], rep["pslr_db"]
     return phis, isl_db, pslr_db
 
 
@@ -168,7 +168,8 @@ def test_metric_surface_returns_phases_and_metric_arrays():
             code = PskCode(L=L, gamma=np.ones(L), phi=phis[list(idx)])
             rep = report_from_acf(*_acf(
                 WaveformSpec(T=1.0, h=5.8116, code=code), 256))
-            assert (isl_db[idx], pslr_db[idx]) == (rep.isl_db, rep.pslr_db)
+            assert (isl_db[idx], pslr_db[idx]) == (rep["isl_db"],
+                                                   rep["pslr_db"])
 
 
 def test_metric_surface_rejects_tiny_grid():

@@ -225,6 +225,17 @@ def test_spec_json_gamma_defaults_to_ones(tmp_path):
     assert spec.code.m_psk is None
 
 
+def test_spec_json_takes_integers_as_numbers(tmp_path):
+    # T, h, phi and gamma are JSON numbers, int or float; bool and string
+    # are rejected (tests/test_cli.py)
+    path = tmp_path / "spec.json"
+    path.write_text('{"T": 1, "h": 2, "L": 2, "phi": [0, 1], "gamma": [1, 3]}')
+    spec = load_spec(path)
+    assert (spec.T, spec.h) == (1.0, 2.0) and type(spec.T) is float
+    np.testing.assert_array_equal(spec.code.phi, [0.0, 1.0])
+    np.testing.assert_array_equal(spec.code.gamma, [1.0, 3.0])
+
+
 def test_digest_distinguishes_specs():
     a = _spec(seed=1)
     b = _spec(seed=2)
