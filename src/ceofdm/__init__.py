@@ -20,8 +20,7 @@ from .waveform import (ComplexSymbolVector, NonRealCoefficients, OutOfSupport,
                        PskCode, Undersampled, WaveformSpec, ZeroDcViolation,
                        code_from_symbols, freq_mod_at, load_spec,
                        oversample_floor, phase_at, psk_alphabet,
-                       random_psk_code, sample, sample_times, save_spec,
-                       wrap_phase)
+                       random_psk_code, sample, save_spec, wrap_phase)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,6 @@ __all__ = [
     "ellipse_tilt", "eoa_closed_form", "eoa_numeric", "freq_mod_at",
     "h_for_tbp", "load_spec", "max_coupling_code", "metric_surface",
     "oracle_fs", "oversample_floor", "phase_at", "psk_alphabet",
-    "random_psk_code", "rho_norm_max", "sample", "sample_times", "save_spec",
+    "random_psk_code", "rho_norm_max", "sample", "save_spec",
     "spectrum", "spectrum_numeric", "wrap_phase",
 ]

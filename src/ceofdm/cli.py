@@ -33,8 +33,7 @@ from .gbf import compute_coefficients
 from .oracle import _nodes, af_numeric_grid, eoa_numeric, oracle_fs
 from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
-                       random_psk_code, sample, sample_times, save_spec,
-                       write_json)
+                       random_psk_code, sample, save_spec, write_json)
 
 
 # write_csv formats blocks of this many rows with one string operation each;
@@ -95,9 +94,17 @@ def _parameters(args) -> dict:
     return out
 
 
+def _check_code_flags(args) -> None:
+    """Reject a code size or alphabet no code has, by flag name."""
+    if args.L < 1:
+        raise ValueError(f"--L must be >= 1, got --L {args.L}")
+    if args.mpsk < 2:
+        raise ValueError(f"--mpsk must be >= 2, got --mpsk {args.mpsk}")
+
+
 def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    h = (args.h if args.h is not None
-         else h_for_tbp(args.T, args.tbp / args.T, args.L))
+    _check_code_flags(args)
+    h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     if args.phi_file is not None:
         with warnings.catch_warnings():
             # an empty file is reported by the shape check below
@@ -106,21 +113,18 @@ def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         if phi.shape != (args.L,):
             raise ValueError(
                 f"phi file holds {phi.size} phases, expected {args.L}")
-        code = PskCode(L=args.L, gamma=np.ones(args.L), phi=phi)
+        code = PskCode(phi=phi)
     elif args.seed is not None:
         code = random_psk_code(args.L, args.mpsk, args.seed)
     else:
-        code = PskCode(L=args.L, gamma=np.ones(args.L),
-                       phi=np.zeros(args.L), m_psk=args.mpsk)
+        code = PskCode(phi=np.zeros(args.L), m_psk=args.mpsk)
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
     spec_path = args.out / "spec.json"
     save_spec(spec, spec_path)
     stages.done("spec")
 
-    fs = 2.0 * oversample_floor(spec)
-    t = sample_times(spec, fs)
-    s = sample(spec, fs)
+    t, s = sample(spec, 2.0 * oversample_floor(spec))
     stages.done("samples")
     samples_path = args.out / "samples.csv"
     write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
@@ -233,8 +237,7 @@ def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
                          f"{args.acf_n}")
     if not 1 <= args.L <= 64:
         raise ValueError(f"--L must be in 1..64 for scan, got --L {args.L}")
-    # ISL and PSLR are dimensionless and h does not depend on T, so T = 1
-    h = args.h if args.h is not None else h_for_tbp(1.0, args.tbp, args.L)
+    h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)
     stages.done("scan", points=isl.size)
     path = args.out / "scan.csv"
@@ -255,8 +258,9 @@ def _oob_fraction(f, abs2, half_band: float) -> float:
 
 
 def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
+    _check_code_flags(args)
     delta_f = args.tbp / args.T
-    h = h_for_tbp(args.T, delta_f, args.L)
+    h = h_for_tbp(args.tbp, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
     spec = WaveformSpec(T=args.T, h=h, code=code)
 

@@ -20,8 +20,9 @@ coupling is rho = 4 pi^2 h L.  The spectrum centroid vanishes because the
 frequency deviation integrates to zero over the pulse, so f0 = 0; the test
 suite pins that against the numeric spectrum.
 
-Matching a target time-bandwidth product: beta_rms = pi delta_f / sqrt(3)
-gives h = T delta_f / (2 pi sqrt(2 L^3 + 3 L^2 + L)).
+Matching a target time-bandwidth product tbp = T delta_f: beta_rms =
+pi delta_f / sqrt(3) gives h = tbp / (2 pi sqrt(2 L^3 + 3 L^2 + L)), which
+depends on the product alone, not on T.
 """
 
 from __future__ import annotations
@@ -69,18 +70,18 @@ def rho_norm_max(L: int) -> float:
 def max_coupling_code(L: int) -> PskCode:
     """Alternating binary code phi_l = pi (odd l), 0 (even l)."""
     phi = np.where(np.arange(1, L + 1) % 2 == 1, np.pi, 0.0)
-    return PskCode(L=L, gamma=np.ones(L), phi=phi, m_psk=2)
+    return PskCode(phi=phi, m_psk=2)
 
 
-def h_for_tbp(T: float, delta_f: float, L: int) -> float:
-    """Modulation index giving time-bandwidth product T delta_f.
+def h_for_tbp(tbp: float, L: int) -> float:
+    """Modulation index giving time-bandwidth product tbp = T delta_f.
 
     Inverts beta_rms = pi delta_f / sqrt(3) (the LFM-equivalent RMS
-    bandwidth for sweep delta_f) at the given L.
+    bandwidth for sweep delta_f) at the given L; T cancels.
     """
-    if T <= 0 or delta_f <= 0 or L < 1:
-        raise ValueError("T and delta_f must be positive and L >= 1")
-    return T * delta_f / (2.0 * np.pi * math.sqrt(_poly(L)))
+    if tbp <= 0 or L < 1:
+        raise ValueError("tbp must be positive and L >= 1")
+    return tbp / (2.0 * np.pi * math.sqrt(_poly(L)))
 
 
 def ellipse_tilt(params: dict) -> float:

@@ -103,7 +103,7 @@ def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):
     isl_db = np.empty((grid_n,) * L)
     pslr_db = np.empty((grid_n,) * L)
     for idx in np.ndindex(isl_db.shape):
-        code = PskCode(L=L, gamma=np.ones(L), phi=phis[list(idx)])
+        code = PskCode(phi=phis[list(idx)])
         c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
         rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
         isl_db[idx], pslr_db[idx] = rep["isl_db"], rep["pslr_db"]

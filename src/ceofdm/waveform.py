@@ -104,28 +104,29 @@ def simpson(y, x):
 
 @dataclass(frozen=True)
 class PskCode:
-    """Per-subcarrier amplitudes and phases driving the phase series.
+    """Per-subcarrier phases and amplitudes driving the phase series.
 
     Attributes:
-        L: number of subcarriers (>= 1).
-        gamma: amplitudes, shape (L,), nonnegative.
-        phi: phases, shape (L,), wrapped to (-pi, pi] on construction.
+        phi: phases, a non-empty 1-d array, wrapped to (-pi, pi] on
+            construction; its length is the subcarrier count L.
+        gamma: amplitudes of phi's shape, nonnegative; None (the default)
+            means unit amplitudes.
         m_psk: alphabet size when the code came from PSK symbols, else None.
             When set, all amplitudes must be unity.
     """
 
-    L: int
-    gamma: np.ndarray
     phi: np.ndarray
+    gamma: np.ndarray | None = None
     m_psk: int | None = None
 
     def __post_init__(self):
-        gamma = np.array(self.gamma, dtype=float)
         phi = wrap_phase(np.array(self.phi, dtype=float))
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if gamma.shape != (self.L,) or phi.shape != (self.L,):
-            raise ValueError("gamma and phi must both have shape (L,)")
+        gamma = (np.ones(phi.shape) if self.gamma is None
+                 else np.array(self.gamma, dtype=float))
+        if phi.ndim != 1 or phi.size == 0:
+            raise ValueError("phi must be a non-empty 1-d array")
+        if gamma.shape != phi.shape:
+            raise ValueError("gamma must have the shape of phi")
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(phi))):
             raise ValueError("gamma and phi must be finite")
         if np.any(gamma < 0):
@@ -139,6 +140,10 @@ class PskCode:
         phi.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "phi", phi)
+
+    @property
+    def L(self) -> int:
+        return len(self.phi)
 
 
 @dataclass(frozen=True)
@@ -207,7 +212,7 @@ def code_from_symbols(symbols: ComplexSymbolVector) -> PskCode:
             f"imaginary residue {residue:.3e} exceeds {_SYMBOL_TOL:.3e}")
     gamma = np.hypot(alpha.real, beta.real)
     phi = np.arctan2(beta.real, alpha.real)
-    return PskCode(L=L, gamma=gamma, phi=phi)
+    return PskCode(phi=phi, gamma=gamma)
 
 
 def psk_alphabet(m_psk: int) -> np.ndarray:
@@ -227,7 +232,7 @@ def random_psk_code(L: int, m_psk: int, seed: int) -> PskCode:
     """
     rng = np.random.default_rng(seed)
     phi = psk_alphabet(m_psk)[rng.integers(0, m_psk, size=L)]
-    return PskCode(L=L, gamma=np.ones(L), phi=phi, m_psk=m_psk)
+    return PskCode(phi=phi, m_psk=m_psk)
 
 
 def _harmonic_sum(code: PskCode, x, derivative: bool = False) -> np.ndarray:
@@ -285,29 +290,21 @@ def oversample_floor(spec: WaveformSpec) -> float:
     return max(8.0 * peak, 16.0 * spec.L / spec.T)
 
 
-def sample_times(spec: WaveformSpec, fs: float) -> np.ndarray:
-    """Midpoint-registered sample instants t_n = -T/2 + (n + 1/2)/fs."""
-    n = int(round(fs * spec.T))
-    if n < 1:
-        raise ValueError(f"fs {fs} yields no samples over T {spec.T}")
-    return -spec.T / 2.0 + (np.arange(n) + 0.5) / fs
-
-
-def sample(spec: WaveformSpec, fs: float) -> np.ndarray:
-    """Complex baseband samples s(t_n) at rate fs.
-
-    N = round(fs T) samples at t_n = -T/2 + (n + 1/2)/fs.  Every sample has
-    modulus 1/sqrt(T), so sum |s_n|^2 / fs = N / (fs T); that equals 1 to
-    rounding only when fs T is integral, which callers should prefer.
+def sample(spec: WaveformSpec, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Complex baseband samples at rate fs: the pair (t, s) of the
+    N = round(fs T) instants t_n = -T/2 + (n + 1/2)/fs and the samples
+    s(t_n).  Every sample has modulus 1/sqrt(T), so sum |s_n|^2 / fs =
+    N / (fs T); that equals 1 to rounding only when fs T is integral, which
+    callers should prefer.
 
     Raises:
-        Undersampled: if fs is below oversample_floor(spec).
+        Undersampled: if fs is below oversample_floor(spec) (>= 16 L / T).
     """
     floor = oversample_floor(spec)
     if fs < floor * (1.0 - 1e-12):
         raise Undersampled(f"fs {fs} below oversampling floor {floor}")
-    t = sample_times(spec, fs)
-    return np.exp(1j * phase_at(spec, t)) / np.sqrt(spec.T)
+    t = -spec.T / 2.0 + (np.arange(int(round(fs * spec.T))) + 0.5) / fs
+    return t, np.exp(1j * phase_at(spec, t)) / np.sqrt(spec.T)
 
 
 def spec_digest(spec: WaveformSpec) -> str:
@@ -346,8 +343,9 @@ def load_spec(path) -> WaveformSpec:
     """The spec in a JSON object with T, h, L, phi and optionally gamma and
     m_psk, as save_spec writes it; L and m_psk must be JSON integers, and T,
     h, phi and gamma JSON numbers (phi and gamma lists of them), never
-    booleans or strings.  A malformed file raises ValueError naming the file
-    and the key."""
+    booleans or strings.  L must be the length of phi, at least 1, and gamma,
+    when given, of that length too.  A malformed file raises ValueError
+    naming the file and the key."""
     with open(path) as fh:
         try:
             d = json.load(fh)
@@ -381,7 +379,13 @@ def load_spec(path) -> WaveformSpec:
                              f"got {d[key]!r}")
         return np.asarray(d[key], dtype=float)
 
-    L = d["L"]
-    gamma = array("gamma") if "gamma" in d else np.ones(L)
-    code = PskCode(L=L, gamma=gamma, phi=array("phi"), m_psk=d.get("m_psk"))
+    gamma = array("gamma") if "gamma" in d else None
+    phi = array("phi")
+    if d["L"] < 1 or d["L"] != len(phi):
+        raise ValueError(f"{path}: key 'L' must be >= 1 and equal the "
+                         f"{len(phi)} phases of key 'phi', got {d['L']}")
+    if gamma is not None and len(gamma) != len(phi):
+        raise ValueError(f"{path}: key 'gamma' must hold one amplitude per "
+                         f"phase of key 'phi' ({len(phi)}), got {len(gamma)}")
+    code = PskCode(phi=phi, gamma=gamma, m_psk=d.get("m_psk"))
     return WaveformSpec(T=number("T"), h=number("h"), code=code)

@@ -37,8 +37,8 @@ def _snapped_fs(spec: WaveformSpec, floor_n: float = 16384.0) -> float:
 
 
 def test_criterion_01_modulation_index_from_time_bandwidth_product():
-    h24 = h_for_tbp(1.0, 200.0, 24)
-    h2 = h_for_tbp(1.0, 200.0, 2)
+    h24 = h_for_tbp(200.0, 24)
+    h2 = h_for_tbp(200.0, 2)
     ok = abs(h24 - 0.1856) <= 1e-4 and abs(h2 - 5.81) <= 0.01
     _report("criterion-01", ok,
             f"h(T=1, df=200, L=24) = {h24:.6f} (want 0.1856 +- 1e-4), "
@@ -104,7 +104,7 @@ def test_criterion_05_coefficient_engine():
         residual_worst = max(residual_worst,
                              abs(float(1.0 - np.sum(np.abs(c) ** 2))))
 
-    code = PskCode(L=1, gamma=np.ones(1), phi=np.array([-np.pi / 4]))
+    code = PskCode(phi=np.array([-np.pi / 4]))
     spec1 = WaveformSpec(T=1.0, h=0.5, code=code)
     c1 = compute_coefficients(spec1)
     M1 = len(c1) // 2
@@ -136,7 +136,7 @@ def test_criterion_06_alternating_code_maximizes_coupling():
     for L in range(1, 13):
         best = -np.inf
         for bits in itertools.product((0.0, np.pi), repeat=L):
-            code = PskCode(L=L, gamma=np.ones(L), phi=np.array(bits))
+            code = PskCode(phi=np.array(bits))
             best = max(best, eoa_closed_form(
                 WaveformSpec(T=T, h=h, code=code))["rho"])
         rho_alt = eoa_closed_form(
@@ -176,8 +176,8 @@ def test_criterion_07_property_suite():
     # sidelobe metrics invariant under phase negation
     spec = WaveformSpec(T=1.0, h=5.81, code=random_psk_code(2, 32, 5))
     neg = WaveformSpec(T=1.0, h=5.81,
-                       code=PskCode(L=2, gamma=spec.code.gamma,
-                                    phi=wrap_phase(-spec.code.phi)))
+                       code=PskCode(phi=wrap_phase(-spec.code.phi),
+                                    gamma=spec.code.gamma))
     a = report_from_acf(*acf_uniform(compute_coefficients(spec), 1.0, 2048))
     b = report_from_acf(*acf_uniform(compute_coefficients(neg), 1.0, 2048))
     metric_dev = max(abs(a["pslr_db"] - b["pslr_db"]),

@@ -143,7 +143,7 @@ def test_analyze_missing_spec(tmp_path, capsys):
                 "--out", tmp_path) == 2
     assert not (tmp_path / "manifest.json").exists()
     # a spec whose first truncation order already exceeds M_CAP
-    code = PskCode(L=100, gamma=np.ones(100), phi=np.zeros(100))
+    code = PskCode(phi=np.zeros(100))
     save_spec(WaveformSpec(T=1.0, h=25.0, code=code), tmp_path / "big.json")
     capsys.readouterr()
     out = tmp_path / "big"
@@ -180,10 +180,19 @@ def test_analyze_missing_spec(tmp_path, capsys):
      "'gamma'"),
     ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": ["1", 1]}',
      "'gamma'"),
+    # L is the number of phases, at least 1, and gamma gives one amplitude
+    # per phase
+    ('{"T": 1.0, "h": 1.0, "L": 3, "phi": [0.0, 1.0]}', "'L'"),
+    ('{"T": 1.0, "h": 1.0, "L": 0, "phi": []}', "'L'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": [1.0]}',
+     "'gamma'"),
+    ('{"T": 1.0, "h": 1.0, "L": 2, "phi": [0.0, 1.0], "gamma": [1, 1, 1]}',
+     "'gamma'"),
 ], ids=["no-T", "list", "fractional-L", "fractional-m_psk", "not-json",
         "text-T", "list-h", "text-phi", "text-gamma", "null-gamma",
         "bool-T", "numeric-text-T", "bool-h", "numeric-text-h", "bool-phi",
-        "numeric-text-phi", "bool-gamma", "numeric-text-gamma"])
+        "numeric-text-phi", "bool-gamma", "numeric-text-gamma",
+        "L-not-phi-length", "zero-L", "short-gamma", "long-gamma"])
 def test_analyze_rejects_malformed_spec(tmp_path, capsys, text, key):
     path = tmp_path / "spec.json"
     path.write_text(text)
@@ -193,6 +202,61 @@ def test_analyze_rejects_malformed_spec(tmp_path, capsys, text, key):
     assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
     assert key in err[0]
     assert not out.exists()
+
+
+def test_spec_without_gamma_analyzes_as_unit_amplitudes(tmp_path):
+    d = {"T": 1.3, "h": 0.7, "L": 3, "phi": [0.4, -2.1, 3.0]}
+    outs = []
+    for i, spec in enumerate((d, {**d, "gamma": [1.0, 1.0, 1.0]})):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        outs.append(tmp_path / f"r{i}")
+        assert _run("analyze", "--spec", path, "--eoa", "--acf",
+                    "--sidelobes", "--acf-n", 256, "--out", outs[-1]) == 0
+    names = json.loads((outs[0] / "manifest.json").read_text())["outputs"]
+    assert len(names) == 4
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--L", -1, "--h", 0.5, "--seed", 1], "--L"),
+    (["gen", "--L", 0, "--tbp", 20], "--L"),
+    (["gen", "--L", 2, "--h", 0.5, "--mpsk", 1], "--mpsk"),
+    (["gen", "--L", 2, "--h", 0.5, "--mpsk", 1, "--seed", 1], "--mpsk"),
+    (["compare-lfm", "--L", 0, "--tbp", 20], "--L"),
+    (["compare-lfm", "--L", 2, "--tbp", 20, "--mpsk", 1], "--mpsk"),
+], ids=["gen-negative-L", "gen-zero-L", "gen-mpsk", "gen-seed-mpsk",
+        "compare-lfm-zero-L", "compare-lfm-mpsk"])
+def test_code_flags_are_checked_by_name(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert _run(*argv, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be")
+    assert not out.exists()
+
+
+def test_h_from_tbp_does_not_depend_on_duration(tmp_path, monkeypatch):
+    # h = tbp / (2 pi sqrt(2 L^3 + 3 L^2 + L)); taking tbp / T and
+    # multiplying by T again moved h by one ulp here
+    h = h_for_tbp(333.3, 2)
+    assert _run("gen", "--L", 2, "--T", 1.3, "--tbp", 333.3,
+                "--out", tmp_path / "g") == 0
+    assert load_spec(tmp_path / "g" / "spec.json").h == h
+    assert _run("compare-lfm", "--L", 2, "--T", 1.3, "--tbp", 333.3,
+                "--out", tmp_path / "c") == 0
+    assert json.loads((tmp_path / "c" / "comparison.json").read_text())[
+        "h"] == h
+    seen = []
+    real = cli.metric_surface
+
+    def spy(h_scan, *args, **kwargs):
+        seen.append(h_scan)
+        return real(h_scan, *args, **kwargs)
+    monkeypatch.setattr(cli, "metric_surface", spy)
+    assert _run("scan", "--L", 2, "--tbp", 333.3, "--grid-n", 2,
+                "--acf-n", 64, "--out", tmp_path / "s") == 0
+    assert seen == [h]
 
 
 def test_analyze_rejects_empty_delay_grid(tmp_path, capsys):
@@ -355,7 +419,7 @@ def test_manifest_lists_every_output(tmp_path, case):
                              names=True)
         assert len(rows) == 2 * M + 1
     elif command == "compare-lfm":
-        ce = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 20.0, 2),
+        ce = WaveformSpec(T=1.0, h=h_for_tbp(20.0, 2),
                           code=random_psk_code(2, 32, 0))
         assert orders == {"ce_spectrum": len(compute_coefficients(ce)) // 2}
     else:
@@ -428,7 +492,7 @@ def test_compare_lfm_outputs(tmp_path):
     s, t, d = _lfm_chirp(100.0, 1.0)
     np.testing.assert_allclose((lfm["re"] + 1j * lfm["im"])[::8],
                                _dft(s, t, d, f), rtol=0, atol=1e-12)
-    spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 100.0, 8),
+    spec = WaveformSpec(T=1.0, h=h_for_tbp(100.0, 8),
                         code=random_psk_code(8, 32, 0))
     np.testing.assert_allclose((ce["re"] + 1j * ce["im"])[::8],
                                spectrum_numeric(spec, oracle_fs(spec), f),

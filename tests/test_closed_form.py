@@ -51,18 +51,16 @@ def _specs(draw):
     T = draw(st.floats(0.25, 4.0))
     h = draw(st.floats(0.0, 1.0)) * min(6.0, 70.0 / (L * (L + 1)))
     phi = draw(st.lists(st.floats(-np.pi, np.pi), min_size=L, max_size=L))
-    return WaveformSpec(T=T, h=h, code=PskCode(L=L, gamma=np.ones(L),
-                                               phi=np.array(phi)))
+    return WaveformSpec(T=T, h=h, code=PskCode(phi=np.array(phi)))
 
 
 def _negated(spec):
-    code = PskCode(L=spec.L, gamma=spec.code.gamma,
-                   phi=wrap_phase(-spec.code.phi))
+    code = PskCode(phi=wrap_phase(-spec.code.phi), gamma=spec.code.gamma)
     return WaveformSpec(T=spec.T, h=spec.h, code=code)
 
 
 def test_constant_waveform_spectrum_is_sinc():
-    code = PskCode(L=1, gamma=np.ones(1), phi=np.zeros(1))
+    code = PskCode(phi=np.zeros(1))
     spec = WaveformSpec(T=2.0, h=0.0, code=code)
     f = np.linspace(-4, 4, 81)
     s = spectrum(compute_coefficients(spec), spec.T, f)
@@ -102,8 +100,8 @@ def test_spectrum_dense_grid_energy_near_unity():
 @_PROPERTY
 @given(spec=_specs(),
        far=st.lists(st.floats(50.0, 1e5), min_size=1, max_size=8))
-@example(spec=WaveformSpec(T=2.5, h=0.0, code=PskCode(
-    L=1, gamma=np.ones(1), phi=np.zeros(1))), far=[50.0, 1e5])
+@example(spec=WaveformSpec(T=2.5, h=0.0, code=PskCode(phi=np.zeros(1))),
+         far=[50.0, 1e5])
 def test_spectrum_matches_pairwise_sinc_sum_property(spec, far):
     # T f on the harmonics k (where k / T * T may miss k by an ulp), within
     # 1e-9 and 3e-13 of them, and far beyond the band on both sides
@@ -308,7 +306,7 @@ def test_phase_negation_conjugates_chi_property(spec, nuT):
 
 
 def test_unmodulated_pulse_is_a_triangle():
-    code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
+    code = PskCode(phi=np.zeros(2))
     spec = WaveformSpec(T=2.0, h=0.0, code=code)
     c = compute_coefficients(spec)
     tau, R = acf_uniform(c, spec.T, n_tau=100)
@@ -426,12 +424,11 @@ def _same_bits(a, b):
        nuT=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
        n_tau=st.integers(1, 700))
 # T = 2 and 1 keep nu T = (k + 0.5) / T * T exact, on the tie of rint
-@example(spec=WaveformSpec(T=2.0, h=0.0, code=PskCode(
-    L=1, gamma=np.ones(1), phi=np.zeros(1))), n_s=1, span=[0.4, 0.4],
-    nuT=[0.5], n_tau=16)
+@example(spec=WaveformSpec(T=2.0, h=0.0, code=PskCode(phi=np.zeros(1))),
+         n_s=1, span=[0.4, 0.4], nuT=[0.5], n_tau=16)
 @example(spec=WaveformSpec(T=1.0, h=1.2, code=PskCode(
-    L=3, gamma=np.ones(3), phi=np.array([0.3, -2.0, 1.1]))), n_s=3,
-    span=[-0.25, 0.7], nuT=[-4.5, 0.0], n_tau=97)
+    phi=np.array([0.3, -2.0, 1.1]))), n_s=3, span=[-0.25, 0.7],
+    nuT=[-4.5, 0.0], n_tau=97)
 def test_kernels_match_unshared_kernels_bit_for_bit_property(spec, n_s, span,
                                                               nuT, n_tau):
     c = compute_coefficients(spec)
@@ -470,7 +467,7 @@ def test_acf_uniform_matches_two_convolution_formula_property(spec, n_tau):
 def test_acf_uniform_matches_two_convolution_formula_at_edges(L, tbp, n_tau):
     # h = 0 (M = 0), L = 1, one to three delay steps, and grids shorter
     # than the 2M + 1 harmonics they fold
-    h = h_for_tbp(1.3, tbp / 1.3, L) if tbp else 0.0
+    h = h_for_tbp(tbp, L) if tbp else 0.0
     c = compute_coefficients(_spec(L=L, h=h, T=1.3, seed=3))
     _, R = acf_uniform(c, 1.3, n_tau)
     np.testing.assert_allclose(R, _old_acf_uniform(c, 1.3, n_tau),
@@ -602,7 +599,7 @@ def test_chirp_z_delay_sums_against_extended_precision():
     idx = [1, 64, 128]
     for L, tbp, seed, M in ((24, 200, 0, 484), (8, 2000, 3, 2806),
                             (4, 4000, 1, 4061)):
-        spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, tbp, L),
+        spec = WaveformSpec(T=1.0, h=h_for_tbp(tbp, L),
                             code=random_psk_code(L, 32, seed))
         c = compute_coefficients(spec)
         assert len(c) == 2 * M + 1
@@ -673,7 +670,7 @@ def _traced_peak(fn):
 def test_kernels_work_in_a_bounded_buffer():
     # the L = 24, TBP 200 spec of the design session, on the CLI's grids
     L = 24
-    spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 200.0, L),
+    spec = WaveformSpec(T=1.0, h=h_for_tbp(200.0, L),
                         code=random_psk_code(L, 32, 0))
     c = compute_coefficients(spec)
     assert len(c) // 2 == 484
@@ -684,7 +681,7 @@ def test_kernels_work_in_a_bounded_buffer():
     assert _traced_peak(lambda: spectrum(c, spec.T, f)) < 1 << 20
     # TBP 2000: the sinc-term rows of the 21 distinct k0 in +-10/T go
     # through the transform in blocks too.  Peak 3.7 MB; 15.7 MB in one call
-    spec = WaveformSpec(T=1.0, h=h_for_tbp(1.0, 2000.0, L),
+    spec = WaveformSpec(T=1.0, h=h_for_tbp(2000.0, L),
                         code=random_psk_code(L, 32, 0))
     c = compute_coefficients(spec)
     assert len(c) // 2 == 4765

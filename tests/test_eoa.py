@@ -21,24 +21,71 @@ def _spec(L=2, h=0.5, T=1.0, seed=1):
 
 
 def test_h_from_time_bandwidth_product():
-    assert h_for_tbp(1.0, 200.0, 24) == pytest.approx(0.1856, abs=1e-4)
-    assert h_for_tbp(1.0, 200.0, 2) == pytest.approx(5.81, abs=1e-2)
+    assert h_for_tbp(200.0, 24) == pytest.approx(0.1856, abs=1e-4)
+    assert h_for_tbp(200.0, 2) == pytest.approx(5.81, abs=1e-2)
 
 
 def test_h_from_tbp_reproduces_bandwidth():
     # the returned h makes beta2 equal the swept-LFM value pi^2 df^2 / 3
     for L, T, df in [(4, 1.0, 50.0), (24, 2.0, 100.0)]:
-        h = h_for_tbp(T, df, L)
+        h = h_for_tbp(T * df, L)
         spec = WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, 0))
         beta2 = eoa_closed_form(spec)["beta2"]
         assert beta2 == pytest.approx(np.pi ** 2 * df ** 2 / 3.0, rel=1e-12)
 
 
 def test_single_carrier_bandwidth_value():
-    code = PskCode(L=1, gamma=np.ones(1), phi=np.array([0.7]))
+    code = PskCode(phi=np.array([0.7]))
     params = eoa_closed_form(WaveformSpec(T=1.0, h=1.0, code=code))
     assert params["beta2"] == pytest.approx(8.0 * np.pi ** 4, rel=1e-14)
     assert params["tau2"] == pytest.approx(np.pi ** 2 / 3.0, rel=1e-14)
+
+
+# the largest relative gap between the coefficient-engine and closed-form
+# beta2 seen over 300 random specs with h <= 1 and L <= 24 was 3.8e-15
+_BETA2_REL = 1e-14
+
+
+def _beta2_from_coefficients(spec):
+    # (2 pi / T)^2 (sum m^2 |c_m|^2 - (sum m |c_m|^2)^2), the spectral
+    # variance of the line spectrum the coefficients give
+    c = compute_coefficients(spec)
+    M = len(c) // 2
+    m = np.arange(-M, M + 1, dtype=float)
+    p = np.abs(c) ** 2
+    return ((2.0 * np.pi / spec.T) ** 2
+            * (np.sum(m * m * p) - np.sum(m * p) ** 2))
+
+
+def test_bandwidth_from_coefficients_matches_closed_form():
+    # random codes, half of them with amplitudes other than 1, whose beta2
+    # weighs tone l by l^2 gamma_l^2
+    rng = np.random.default_rng(23)
+    for i in range(40):
+        L = int(rng.integers(1, 25))
+        gamma = rng.uniform(0.0, 2.0, L) if i % 2 else None
+        code = PskCode(phi=rng.uniform(-np.pi, np.pi, L), gamma=gamma)
+        spec = WaveformSpec(T=float(rng.uniform(0.3, 3.0)),
+                            h=float(rng.uniform(0.0, 1.0)), code=code)
+        assert _beta2_from_coefficients(spec) == pytest.approx(
+            eoa_closed_form(spec)["beta2"], rel=_BETA2_REL, abs=0.0)
+    # h = 0 at L = 1: one line at m = 0, and both are exactly 0
+    spec = WaveformSpec(T=1.7, h=0.0, code=PskCode(phi=[0.3]))
+    assert _beta2_from_coefficients(spec) == 0.0
+    assert eoa_closed_form(spec)["beta2"] == 0.0
+
+
+@pytest.mark.parametrize("L", [4, 24])
+def test_bandwidth_is_fixed_by_h_and_L(L):
+    # the paper's claim: every PSK code of L tones at one h has the same
+    # RMS bandwidth, here through the coefficient engine
+    h = h_for_tbp(200.0, L)
+    beta2 = eoa_closed_form(WaveformSpec(
+        T=1.0, h=h, code=random_psk_code(L, 8, 0)))["beta2"]
+    for seed in range(8):
+        spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 8, seed))
+        assert _beta2_from_coefficients(spec) == pytest.approx(
+            beta2, rel=_BETA2_REL, abs=0.0)
 
 
 def test_closed_forms_match_quadrature():
@@ -49,7 +96,7 @@ def test_closed_forms_match_quadrature():
     for gamma, phi, h in [([2.0, 1.0], [0.0, 0.0], 1.0),
                           ([0.5, 0.0, 1.7], [0.1, 2.0, -0.4], 0.6),
                           ([0.2, 1.3, 0.9, 2.4], [3.0, -1.2, 0.5, 1.1], 0.3)]:
-        code = PskCode(L=len(gamma), gamma=gamma, phi=phi)
+        code = PskCode(phi=phi, gamma=gamma)
         specs.append(WaveformSpec(T=1.3, h=h, code=code))
     for spec in specs:
         params = eoa_closed_form(spec)
@@ -88,7 +135,7 @@ def test_max_coupling_code_is_binary_optimum():
         h = 0.7
         best = -np.inf
         for bits in itertools.product((0.0, np.pi), repeat=L):
-            code = PskCode(L=L, gamma=np.ones(L), phi=np.array(bits))
+            code = PskCode(phi=np.array(bits))
             best = max(best, eoa_closed_form(
                 WaveformSpec(T=1.0, h=h, code=code))["rho"])
         code = max_coupling_code(L)
@@ -191,8 +238,8 @@ def test_ellipse_follows_af_level_set_property(L, T, tbp, phi):
     # coupling sign.  Over 450 random codes with |rho_norm| >= 0.1 and
     # TBP >= 50 the spread of |chi|^2 along the contour was at most 0.29
     # times the spread along the mirror.
-    code = PskCode(L=L, gamma=np.ones(L), phi=np.array(phi[:L]))
-    spec = WaveformSpec(T=T, h=h_for_tbp(T, tbp / T, L), code=code)
+    code = PskCode(phi=np.array(phi[:L]))
+    spec = WaveformSpec(T=T, h=h_for_tbp(tbp, L), code=code)
     params = eoa_closed_form(spec)
     assume(abs(params["rho_norm"]) >= 0.1)
     pts = ellipse_contour(params, 0.02, n_points=16)

@@ -22,7 +22,7 @@ def _residual(c):
 
 def test_constant_waveform_has_single_coefficient():
     spec = WaveformSpec(T=1.0, h=0.0,
-                        code=PskCode(L=3, gamma=np.ones(3), phi=np.zeros(3)))
+                        code=PskCode(phi=np.zeros(3)))
     c = compute_coefficients(spec)
     M = len(c) // 2
     assert c[M] == pytest.approx(1.0, abs=1e-15)
@@ -34,7 +34,7 @@ def test_constant_waveform_has_single_coefficient():
 def test_single_carrier_reduces_to_ordinary_bessel():
     # c_m = j^m e^{j m phi_1} J_m(2 pi h) for L = 1
     for h, phi1 in [(0.5, -np.pi / 4), (1.3, 1.0), (2.0, np.pi)]:
-        code = PskCode(L=1, gamma=np.ones(1), phi=np.array([phi1]))
+        code = PskCode(phi=np.array([phi1]))
         c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
         M = len(c) // 2
         with mpmath.workdps(30):
@@ -67,11 +67,10 @@ def test_doubled_order_reuses_samples_bit_for_bit(case, monkeypatch):
     # doubles 484 -> 968, and the scan's h with _harmonic_sum chunked below
     # the doubled FFT size of 4096
     if case == "L24":
-        specs = [WaveformSpec(T=1.0, h=h_for_tbp(1.0, 200.0, 24),
+        specs = [WaveformSpec(T=1.0, h=h_for_tbp(200.0, 24),
                               code=random_psk_code(24, 32, 1))]
     else:
-        specs = [WaveformSpec(T=1.0, h=h, code=PskCode(
-                     L=2, gamma=np.ones(2), phi=wrap_phase(np.array(phi))))
+        specs = [WaveformSpec(T=1.0, h=h, code=PskCode(phi=phi))
                  for h in (5.78, 5.7975, 5.8149)
                  for phi in ([0.0, 0.0], [0.3, -1.2], [-np.pi, 2.5])]
     if case == "chunked":
@@ -128,8 +127,8 @@ def test_phase_negation_flips_coefficient_index():
     # negating every code phase sends c_m to c_{-m} exactly
     spec = _spec(L=5, h=0.9, seed=8)
     neg = WaveformSpec(T=spec.T, h=spec.h,
-                       code=PskCode(L=spec.L, gamma=spec.code.gamma,
-                                    phi=wrap_phase(-spec.code.phi)))
+                       code=PskCode(phi=wrap_phase(-spec.code.phi),
+                                    gamma=spec.code.gamma))
     a = compute_coefficients(spec)
     b = compute_coefficients(neg)
     assert len(a) == len(b)
@@ -142,7 +141,7 @@ def test_truncation_order_grows_with_h():
 
 
 def test_truncation_cap_enforced():
-    code = PskCode(L=100, gamma=np.ones(100), phi=np.zeros(100))
+    code = PskCode(phi=np.zeros(100))
     spec = WaveformSpec(T=1.0, h=25.0, code=code)
     with pytest.raises(TruncationFailure):
         compute_coefficients(spec)

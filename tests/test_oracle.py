@@ -125,14 +125,14 @@ def test_af_converges_to_closed_form():
 
 
 def test_bandwidth_vanishes_without_modulation():
-    code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
+    code = PskCode(phi=np.zeros(2))
     spec = WaveformSpec(T=1.0, h=0.0, code=code)
     assert abs(eoa_numeric(spec, 512.0)["beta2"]) < 1e-12
 
 
 def test_bandwidth_single_carrier_value():
     # L = 1, h = 1, T = 1, unit amplitude: beta^2 = 8 pi^4
-    code = PskCode(L=1, gamma=np.ones(1), phi=np.array([0.3]))
+    code = PskCode(phi=np.array([0.3]))
     spec = WaveformSpec(T=1.0, h=1.0, code=code)
     val = eoa_numeric(spec, 8.0 * oversample_floor(spec))["beta2"]
     assert val == pytest.approx(8.0 * np.pi ** 4, rel=1e-12)
@@ -149,17 +149,17 @@ def test_bandwidth_rule_agreement_at_low_rate():
 def test_rdcf_phase_cases():
     fs = 16384.0
     # equal-phase pair cancels term by term
-    code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
+    code = PskCode(phi=np.zeros(2))
     rho = eoa_numeric(WaveformSpec(T=1.0, h=0.7, code=code), fs)["rho"]
     assert abs(rho) < 1e-9
     # single carrier at phase pi gives +4 pi^2 h
-    code = PskCode(L=1, gamma=np.ones(1), phi=np.array([np.pi]))
+    code = PskCode(phi=np.array([np.pi]))
     val = eoa_numeric(WaveformSpec(T=1.0, h=1.0, code=code), fs)["rho"]
     assert val == pytest.approx(4.0 * np.pi ** 2, rel=1e-9)
     # alternating pi/0 code stacks all L carriers coherently
     L, h = 6, 0.7
     phi = np.where(np.arange(1, L + 1) % 2 == 1, np.pi, 0.0)
-    code = PskCode(L=L, gamma=np.ones(L), phi=phi)
+    code = PskCode(phi=phi)
     val = eoa_numeric(WaveformSpec(T=1.0, h=h, code=code), fs)["rho"]
     assert val == pytest.approx(4.0 * np.pi ** 2 * h * L, rel=1e-9)
 

@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import ceofdm
-from ceofdm import closed_form, eoa, gbf, oracle, sidelobes
+from ceofdm import closed_form, eoa, gbf, oracle, sidelobes, waveform
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,7 +24,8 @@ def test_star_import_binds_exactly_the_export_list():
                          (closed_form, "_resolve_coeffs"),
                          (sidelobes, "sidelobe_report"),
                          (sidelobes, "SidelobeReport"),
-                         (eoa, "EoaParameters")):
+                         (eoa, "EoaParameters"),
+                         (waveform, "sample_times")):
         assert not hasattr(module, name)
         assert name not in ceofdm.__all__
 

@@ -69,7 +69,7 @@ def test_isl_of_synthetic_plateau():
 
 
 def test_degenerate_report_is_flagged():
-    code = PskCode(L=2, gamma=np.ones(2), phi=np.zeros(2))
+    code = PskCode(phi=np.zeros(2))
     spec = WaveformSpec(T=1.0, h=0.0, code=code)
     for n_tau in (3, 16, 256, 4096):
         rep = report_from_acf(*_acf(spec, n_tau))
@@ -90,8 +90,8 @@ def test_report_from_complex_and_magnitude_input_agree():
 def test_metrics_invariant_under_phase_negation():
     spec = _spec(seed=7)
     neg = WaveformSpec(T=spec.T, h=spec.h,
-                       code=PskCode(L=2, gamma=spec.code.gamma,
-                                    phi=wrap_phase(-spec.code.phi)))
+                       code=PskCode(phi=wrap_phase(-spec.code.phi),
+                                    gamma=spec.code.gamma))
     a = report_from_acf(*_acf(spec, 1024))
     b = report_from_acf(*_acf(neg, 1024))
     assert abs(a["pslr_db"] - b["pslr_db"]) < 1e-9
@@ -143,7 +143,7 @@ def _nested_l2_surface(h, grid_n, n_tau):
     pslr_db = np.empty((grid_n, grid_n))
     for i, p1 in enumerate(phis):
         for j, p2 in enumerate(phis):
-            code = PskCode(L=2, gamma=np.ones(2), phi=np.array([p1, p2]))
+            code = PskCode(phi=np.array([p1, p2]))
             c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
             rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
             isl_db[i, j], pslr_db[i, j] = rep["isl_db"], rep["pslr_db"]
@@ -165,7 +165,7 @@ def test_metric_surface_returns_phases_and_metric_arrays():
         assert np.array_equal(phis, -np.pi + 2.0 * np.pi * np.arange(n) / n)
         assert isl_db.shape == pslr_db.shape == (n,) * L
         for idx in np.ndindex(isl_db.shape):
-            code = PskCode(L=L, gamma=np.ones(L), phi=phis[list(idx)])
+            code = PskCode(phi=phis[list(idx)])
             rep = report_from_acf(*_acf(
                 WaveformSpec(T=1.0, h=5.8116, code=code), 256))
             assert (isl_db[idx], pslr_db[idx]) == (rep["isl_db"],

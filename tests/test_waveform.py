@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,8 +11,7 @@ from ceofdm.waveform import (ComplexSymbolVector, NonRealCoefficients,
                              WaveformSpec, ZeroDcViolation, code_from_symbols,
                              freq_mod_at, load_spec, oversample_floor,
                              phase_at, psk_alphabet, random_psk_code, sample,
-                             sample_times, save_spec, simpson, spec_digest,
-                             wrap_phase)
+                             save_spec, simpson, spec_digest, wrap_phase)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1, m_psk=32):
@@ -44,9 +44,7 @@ def test_wrap_phase_is_idempotent_bit_for_bit():
         edges, *grid])
     w = wrap_phase(x)
     assert np.array_equal(wrap_phase(w), w)
-    ones = np.ones(len(x))
-    assert np.array_equal(PskCode(L=len(x), gamma=ones, phi=x).phi,
-                          PskCode(L=len(x), gamma=ones, phi=w).phi)
+    assert np.array_equal(PskCode(phi=x).phi, PskCode(phi=w).phi)
 
 
 def test_symbol_mapping_worked_example():
@@ -91,15 +89,35 @@ def test_symbol_vector_shape_validation():
     assert v.L == 1 and v.c[v.L + 1] == -1j and v.c[v.L - 1] == 1j
 
 
+def test_psk_code_is_its_phases_amplitudes_and_alphabet():
+    # L is the length of phi, not a field, and gamma defaults to ones
+    assert [f.name for f in dataclasses.fields(PskCode)] == [
+        "phi", "gamma", "m_psk"]
+    code = PskCode(phi=[0.1, 0.2])
+    assert code.L == 2 and code.m_psk is None
+    assert code.gamma.dtype == float and not code.gamma.flags.writeable
+    np.testing.assert_array_equal(code.gamma, np.ones(2))
+    assert spec_digest(WaveformSpec(T=1.0, h=0.5, code=code)) == spec_digest(
+        WaveformSpec(T=1.0, h=0.5, code=PskCode(phi=[0.1, 0.2],
+                                                gamma=np.ones(2))))
+    with pytest.raises(AttributeError):
+        code.L = 3
+    for phi in ([], 0.3, [[0.1, 0.2]]):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            PskCode(phi=phi)
+    with pytest.raises(ValueError, match="shape of phi"):
+        PskCode(phi=[0.1, 0.2], gamma=[[1.0, 1.0]])
+
+
 def test_psk_code_validation():
     with pytest.raises(ValueError):
-        PskCode(L=2, gamma=np.ones(3), phi=np.zeros(2))
+        PskCode(phi=np.zeros(2), gamma=np.ones(3))
     with pytest.raises(ValueError):
-        PskCode(L=1, gamma=np.array([-0.5]), phi=np.zeros(1))
+        PskCode(phi=np.zeros(1), gamma=np.array([-0.5]))
     with pytest.raises(ValueError):
-        PskCode(L=1, gamma=np.array([0.7]), phi=np.zeros(1), m_psk=4)
+        PskCode(phi=np.zeros(1), gamma=np.array([0.7]), m_psk=4)
     with pytest.raises(ValueError):
-        PskCode(L=1, gamma=np.ones(1), phi=np.array([np.nan]))
+        PskCode(phi=np.array([np.nan]))
     with pytest.raises(ValueError):
         WaveformSpec(T=0.0, h=1.0, code=random_psk_code(1, 4, 0))
     with pytest.raises(ValueError):
@@ -144,8 +162,8 @@ def test_phase_matches_conjugate_exponential_series():
 def test_phase_time_reversal_under_phase_negation():
     spec = _spec(L=5, h=0.9, seed=11)
     neg = WaveformSpec(T=spec.T, h=spec.h,
-                       code=PskCode(L=spec.L, gamma=spec.code.gamma,
-                                    phi=wrap_phase(-spec.code.phi)))
+                       code=PskCode(phi=wrap_phase(-spec.code.phi),
+                                    gamma=spec.code.gamma))
     t = np.linspace(-0.5, 0.5, 129)
     np.testing.assert_allclose(phase_at(neg, t), phase_at(spec, -t),
                                atol=1e-12)
@@ -176,24 +194,24 @@ def test_scalar_and_array_evaluation_agree():
 
 
 def test_constant_modulation_index_zero():
-    code = PskCode(L=4, gamma=np.ones(4), phi=np.zeros(4))
+    code = PskCode(phi=np.zeros(4))
     spec = WaveformSpec(T=2.0, h=0.0, code=code)
-    s = sample(spec, 64.0)
+    _, s = sample(spec, 64.0)
     np.testing.assert_allclose(s, 1.0 / np.sqrt(2.0), atol=1e-15)
 
 
 def test_samples_unit_energy_and_envelope():
     spec = _spec(L=8, h=0.3, seed=2)
     fs = 4096.0  # integer fs * T so the Riemann energy is exact
-    s = sample(spec, fs)
+    _, s = sample(spec, fs)
     np.testing.assert_allclose(np.abs(s), 1.0, atol=1e-12)
     assert np.sum(np.abs(s) ** 2) / fs == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_times_midpoint_registration():
     spec = _spec(T=2.0)
-    t = sample_times(spec, 64.0)
-    assert len(t) == 128
+    t, s = sample(spec, 64.0)
+    assert len(t) == len(s) == 128
     assert t[0] == pytest.approx(-1.0 + 0.5 / 64.0)
     assert t[-1] == pytest.approx(1.0 - 0.5 / 64.0)
 
