@@ -8,7 +8,9 @@ order.  A step is one layer: a computation, its oracle check, or the writing
 of its CSV file (named <step>_csv); a kernel step on a grid also gives the
 number of points it evaluated.  Data files are pure functions of the inputs,
 so re-running a command reproduces them byte for byte; only the manifest's
-timestamp and stage times change.  A failed command writes no manifest and
+timestamp and stage times change.  Each numeric flag's argparse type checks
+its range, so a value outside it is a usage error that names the flag (exit
+2, before --out exists).  A command that fails later writes no manifest and
 main prints one error line, or re-raises the exception when CEOFDM_DEBUG=1
 is set in the environment.
 """
@@ -16,6 +18,7 @@ is set in the environment.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import sys
@@ -94,16 +97,7 @@ def _parameters(args) -> dict:
     return out
 
 
-def _check_code_flags(args) -> None:
-    """Reject a code size or alphabet no code has, by flag name."""
-    if args.L < 1:
-        raise ValueError(f"--L must be >= 1, got --L {args.L}")
-    if args.mpsk < 2:
-        raise ValueError(f"--mpsk must be >= 2, got --mpsk {args.mpsk}")
-
-
 def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    _check_code_flags(args)
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     if args.phi_file is not None:
         with warnings.catch_warnings():
@@ -135,14 +129,6 @@ def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
 
 def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    # check the grid sizes before any file is written
-    for flag, least in (("sidelobes", 3), ("acf", 1)):
-        if getattr(args, flag) and args.acf_n < least:
-            raise ValueError(f"n_tau must be at least {least} for --{flag}, "
-                             f"got --acf-n {args.acf_n}")
-    if args.af is not None and min(args.af) < 1:
-        raise ValueError("--af needs at least 1 delay and 1 Doppler, got "
-                         f"--af {args.af[0]} {args.af[1]}")
     spec = load_spec(args.spec)
     c = compute_coefficients(spec)
     M = len(c) // 2
@@ -230,13 +216,6 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
 
 
 def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    # each code's report needs a mainlobe null, so at least 3 delay steps;
-    # the metric arrays have one axis per phase, and numpy allows 64
-    if args.acf_n < 3:
-        raise ValueError("n_tau must be at least 3 for scan, got --acf-n "
-                         f"{args.acf_n}")
-    if not 1 <= args.L <= 64:
-        raise ValueError(f"--L must be in 1..64 for scan, got --L {args.L}")
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)
     stages.done("scan", points=isl.size)
@@ -258,7 +237,6 @@ def _oob_fraction(f, abs2, half_band: float) -> float:
 
 
 def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
-    _check_code_flags(args)
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.tbp, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
@@ -312,16 +290,33 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     return None, ["ce_spectrum.csv", "lfm_spectrum.csv", "comparison.json"]
 
 
-def _positive(text: str) -> float:
-    """argparse type of --T and --tbp: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number above 0, got {text!r}")
-    return value
+def _in_range(convert, low, high=math.inf, above=False):
+    """argparse type: convert(text), an int or a finite float, in [low, high]
+    (in (low, high] with above=True); its error names the range."""
+    kind = "an integer" if convert is int else "a finite number"
+    span = (f"in {low}..{high}" if high < math.inf
+            else f"above {low}" if above else f"of at least {low}")
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not ((low < value if above else low <= value)
+                and value <= high and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"must be {kind} {span}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE = _in_range(float, 0, above=True)  # --T, --tbp
+_NONNEGATIVE = _in_range(float, 0)  # --h
+_COUNT = _in_range(int, 1)  # --L, --af sizes
+_ALPHABET = _in_range(int, 2)  # --mpsk, --grid-n
+_SEED = _in_range(int, 0)
+# --acf-n: a sidelobe report needs a mainlobe null, so 3 delay steps or more
+_DELAYS = _in_range(int, 3)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,15 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a waveform spec and samples")
-    gen.add_argument("--L", type=int, required=True)
-    gen.add_argument("--T", type=_positive, default=1.0)
+    gen.add_argument("--L", type=_COUNT, required=True)
+    gen.add_argument("--T", type=_POSITIVE, default=1.0)
     hgrp = gen.add_mutually_exclusive_group(required=True)
-    hgrp.add_argument("--h", type=float)
-    hgrp.add_argument("--tbp", type=_positive,
+    hgrp.add_argument("--h", type=_NONNEGATIVE)
+    hgrp.add_argument("--tbp", type=_POSITIVE,
                       help="time-bandwidth product; sets h for the given L")
-    gen.add_argument("--mpsk", type=int, default=32)
+    gen.add_argument("--mpsk", type=_ALPHABET, default=32)
     cgrp = gen.add_mutually_exclusive_group()
-    cgrp.add_argument("--seed", type=int,
+    cgrp.add_argument("--seed", type=_SEED,
                       help="draw code phases from the M-PSK alphabet")
     cgrp.add_argument("--phi-file", type=Path,
                       help="text file with L phases in radians, one per line")
@@ -351,34 +346,35 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--spec", type=Path, required=True)
     ana.add_argument("--spectrum", action="store_true")
     ana.add_argument("--acf", action="store_true")
-    ana.add_argument("--af", type=int, nargs=2, metavar=("TAU_N", "NU_N"),
+    ana.add_argument("--af", type=_COUNT, nargs=2, metavar=("TAU_N", "NU_N"),
                      help="surface on tau in ±0.9T, nu in ±10/T")
     ana.add_argument("--eoa", action="store_true")
     ana.add_argument("--sidelobes", action="store_true")
     ana.add_argument("--oracle", action="store_true",
                      help="add quadrature reference columns and reports")
-    ana.add_argument("--acf-n", type=int, default=4096)
+    ana.add_argument("--acf-n", type=_DELAYS, default=4096)
     ana.add_argument("--out", type=Path, default=Path("."))
     ana.set_defaults(func=cmd_analyze)
 
     scan = sub.add_parser("scan",
                           help="ISL/PSLR of every code of a phase grid")
-    scan.add_argument("--L", type=int, default=2)
+    # the metric arrays have one axis per phase, and numpy allows 64
+    scan.add_argument("--L", type=_in_range(int, 1, 64), default=2)
     hgrp = scan.add_mutually_exclusive_group(required=True)
-    hgrp.add_argument("--h", type=float)
-    hgrp.add_argument("--tbp", type=_positive)
-    scan.add_argument("--grid-n", type=int, default=64)
-    scan.add_argument("--acf-n", type=int, default=4096)
+    hgrp.add_argument("--h", type=_NONNEGATIVE)
+    hgrp.add_argument("--tbp", type=_POSITIVE)
+    scan.add_argument("--grid-n", type=_ALPHABET, default=64)
+    scan.add_argument("--acf-n", type=_DELAYS, default=4096)
     scan.add_argument("--out", type=Path, default=Path("."))
     scan.set_defaults(func=cmd_scan)
 
     cmp_ = sub.add_parser("compare-lfm",
                           help="spectral containment vs an LFM chirp")
-    cmp_.add_argument("--tbp", type=_positive, required=True)
-    cmp_.add_argument("--L", type=int, required=True)
-    cmp_.add_argument("--T", type=_positive, default=1.0)
-    cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--mpsk", type=int, default=32)
+    cmp_.add_argument("--tbp", type=_POSITIVE, required=True)
+    cmp_.add_argument("--L", type=_COUNT, required=True)
+    cmp_.add_argument("--T", type=_POSITIVE, default=1.0)
+    cmp_.add_argument("--seed", type=_SEED, default=0)
+    cmp_.add_argument("--mpsk", type=_ALPHABET, default=32)
     cmp_.add_argument("--out", type=Path, default=Path("."))
     cmp_.set_defaults(func=cmd_compare_lfm)
 

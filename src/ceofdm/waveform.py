@@ -120,22 +120,24 @@ class PskCode:
     m_psk: int | None = None
 
     def __post_init__(self):
-        phi = wrap_phase(np.array(self.phi, dtype=float))
+        phi = np.array(self.phi, dtype=float)
         gamma = (np.ones(phi.shape) if self.gamma is None
                  else np.array(self.gamma, dtype=float))
         if phi.ndim != 1 or phi.size == 0:
             raise ValueError("phi must be a non-empty 1-d array")
         if gamma.shape != phi.shape:
             raise ValueError("gamma must have the shape of phi")
+        # checked before wrapping: np.mod warns on an infinite phase
         if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(phi))):
-            raise ValueError("gamma and phi must be finite")
+            raise ValueError("phi and gamma must be finite")
         if np.any(gamma < 0):
             raise ValueError("gamma must be nonnegative")
         if self.m_psk is not None:
             if self.m_psk < 2:
                 raise ValueError(f"m_psk must be >= 2, got {self.m_psk}")
             if np.max(np.abs(gamma - 1.0)) > 1e-12:
-                raise ValueError("PSK codes require unit amplitudes")
+                raise ValueError("gamma must be all 1 when m_psk is set")
+        phi = wrap_phase(phi)
         gamma.setflags(write=False)
         phi.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
@@ -156,10 +158,10 @@ class WaveformSpec:
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"T must be positive, got {self.T}")
+            raise ValueError(f"T must be finite and positive, got {self.T}")
         # h = 0 is the degenerate constant-envelope carrier and is allowed.
         if not (np.isfinite(self.h) and self.h >= 0):
-            raise ValueError(f"h must be nonnegative, got {self.h}")
+            raise ValueError(f"h must be finite and nonnegative, got {self.h}")
 
     @property
     def L(self) -> int:
@@ -344,8 +346,8 @@ def load_spec(path) -> WaveformSpec:
     m_psk, as save_spec writes it; L and m_psk must be JSON integers, and T,
     h, phi and gamma JSON numbers (phi and gamma lists of them), never
     booleans or strings.  L must be the length of phi, at least 1, and gamma,
-    when given, of that length too.  A malformed file raises ValueError
-    naming the file and the key."""
+    when given, of that length too.  A malformed file or a value out of
+    range raises ValueError naming the file and the key."""
     with open(path) as fh:
         try:
             d = json.load(fh)
@@ -380,12 +382,14 @@ def load_spec(path) -> WaveformSpec:
         return np.asarray(d[key], dtype=float)
 
     gamma = array("gamma") if "gamma" in d else None
-    phi = array("phi")
+    T, h, phi = number("T"), number("h"), array("phi")
     if d["L"] < 1 or d["L"] != len(phi):
         raise ValueError(f"{path}: key 'L' must be >= 1 and equal the "
                          f"{len(phi)} phases of key 'phi', got {d['L']}")
     if gamma is not None and len(gamma) != len(phi):
         raise ValueError(f"{path}: key 'gamma' must hold one amplitude per "
                          f"phase of key 'phi' ({len(phi)}), got {len(gamma)}")
-    code = PskCode(phi=phi, gamma=gamma, m_psk=d.get("m_psk"))
-    return WaveformSpec(T=number("T"), h=number("h"), code=code)
+    try:
+        return WaveformSpec(T, h, PskCode(phi, gamma, d.get("m_psk")))
+    except ValueError as exc:  # a value out of range, named by its key
+        raise ValueError(f"{path}: {exc}") from None

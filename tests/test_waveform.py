@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ def test_psk_code_validation():
         WaveformSpec(T=0.0, h=1.0, code=random_psk_code(1, 4, 0))
     with pytest.raises(ValueError):
         WaveformSpec(T=1.0, h=-0.1, code=random_psk_code(1, 4, 0))
+
+
+def test_psk_code_rejects_infinite_phase_without_warning():
+    # np.mod warns on inf, so finiteness is checked before phases are wrapped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phi and gamma must be finite"):
+            PskCode(phi=[0.0, np.inf])
 
 
 def test_psk_alphabet_and_seeded_codes():
