@@ -100,14 +100,20 @@ def _parameters(args) -> dict:
 def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     if args.phi_file is not None:
-        with warnings.catch_warnings():
-            # an empty file is reported by the shape check below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no")
-            phi = np.loadtxt(args.phi_file, dtype=float, ndmin=1)
-        if phi.shape != (args.L,):
-            raise ValueError(
-                f"phi file holds {phi.size} phases, expected {args.L}")
-        code = PskCode(phi=phi)
+        try:
+            with warnings.catch_warnings():
+                # an empty file is reported by the shape check below
+                warnings.filterwarnings("ignore", "loadtxt: input contained")
+                phi = np.loadtxt(args.phi_file, dtype=float, ndmin=2)
+            rows, cols = phi.shape
+            if cols != 1:
+                raise ValueError(f"holds a {rows}-by-{cols} table, expected "
+                                 "one phase per line")
+            if rows != args.L:
+                raise ValueError(f"holds {rows} phases, expected {args.L}")
+            code = PskCode(phi=phi[:, 0])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"--phi-file {args.phi_file}: {exc}") from None
     elif args.seed is not None:
         code = random_psk_code(args.L, args.mpsk, args.seed)
     else:
@@ -205,10 +211,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
             stages.done("eoa_oracle")
 
     if args.sidelobes:
-        write_json(out("sidelobes.json"),
-                   {**report_from_acf(tau, R),
-                    "n_tau": args.acf_n,
-                    "tau_max": float(tau[-1])})
+        write_json(out("sidelobes.json"), report_from_acf(tau, R))
         stages.done("sidelobes")
 
     print(f"wrote {len(outputs)} files to {args.out}")

@@ -1,19 +1,26 @@
 """Autocorrelation sidelobe metrics and the scan over a grid of PSK codes.
 
-The mainlobe boundary delta_tau is the first local minimum of |R(tau)|^2 for
-tau > 0, refined by a three-point parabola through the neighboring samples.
-A monotone |R|^2 (for example the h = 0 triangle) has no null; delta_tau then
-falls back to T, PSLR and ISL read the -300 dB floor because no sample lies
-beyond it, and the report is flagged so those values are recognizable as
-degenerate rather than trusted.
+report_from_acf is the one sidelobe report: it squares |R| once and reads
+the mainlobe null, PSLR and ISL off that one array.  The mainlobe boundary
+delta_tau is the first interior local minimum of |R(tau)|^2 for tau > 0,
+refined by a three-point parabola through the neighboring samples; the
+shift is clipped to half a grid step either way.  A sample counts as a
+minimum when it lies below its left neighbor and at most at its right one,
+so ties break toward the smallest tau: a flat bottom of two equal samples is
+found at its first node, and the parabola through it then moves delta_tau
+half a step, to the middle of the two.  A monotone |R|^2 (for example the
+h = 0 triangle) has no null; delta_tau then falls back to the last delay, ISL
+reads the -300 dB floor, and so does PSLR when R vanishes there, as it does
+at tau = T on every acf_uniform grid.  The report is flagged so those values
+are recognizable as degenerate rather than trusted.
 
 PSLR is the largest sampled |R|^2 at or beyond delta_tau (the mainlobe peak
 is |R(0)|^2 = 1).  ISL is the sidelobe-to-mainlobe energy ratio with both
-areas taken by composite Simpson on the stored grid, split at the grid node
-nearest the refined null.  Simpson is waveform.simpson, which reproduces
-scipy.integrate.simpson bit for bit, including its Cartwright correction of
-the last interval when a part has an even number of nodes.  Ratios of zero
-are floored at -300 dB.
+areas taken by composite Simpson on the stored grid, split at the interior
+grid node nearest the refined null.  Simpson is waveform.simpson, which
+reproduces scipy.integrate.simpson bit for bit, including its Cartwright
+correction of the last interval when a part has an even number of nodes.
+Ratios of zero are floored at -300 dB.
 """
 
 from __future__ import annotations
@@ -27,65 +34,48 @@ from .waveform import PskCode, WaveformSpec, simpson
 DB_FLOOR = -300.0
 
 
-def mainlobe_null(tau_grid, acf_abs2) -> tuple[float, bool]:
-    """First local minimum of |R|^2 for tau > 0, parabolically refined.
-
-    Returns (delta_tau, found).  Without any interior local minimum the
-    full pulse length is returned with found = False.  Ties break toward
-    the smallest tau because the scan runs in ascending order.
-    """
+def report_from_acf(tau_grid, acf_values) -> dict:
+    """The sidelobe report of an ACF R sampled on an ascending delay grid of
+    at least 3 points; R may be complex or real, and the metrics use
+    |R|^2.  Returns the dict sidelobes.json holds: delta_tau, pslr_db,
+    isl_db, null_found, n_tau (the number of delay steps) and tau_max (the
+    last delay)."""
     tau = np.asarray(tau_grid, dtype=float)
-    y = np.asarray(acf_abs2, dtype=float)
+    y = np.asarray(np.abs(acf_values) ** 2, dtype=float)
     if len(tau) < 3:
         raise ValueError("need at least 3 grid points")
-    interior = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
-    interior = interior[tau[interior] > 0]
-    if len(interior) == 0:
-        return float(tau[-1]), False
-    i = int(interior[0])
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom > 0:
-        shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
+
+    minima = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
+    minima = minima[tau[minima] > 0]
+    found = len(minima) > 0
+    if found:
+        i = int(minima[0])
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
         shift = 0.0
-    step = tau[i + 1] - tau[i]
-    return float(tau[i] + shift * step), True
+        if denom > 0:
+            shift = float(np.clip(0.5 * (y[i - 1] - y[i + 1]) / denom,
+                                  -0.5, 0.5))
+        delta_tau = float(tau[i] + shift * (tau[i + 1] - tau[i]))
+    else:
+        delta_tau = float(tau[-1])
 
-
-def pslr(tau_grid, acf_abs2, delta_tau: float) -> float:
-    """Peak sidelobe level in dB relative to |R(0)|^2 = 1."""
-    tau = np.asarray(tau_grid, dtype=float)
-    y = np.asarray(acf_abs2, dtype=float)
-    mask = tau >= delta_tau
-    if not np.any(mask):
-        return DB_FLOOR
-    peak = float(np.max(y[mask]))
-    return 10.0 * np.log10(max(peak, 10.0 ** (DB_FLOOR / 10.0)))
-
-
-def isl(tau_grid, acf_abs2, delta_tau: float) -> float:
-    """Integrated sidelobe-to-mainlobe energy ratio in dB."""
-    tau = np.asarray(tau_grid, dtype=float)
-    y = np.asarray(acf_abs2, dtype=float)
-    if delta_tau >= tau[-1]:
-        return DB_FLOOR
-    split = int(np.argmin(np.abs(tau - delta_tau)))
-    split = min(max(split, 1), len(tau) - 2)
-    main = float(simpson(y[:split + 1], tau[:split + 1]))
-    side = float(simpson(y[split:], tau[split:]))
+    # delta_tau <= tau[-1], so at least the last sample lies beyond it
     floor = 10.0 ** (DB_FLOOR / 10.0)
-    return 10.0 * np.log10(max(side, floor * main) / main)
+    peak = float(np.max(y[tau >= delta_tau]))
+    pslr_db = 10.0 * np.log10(max(peak, floor))
 
+    if delta_tau >= tau[-1]:
+        isl_db = DB_FLOOR
+    else:
+        split = int(np.argmin(np.abs(tau - delta_tau)))
+        split = min(max(split, 1), len(tau) - 2)
+        main = float(simpson(y[:split + 1], tau[:split + 1]))
+        side = float(simpson(y[split:], tau[split:]))
+        isl_db = 10.0 * np.log10(max(side, floor * main) / main)
 
-def report_from_acf(tau_grid, acf_values) -> dict:
-    """Metrics from a precomputed ACF R, complex or real; they use |R|^2.
-    Returns the dict sidelobes.json holds less its grid keys: delta_tau,
-    pslr_db, isl_db and null_found."""
-    y = np.abs(np.asarray(acf_values)) ** 2
-    dt, found = mainlobe_null(tau_grid, y)
-    return {"delta_tau": dt, "pslr_db": pslr(tau_grid, y, dt),
-            "isl_db": isl(tau_grid, y, dt), "null_found": found}
+    return {"delta_tau": delta_tau, "pslr_db": pslr_db, "isl_db": isl_db,
+            "null_found": found, "n_tau": len(tau) - 1,
+            "tau_max": float(tau[-1])}
 
 
 def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):

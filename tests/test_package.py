@@ -15,7 +15,8 @@ def test_star_import_binds_exactly_the_export_list():
     assert len(set(ceofdm.__all__)) == len(ceofdm.__all__)
     # the kernels take the coefficient array and T and return bare arrays,
     # and the reports are the dicts their JSON files hold, so the
-    # coefficient and result records and the spec wrappers are gone
+    # coefficient and result records and the spec wrappers are gone, and so
+    # are the single-metric sidelobe helpers behind report_from_acf
     for module, name in ((oracle, "af_numeric"), (gbf, "resynthesize"),
                          (closed_form, "SpectrumSamples"),
                          (closed_form, "AmbiguitySurface"),
@@ -23,6 +24,8 @@ def test_star_import_binds_exactly_the_export_list():
                          (gbf, "GbfCoefficients"),
                          (closed_form, "_resolve_coeffs"),
                          (sidelobes, "sidelobe_report"),
+                         (sidelobes, "mainlobe_null"), (sidelobes, "pslr"),
+                         (sidelobes, "isl"),
                          (sidelobes, "SidelobeReport"),
                          (eoa, "EoaParameters"),
                          (waveform, "sample_times")):

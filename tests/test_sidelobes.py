@@ -5,9 +5,8 @@ from ceofdm.cli import write_csv
 from ceofdm.closed_form import acf_uniform
 from ceofdm.gbf import compute_coefficients
 from ceofdm.oracle import af_numeric_grid
-from ceofdm.sidelobes import (DB_FLOOR, isl, mainlobe_null, metric_surface,
-                              pslr, report_from_acf)
-from ceofdm.waveform import (PskCode, WaveformSpec, random_psk_code,
+from ceofdm.sidelobes import DB_FLOOR, metric_surface, report_from_acf
+from ceofdm.waveform import (PskCode, WaveformSpec, random_psk_code, simpson,
                              wrap_phase)
 
 
@@ -23,49 +22,161 @@ def test_null_of_squared_cosine():
     # |R|^2 = cos^2(pi tau / w) has its first null exactly at w / 2
     w = 0.4
     tau = np.linspace(0.0, 1.0, 201)
-    y = np.cos(np.pi * tau / w) ** 2
-    dt, found = mainlobe_null(tau, y)
-    assert found
-    assert dt == pytest.approx(w / 2, abs=1e-4)
+    rep = report_from_acf(tau, np.cos(np.pi * tau / w))
+    assert rep["null_found"]
+    assert rep["delta_tau"] == pytest.approx(w / 2, abs=1e-4)
 
 
 def test_null_refinement_beats_grid_spacing():
     # true null at an irrational fraction of the grid step
     w = 2.0 / np.sqrt(5.0)
     tau = np.linspace(0.0, 1.0, 101)
-    y = np.cos(np.pi * tau / w) ** 2
-    dt, found = mainlobe_null(tau, y)
-    assert found
-    assert abs(dt - w / 2) < 0.2 * (tau[1] - tau[0])
+    rep = report_from_acf(tau, np.cos(np.pi * tau / w))
+    assert rep["null_found"]
+    assert abs(rep["delta_tau"] - w / 2) < 0.2 * (tau[1] - tau[0])
+
+
+def test_null_lies_at_positive_delay():
+    # on a grid through tau = 0 the minimum at -w / 2 is not the null
+    w = 0.4
+    tau = np.linspace(-1.0, 1.0, 401)
+    rep = report_from_acf(tau, np.cos(np.pi * tau / w))
+    assert rep["delta_tau"] == pytest.approx(w / 2, abs=1e-4)
 
 
 def test_monotone_acf_has_no_null():
     tau = np.linspace(0.0, 2.0, 100)
-    y = (1.0 - tau / 2.0) ** 2  # unmodulated-pulse triangle, squared
-    dt, found = mainlobe_null(tau, y)
-    assert not found
-    assert dt == 2.0
+    # unmodulated-pulse triangle: it vanishes only at the last delay
+    rep = report_from_acf(tau, 1.0 - tau / 2.0)
+    assert not rep["null_found"]
+    assert rep["delta_tau"] == 2.0
+    assert rep["pslr_db"] == rep["isl_db"] == DB_FLOOR
 
 
 def test_mainlobe_null_needs_three_points():
     with pytest.raises(ValueError):
-        mainlobe_null(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        report_from_acf(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def _plateau(tau):
+    # R falls linearly to 0 at tau = 0.1, then holds at 0.1 (-20 dB)
+    return np.where(tau < 0.1, 1.0 - tau / 0.1, 0.1)
 
 
 def test_pslr_of_synthetic_plateau():
     tau = np.linspace(0.0, 1.0, 1001)
-    y = np.where(tau < 0.1, (1.0 - tau / 0.1) ** 2, 0.01)
-    dt, found = mainlobe_null(tau, y)
-    assert found
-    assert pslr(tau, y, dt) == pytest.approx(-20.0, abs=1e-9)
+    rep = report_from_acf(tau, _plateau(tau))
+    assert rep["null_found"]
+    assert rep["pslr_db"] == pytest.approx(-20.0, abs=1e-9)
 
 
 def test_isl_of_synthetic_plateau():
     # sidelobe area 0.9 * 0.01 vs mainlobe area 0.1 / 3
     tau = np.linspace(0.0, 1.0, 10001)
-    y = np.where(tau < 0.1, (1.0 - tau / 0.1) ** 2, 0.01)
+    rep = report_from_acf(tau, _plateau(tau))
+    # the parabola through the corner puts the split within 2 steps of it
+    assert rep["delta_tau"] == pytest.approx(0.1, abs=2 * tau[1])
     ref = 10.0 * np.log10((0.9 * 0.01) / (0.1 / 3.0))
-    assert isl(tau, y, 0.1) == pytest.approx(ref, abs=1e-2)
+    assert rep["isl_db"] == pytest.approx(ref, abs=1e-2)
+
+
+def test_tied_minima_report_the_first():
+    # two equal flat bottoms, each of two equal samples (every value here is
+    # exact in binary): the first node of the first bottom is the minimum,
+    # and the parabola through it moves delta_tau half a step, to the middle
+    # of the bottom
+    tau = np.linspace(0.0, 1.0, 9)
+    R = np.array([1.0, 0.75, 0.25, 0.25, 0.75, 0.75, 0.25, 0.25, 0.5])
+    rep = report_from_acf(tau, R)
+    assert rep["null_found"]
+    assert rep["delta_tau"] == 0.3125
+    assert rep["pslr_db"] == 10.0 * np.log10(0.75 ** 2)
+
+
+def test_null_at_last_interior_node():
+    # a bottom tied with the last sample: the null lies halfway into the
+    # last step, the split node is the last interior one, and the sidelobe
+    # area is the one trapezoid of the last step
+    tau = np.linspace(0.0, 1.0, 9)
+    R = np.array([1.0, 0.875, 0.75, 0.625, 0.5, 0.375, 0.25, 0.125, 0.125])
+    y = R ** 2
+    rep = report_from_acf(tau, R)
+    assert rep["null_found"]
+    assert rep["delta_tau"] == 0.9375
+    assert rep["pslr_db"] == 10.0 * np.log10(0.125 ** 2)
+    side = 0.125 * y[-1]
+    assert rep["isl_db"] == 10.0 * np.log10(side / simpson(y[:-1], tau[:-1]))
+
+
+def _old_report(tau_grid, acf_values):
+    # the report as mainlobe_null, pslr and isl computed it, one function
+    # each, before report_from_acf took them over
+    def mainlobe_null(tau_grid, acf_abs2):
+        tau = np.asarray(tau_grid, dtype=float)
+        y = np.asarray(acf_abs2, dtype=float)
+        if len(tau) < 3:
+            raise ValueError("need at least 3 grid points")
+        interior = np.flatnonzero((y[1:-1] < y[:-2]) & (y[1:-1] <= y[2:])) + 1
+        interior = interior[tau[interior] > 0]
+        if len(interior) == 0:
+            return float(tau[-1]), False
+        i = int(interior[0])
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        if denom > 0:
+            shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+            shift = float(np.clip(shift, -0.5, 0.5))
+        else:
+            shift = 0.0
+        step = tau[i + 1] - tau[i]
+        return float(tau[i] + shift * step), True
+
+    def pslr(tau_grid, acf_abs2, delta_tau):
+        tau = np.asarray(tau_grid, dtype=float)
+        y = np.asarray(acf_abs2, dtype=float)
+        mask = tau >= delta_tau
+        if not np.any(mask):
+            return DB_FLOOR
+        peak = float(np.max(y[mask]))
+        return 10.0 * np.log10(max(peak, 10.0 ** (DB_FLOOR / 10.0)))
+
+    def isl(tau_grid, acf_abs2, delta_tau):
+        tau = np.asarray(tau_grid, dtype=float)
+        y = np.asarray(acf_abs2, dtype=float)
+        if delta_tau >= tau[-1]:
+            return DB_FLOOR
+        split = int(np.argmin(np.abs(tau - delta_tau)))
+        split = min(max(split, 1), len(tau) - 2)
+        main = float(simpson(y[:split + 1], tau[:split + 1]))
+        side = float(simpson(y[split:], tau[split:]))
+        floor = 10.0 ** (DB_FLOOR / 10.0)
+        return 10.0 * np.log10(max(side, floor * main) / main)
+
+    y = np.abs(np.asarray(acf_values)) ** 2
+    dt, found = mainlobe_null(tau_grid, y)
+    return {"delta_tau": dt, "pslr_db": pslr(tau_grid, y, dt),
+            "isl_db": isl(tau_grid, y, dt), "null_found": found}
+
+
+@pytest.mark.parametrize("n_tau", [3, 4, 16, 1024, 4096])
+def test_report_matches_the_three_helper_path_exactly(n_tau):
+    # random codes with L <= 8 and h <= 6, the edges h = 0 (no null) and
+    # L = 1, and each ACF as complex R and as its real part
+    rng = np.random.default_rng(n_tau)
+    cases = [(1, 0.0), (1, 3.0), (4, 0.0)]
+    cases += [(int(rng.integers(1, 9)), float(rng.uniform(0.0, 6.0)))
+              for _ in range(12)]
+    for k, (L, h) in enumerate(cases):
+        spec = WaveformSpec(T=1.0, h=h, code=random_psk_code(L, 8, k))
+        tau, R = _acf(spec, n_tau)
+        for acf in (R, R.real):
+            new = report_from_acf(tau, acf)
+            old = {**_old_report(tau, acf), "n_tau": len(tau) - 1,
+                   "tau_max": float(tau[-1])}
+            assert new == old
+            assert list(map(type, new.values())) == list(
+                map(type, old.values()))
+            if h == 0.0:
+                assert not new["null_found"]
 
 
 def test_degenerate_report_is_flagged():

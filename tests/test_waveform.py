@@ -287,7 +287,7 @@ def test_simpson_matches_scipy_bit_for_bit(n):
 @pytest.mark.parametrize("L,h,n_tau", [(2, 5.8, 97), (2, 5.8, 128),
                                        (24, 0.1856, 128)])
 def test_simpson_matches_scipy_on_every_isl_split(L, h, n_tau):
-    # sidelobes.isl integrates |R|^2 on both sides of a split node; every
+    # the sidelobe ISL integrates |R|^2 on both sides of a split node; every
     # split of an acf_uniform grid gives parts of each length and parity
     from scipy.integrate import simpson as scipy_simpson
     spec = _spec(L=L, h=h, seed=3)
