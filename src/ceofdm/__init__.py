@@ -14,7 +14,8 @@ from .closed_form import acf_uniform, af_surface, ambiguity, spectrum
 from .eoa import (DegenerateEllipse, ellipse_contour, ellipse_tilt,
                   eoa_closed_form, h_for_tbp, max_coupling_code, rho_norm_max)
 from .gbf import TruncationFailure, compute_coefficients
-from .oracle import af_numeric_grid, eoa_numeric, oracle_fs, spectrum_numeric
+from .oracle import (acf_numeric, af_numeric_grid, eoa_numeric, oracle_fs,
+                     spectrum_numeric)
 from .sidelobes import metric_surface
 from .waveform import (ComplexSymbolVector, NonRealCoefficients, OutOfSupport,
                        PskCode, Undersampled, WaveformSpec, ZeroDcViolation,
@@ -28,11 +29,11 @@ __all__ = [
     "ComplexSymbolVector", "DegenerateEllipse", "NonRealCoefficients",
     "OutOfSupport", "PskCode", "TruncationFailure", "Undersampled",
     "WaveformSpec", "ZeroDcViolation",
-    "acf_uniform", "af_numeric_grid", "af_surface", "ambiguity",
+    "acf_numeric", "acf_uniform", "af_numeric_grid", "af_surface", "ambiguity",
     "code_from_symbols", "compute_coefficients", "ellipse_contour",
     "ellipse_tilt", "eoa_closed_form", "eoa_numeric", "freq_mod_at",
     "h_for_tbp", "load_spec", "max_coupling_code", "metric_surface",
     "oracle_fs", "oversample_floor", "phase_at", "psk_alphabet",
-    "random_psk_code", "rho_norm_max", "sample", "save_spec",
-    "spectrum", "spectrum_numeric", "wrap_phase",
+    "random_psk_code", "rho_norm_max", "sample", "save_spec", "spectrum",
+    "spectrum_numeric", "wrap_phase",
 ]

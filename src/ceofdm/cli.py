@@ -1,8 +1,8 @@
 """Command-line front end: generate, analyze, scan, compare-lfm.
 
 main creates --out, runs one command and then writes manifest.json there.  A
-command writes its data files, prints one line and returns its spec file and
-the names of the files it wrote, which the manifest lists.  The manifest's
+command appends the name of each data file to main's list before writing it,
+prints one line and returns its spec file; the manifest lists the names.  Its
 stages list gives the wall time of each step main and the command took, in
 order.  A step is one layer: a computation, its oracle check, or the writing
 of its CSV file (named <step>_csv); a kernel step on a grid also gives the
@@ -10,9 +10,9 @@ number of points it evaluated.  Data files are pure functions of the inputs,
 so re-running a command reproduces them byte for byte; only the manifest's
 timestamp and stage times change.  Each numeric flag's argparse type checks
 its range, so a value outside it is a usage error that names the flag (exit
-2, before --out exists).  A command that fails later writes no manifest and
-main prints one error line, or re-raises the exception when CEOFDM_DEBUG=1
-is set in the environment.
+2, before --out exists).  A command that fails later writes no manifest:
+main deletes the files on the list and prints one error line, or re-raises
+the exception when CEOFDM_DEBUG=1 is set in the environment.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import __version__
 from .closed_form import acf_uniform, af_surface, chirp_z, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients
-from .oracle import _nodes, af_numeric_grid, eoa_numeric, oracle_fs
+from .oracle import _nodes, acf_numeric, eoa_numeric, oracle_fs
 from .sidelobes import metric_surface, report_from_acf
 from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
                        random_psk_code, sample, save_spec, write_json)
@@ -88,16 +88,11 @@ class _Stages:
 
 
 def _parameters(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, val in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = str(val) if isinstance(val, Path) else val
-    return out
+    return {key: str(val) if isinstance(val, Path) else val
+            for key, val in sorted(vars(args).items()) if key != "func"}
 
 
-def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
+def cmd_gen(args, stages: _Stages, outputs: list[str]) -> Path:
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     if args.phi_file is not None:
         try:
@@ -121,25 +116,26 @@ def cmd_gen(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
     spec_path = args.out / "spec.json"
+    outputs.append(spec_path.name)
     save_spec(spec, spec_path)
     stages.done("spec")
 
     t, s = sample(spec, 2.0 * oversample_floor(spec))
     stages.done("samples")
     samples_path = args.out / "samples.csv"
+    outputs.append(samples_path.name)
     write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
     stages.done("samples_csv")
 
     print(f"wrote {spec_path} (h = {h:.6g}) and {samples_path}")
-    return spec_path, [spec_path.name, samples_path.name]
+    return spec_path
 
 
-def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
+def cmd_analyze(args, stages: _Stages, outputs: list[str]) -> Path:
     spec = load_spec(args.spec)
     c = compute_coefficients(spec)
     M = len(c) // 2
     stages.done("coefficients", M=M)
-    outputs = []
 
     def out(name: str) -> Path:
         outputs.append(name)
@@ -167,7 +163,7 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         if fs is None:
             write_csv(out("acf.csv"), "tau,re,im,abs2", [tau, R])
         else:
-            ref = af_numeric_grid(spec, tau, np.zeros(1), fs)[:, 0]
+            ref = acf_numeric(spec, args.acf_n, fs)
             stages.done("acf_oracle")
             err = R - ref
             write_csv(out("acf.csv"),
@@ -199,14 +195,10 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
             rows = []
             for name, value in eoa_numeric(spec, fs).items():
                 err = abs(closed[name] - value)
-                scale = max(abs(closed[name]), 1e-300)
-                rows.append({"quantity": name,
-                             "closed_form": closed[name],
-                             "numeric": value,
-                             "abs_err": err,
-                             "rel_err": err / scale,
-                             "fs": fs,
-                             "rule": "simpson"})
+                rows.append({"quantity": name, "closed_form": closed[name],
+                             "numeric": value, "abs_err": err,
+                             "rel_err": err / max(abs(closed[name]), 1e-300),
+                             "fs": fs, "rule": "simpson"})
             write_json(out("oracle_eoa.json"), rows)
             stages.done("eoa_oracle")
 
@@ -215,20 +207,20 @@ def cmd_analyze(args, stages: _Stages) -> tuple[Path | None, list[str]]:
         stages.done("sidelobes")
 
     print(f"wrote {len(outputs)} files to {args.out}")
-    return args.spec, outputs
+    return args.spec
 
 
-def cmd_scan(args, stages: _Stages) -> tuple[Path | None, list[str]]:
+def cmd_scan(args, stages: _Stages, outputs: list[str]) -> None:
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)
     stages.done("scan", points=isl.size)
     path = args.out / "scan.csv"
+    outputs.append(path.name)
     header = "".join(f"phi{l}," for l in range(1, args.L + 1))
     write_csv(path, header + "isl_db,pslr_db",
               [*np.meshgrid(*[phis] * args.L, indexing="ij"), isl, pslr])
     stages.done("scan_csv")
     print(f"wrote {path} ({isl.size} rows, h = {h:.6g})")
-    return None, [path.name]
 
 
 def _oob_fraction(f, abs2, half_band: float) -> float:
@@ -239,7 +231,7 @@ def _oob_fraction(f, abs2, half_band: float) -> float:
     return 1.0 - inband
 
 
-def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
+def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.tbp, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
@@ -250,6 +242,7 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     c = compute_coefficients(spec)
     ce = spectrum(c, spec.T, f)
     stages.done("ce_spectrum", points=ce.size, M=len(c) // 2)
+    outputs.append("ce_spectrum.csv")
     write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [f, ce])
     stages.done("ce_spectrum_csv")
 
@@ -261,6 +254,7 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
                       (1 - len(t)) / 2, len(t), n_f)(
         np.exp(1j * np.pi * (delta_f / args.T) * t * t) / np.sqrt(args.T))
     stages.done("lfm_spectrum")
+    outputs.append("lfm_spectrum.csv")
     write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
     stages.done("lfm_spectrum_csv")
 
@@ -284,13 +278,13 @@ def cmd_compare_lfm(args, stages: _Stages) -> tuple[Path | None, list[str]]:
     }
     summary["oob_ratio"] = (summary["ce_oob_fraction"]
                             / max(summary["lfm_oob_fraction"], 1e-300))
+    outputs.append("comparison.json")
     write_json(args.out / "comparison.json", summary)
     stages.done("comparison")
 
     print(f"wrote comparison to {args.out} "
           f"(CE OOB {summary['ce_oob_fraction']:.4f}, "
           f"LFM OOB {summary['lfm_oob_fraction']:.4f})")
-    return None, ["ce_spectrum.csv", "lfm_spectrum.csv", "comparison.json"]
 
 
 def _in_range(convert, low, high=math.inf, above=False):
@@ -388,10 +382,11 @@ def main(argv=None) -> int:
     stages = _Stages()
     args = build_parser().parse_args(argv)
     created = not args.out.exists()
+    outputs: list[str] = []
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         stages.done("parse")
-        spec_file, outputs = args.func(args, stages)
+        spec_file = args.func(args, stages, outputs)
         write_json(args.out / "manifest.json", {
             "command": args.command,
             "spec_file": None if spec_file is None else str(spec_file),
@@ -405,7 +400,10 @@ def main(argv=None) -> int:
                 timespec="seconds"),
         })
     except Exception as exc:
-        # a rejected command leaves no empty directory of its own behind
+        # a failed command leaves none of its files, and no empty directory
+        # of its own, behind
+        for name in outputs:
+            (args.out / name).unlink(missing_ok=True)
         if created and args.out.is_dir() and not any(args.out.iterdir()):
             args.out.rmdir()
         if os.environ.get("CEOFDM_DEBUG") == "1":

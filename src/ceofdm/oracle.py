@@ -11,17 +11,9 @@ Grid registration: the nodes over a window of width W are spaced W / N with
 N = round(fs W), so the window is covered exactly.  Integrands that are
 full-period trigonometric polynomials (the squared frequency deviation) are
 then integrated to machine precision; odd moments carrying a bare t factor
-converge as O(1/fs^4).  The ambiguity integrand at delay tau needs the phase
-at t -/+ tau/2 on the overlap window's nodes t.  When fs T is a power of two
-(as under oracle_fs) and tau is an even multiple of 1/fs, those shifted
-nodes are a prefix and a suffix of the lattice -T/2 + j/fs over the whole
-support, so af_numeric_grid evaluates the phase once on that lattice and
-slices it.  A delay takes the slices only when its shifted nodes are
-bitwise equal to them; any other delay evaluates the phase at its own
-nodes, so the lattice never changes a result.
+converge as O(1/fs^4).
 
-Simpson is waveform.simpson, the arithmetic of scipy.integrate.simpson
-(including its Cartwright rule for an even node count) kept in-package.
+Simpson is waveform.simpson: scipy.integrate.simpson's arithmetic in-package.
 """
 
 from __future__ import annotations
@@ -84,42 +76,51 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
     Each entry is int s(t - tau/2) conj(s(t + tau/2)) exp(j 2 pi nu t) dt
     over the overlap window, with the phase evaluated analytically at the
     nodes; it is exactly 0 at |tau| = T, and |tau| > T raises OutOfSupport.
-
-    The phase is evaluated at most once on the lattice of Simpson nodes over
-    the whole support, and each delay whose shifted nodes t - tau/2 and
-    t + tau/2 are bitwise equal to a prefix and a suffix of that lattice
-    (swapped for tau < 0) reads its phases from it.  Any other delay
-    evaluates the phase at its own shifted nodes, so every entry equals the
-    direct two-evaluation quadrature bit for bit.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
     T = spec.T
     if np.any(np.abs(taus) > T * (1.0 + 1e-12)):
         raise OutOfSupport("tau grid extends beyond the pulse length")
-    lattice, _ = _nodes(-T / 2.0, T / 2.0, fs)
-    lattice_phase = None
     out = np.zeros((len(taus), len(nus)), dtype=complex)
     for i, tau in enumerate(taus):
         half = (T - abs(tau)) / 2.0
         if half <= 0.0:
             continue
         t, _ = _nodes(-half, half, fs)
-        lo, hi = t - tau / 2.0, t + tau / 2.0
-        head, tail = slice(0, len(t)), slice(len(lattice) - len(t), None)
-        a, b = (head, tail) if tau >= 0.0 else (tail, head)
-        if np.array_equal(lo, lattice[a]) and np.array_equal(hi, lattice[b]):
-            if lattice_phase is None:
-                lattice_phase = phase_at(spec, lattice)
-            dphi = lattice_phase[a] - lattice_phase[b]
-        else:
-            dphi = phase_at(spec, lo) - phase_at(spec, hi)
-        u = np.exp(1j * dphi) / T
+        u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
+                         - phase_at(spec, t + tau / 2.0))) / T
         for j, nu in enumerate(nus):
             # the Doppler factor is exactly 1 at nu = 0
             y = u if nu == 0.0 else u * np.exp(2j * np.pi * nu * t)
             out[i, j] = _integrate(y, t)
     return out
+
+
+def acf_numeric(spec: WaveformSpec, n_tau: int, fs: float) -> np.ndarray:
+    """R(j T / n_tau), j = 0..n_tau: one phase evaluation, one FFT correlation.
+
+    The nodes are t_n = -T/2 + n T / N, n = 0..N, with N = round(fs T)
+    rounded up to a multiple of 2 n_tau, so a delay is 2k lattice steps and
+    its shifted nodes t -/+ tau/2 are a prefix and a suffix of the lattice.
+    With x_n = exp(j phi(t_n)) and a_n = 2 (n even) or 4 (n odd), its
+    Simpson sum is (1 / 3N) [sum_n a_n x_n conj(x_{n+2k}) - x_0 conj(x_{2k})
+    - x_{N-2k} conj(x_N)]: af_numeric_grid at fs = N / T, to rounding.  R(T)
+    is exactly 0, so the lags read stay below N: 2N points hold them.
+    """
+    if not (n_tau >= 1 and np.isfinite(fs) and fs > 0):
+        raise ValueError(f"need n_tau >= 1 and fs > 0, got {n_tau}, {fs}")
+    # integer arithmetic: fs T may land an ulp off the integer it stands for
+    N = max(-(-int(round(fs * spec.T)) // (2 * n_tau)), 1) * (2 * n_tau)
+    t = np.linspace(-spec.T / 2.0, spec.T / 2.0, N + 1)
+    x = np.exp(1j * phase_at(spec, t))
+    size = 1 << (2 * N - 1).bit_length()
+    ax = np.where(np.arange(N + 1) % 2, 4.0, 2.0) * x
+    xa = np.conj(np.fft.fft(ax, size))
+    xa *= np.fft.fft(x, size)  # in place: one spectrum fewer held at once
+    lag = np.arange(n_tau) * (N // n_tau)
+    return np.append((np.conj(np.fft.ifft(xa)[lag]) - x[0] * np.conj(x[lag])
+                      - x[N - lag] * np.conj(x[N])) / (3 * N), 0.0)
 
 
 def eoa_numeric(spec: WaveformSpec, fs: float) -> dict:

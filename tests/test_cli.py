@@ -121,14 +121,51 @@ def test_analyze_af_of_constant_pulse_peaks_at_origin(tmp_path):
 
 
 def test_analyze_acf_oracle_columns(tmp_path):
-    out = tmp_path / "g"
-    _run("gen", "--L", 1, "--h", 0.5, "--out", out)
-    rep = tmp_path / "r"
-    assert _run("analyze", "--spec", out / "spec.json", "--acf", "--oracle",
-                "--acf-n", 16, "--out", rep) == 0
-    data = np.genfromtxt(rep / "acf.csv", delimiter=",", names=True)
-    assert "abs_err" in data.dtype.names
-    assert data["abs_err"].max() < 1e-6
+    # the oracle runs on its own lattice: --acf-n 16 and 4096 divide the
+    # 8192 intervals of oracle_fs, while 3 and 97 move them
+    gens = {"L1": ["--L", 1, "--h", 0.5],
+            "L24": ["--L", 24, "--tbp", 200, "--seed", 0]}
+    for name, n in (("L1", 3), ("L1", 16), ("L1", 97), ("L24", 3),
+                    ("L24", 16), ("L24", 97), ("L24", 4096)):
+        out, rep = tmp_path / name, tmp_path / f"{name}-{n}"
+        _run("gen", *gens[name], "--out", out)
+        assert _run("analyze", "--spec", out / "spec.json", "--acf",
+                    "--oracle", "--acf-n", n, "--out", rep) == 0
+        data = np.genfromtxt(rep / "acf.csv", delimiter=",", names=True)
+        assert len(data) == n + 1
+        assert data["abs_err"].max() < 1e-6
+        assert abs(complex(data["oracle_re"][0], data["oracle_im"][0])
+                   - 1.0) <= 1e-12
+        assert data["oracle_re"][-1] == 0.0 and data["oracle_im"][-1] == 0.0
+
+
+@pytest.mark.parametrize("command, broken", [
+    ("gen", "sample"), ("analyze", "acf_uniform"), ("scan", "write_csv"),
+    ("compare-lfm", "chirp_z")])
+def test_failed_command_removes_the_files_it_wrote(tmp_path, monkeypatch,
+                                                   command, broken):
+    spec = tmp_path / "g" / "spec.json"
+    _run("gen", "--L", 2, "--h", 0.5, "--out", spec.parent)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("not ours")
+    argv = {"gen": ["--L", 2, "--h", 0.5],
+            "analyze": ["--spec", spec, "--acf", "--eoa"],
+            "scan": ["--h", 0.5, "--grid-n", 2, "--acf-n", 64],
+            "compare-lfm": ["--tbp", 20, "--L", 2]}[command]
+
+    def fail(*args, **kwargs):
+        if broken == "write_csv":  # a write that stops half way
+            Path(args[0]).write_text("t,")
+        raise RuntimeError("broken")
+
+    monkeypatch.setattr(cli, broken, fail)
+    assert _run(command, *argv, "--out", out) == 2
+    assert [p.name for p in out.iterdir()] == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "not ours"
+    # a directory the command created goes with its files
+    assert _run(command, *argv, "--out", tmp_path / "new") == 2
+    assert not (tmp_path / "new").exists()
 
 
 def test_analyze_sidelobes_and_manifest(tmp_path):

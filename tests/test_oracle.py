@@ -8,8 +8,9 @@ from ceofdm import oracle
 from ceofdm.closed_form import ambiguity, spectrum
 from ceofdm.gbf import compute_coefficients
 from ceofdm.eoa import eoa_closed_form
-from ceofdm.oracle import (af_numeric_grid, eoa_numeric, oracle_fs,
-                           spectrum_numeric)
+from ceofdm.eoa import h_for_tbp
+from ceofdm.oracle import (acf_numeric, af_numeric_grid, eoa_numeric,
+                           oracle_fs, spectrum_numeric)
 from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
                              oversample_floor, phase_at, random_psk_code)
 
@@ -25,6 +26,8 @@ def test_config_validation():
             eoa_numeric(spec, fs)
         with pytest.raises(ValueError):
             af_numeric_grid(spec, [0.1], [0.0], fs)
+        with pytest.raises(ValueError):
+            acf_numeric(spec, 16, fs)
         with pytest.raises(ValueError):
             spectrum_numeric(spec, fs, [0.0])
     for spec in (_spec(), _spec(L=1, h=0.0, T=0.3), _spec(L=24, h=0.1856),
@@ -61,41 +64,37 @@ def test_af_grid_matches_pointwise():
             assert grid[i, j] == af_numeric_grid(spec, [t], [n], fs)[0, 0]
 
 
-def _af_direct(spec, taus, nus, fs):
-    # the quadrature with two phase evaluations per delay, on t -/+ tau/2
-    out = np.zeros((len(taus), len(nus)), dtype=complex)
-    for i, tau in enumerate(taus):
-        half = (spec.T - abs(tau)) / 2.0
-        if half <= 0.0:
-            continue
-        t, _ = oracle._nodes(-half, half, fs)
-        u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
-                         - phase_at(spec, t + tau / 2.0))) / spec.T
-        for j, nu in enumerate(nus):
-            out[i, j] = oracle._integrate(u * np.exp(2j * np.pi * nu * t), t)
-    return out
-
-
-@pytest.mark.parametrize("spec", [
+# T = 1.9 puts oracle_fs(spec) * T an ulp off 8192
+_ACF_SPECS = [
     _spec(L=2, h=0.0),
     _spec(L=1, h=0.5),
-    WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0)),
-], ids=["h0", "L1", "L24"])
-def test_af_grid_lattice_matches_direct_evaluation(spec):
-    # dyadic grids (64, 128) take the phase lattice, non-dyadic ones (97,
-    # 1000) mostly fall back; both must equal the direct quadrature bitwise,
-    # for negative delays, at tau = -T and T, and off zero Doppler
+    WaveformSpec(T=1.0, h=h_for_tbp(200, 24), code=random_psk_code(24, 32, 0)),
+    _spec(L=3, h=0.5, T=1.9, seed=2),
+]
+_ACF_IDS = ["h0", "L1", "L24", "T-ulp"]
+
+
+def _lattice(spec, n_tau, fs):
+    # acf_numeric's node count: round(fs T) rounded up to a multiple of 2 n_tau
+    step = 2 * n_tau
+    return -(-round(fs * spec.T) // step) * step
+
+
+@pytest.mark.parametrize("spec", _ACF_SPECS, ids=_ACF_IDS)
+def test_acf_numeric_matches_direct_quadrature(spec):
+    # n_tau 4, 16 and 128 divide the 8192 intervals of oracle_fs; 3 and 97
+    # move the lattice to 8196 and 8342 intervals
     fs = oracle_fs(spec)
-    nus = np.array([0.0, 2.5])
-    for n, step in ((64, 2), (128, 4), (97, 2), (1000, 25)):
-        taus = np.arange(-n, n + 1, step) * (spec.T / n)
-        assert taus[0] == -spec.T and taus[-1] == spec.T
-        assert np.array_equal(af_numeric_grid(spec, taus, nus, fs),
-                              _af_direct(spec, taus, nus, fs))
+    assert (fs * spec.T != 8192.0) == (spec.T == 1.9)
+    for n in (3, 4, 16, 97, 128):
+        N = _lattice(spec, n, fs)
+        tau = np.arange(n + 1) * (spec.T / n)
+        ref = af_numeric_grid(spec, tau, [0.0], N / spec.T)[:, 0]
+        assert np.max(np.abs(acf_numeric(spec, n, fs) - ref)) <= 1e-13
 
 
-def test_af_grid_evaluates_phase_once_on_dyadic_grid(monkeypatch):
-    spec = WaveformSpec(T=1.0, h=0.1856, code=random_psk_code(24, 32, 0))
+def test_acf_numeric_evaluates_phase_once(monkeypatch):
+    spec = _ACF_SPECS[2]
     calls = []
 
     def counted(*args):
@@ -103,10 +102,16 @@ def test_af_grid_evaluates_phase_once_on_dyadic_grid(monkeypatch):
         return phase_at(*args)
 
     monkeypatch.setattr(oracle, "phase_at", counted)
-    # acf_uniform's grid at n_tau 128 and its mirror: both lattice slices
-    taus = np.arange(-128, 129) * (spec.T / 128)
-    af_numeric_grid(spec, taus, np.zeros(1), oracle_fs(spec))
+    acf_numeric(spec, 128, oracle_fs(spec))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec", _ACF_SPECS, ids=_ACF_IDS)
+def test_acf_numeric_is_one_at_zero_and_zero_at_T(spec):
+    for n in (3, 4, 97, 4096):
+        R = acf_numeric(spec, n, oracle_fs(spec))
+        assert len(R) == n + 1
+        assert abs(R[0] - 1.0) <= 1e-15 and R[-1] == 0.0
 
 
 def test_af_converges_to_closed_form():
