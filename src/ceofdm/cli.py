@@ -157,13 +157,13 @@ def cmd_analyze(args, stages: _Stages, outputs: list[str]) -> Path:
 
     if args.acf or args.sidelobes:
         tau, R = acf_uniform(c, spec.T, n_tau=args.acf_n)
-        stages.done("acf")
+        stages.done("acf", points=len(tau))
 
     if args.acf:
         if fs is None:
             write_csv(out("acf.csv"), "tau,re,im,abs2", [tau, R])
         else:
-            ref = acf_numeric(spec, args.acf_n, fs)
+            ref = acf_numeric(spec, len(tau) - 1, fs)
             stages.done("acf_oracle")
             err = R - ref
             write_csv(out("acf.csv"),
@@ -223,12 +223,13 @@ def cmd_scan(args, stages: _Stages, outputs: list[str]) -> None:
     print(f"wrote {path} ({isl.size} rows, h = {h:.6g})")
 
 
-def _oob_fraction(f, abs2, half_band: float) -> float:
-    # Total spectral energy is 1 by construction; integrate the contiguous
-    # in-band stretch and subtract rather than summing a masked tail.
-    mask = np.abs(f) <= half_band
-    inband = float(np.trapezoid(abs2[mask], f[mask]))
-    return 1.0 - inband
+def _oob_fraction(f, abs2) -> float:
+    # Total spectral energy is 1 by construction; integrate the in-band
+    # stretch, the middle quarter of the grid's 8k + 1 nodes on +-2 delta_f,
+    # by index (|f| <= delta_f / 2 drops an edge node for some TBPs), and
+    # subtract rather than summing a masked tail.
+    band = slice(3 * (len(f) - 1) // 8, 5 * (len(f) - 1) // 8 + 1)
+    return 1.0 - float(np.trapezoid(abs2[band], f[band]))
 
 
 def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
@@ -269,10 +270,8 @@ def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
         "h": h,
         "seed": args.seed,
         "m_psk": args.mpsk,
-        "ce_oob_fraction": _oob_fraction(f, np.abs(ce) ** 2,
-                                         delta_f / 2.0),
-        "lfm_oob_fraction": _oob_fraction(f, np.abs(lfm) ** 2,
-                                          delta_f / 2.0),
+        "ce_oob_fraction": _oob_fraction(f, np.abs(ce) ** 2),
+        "lfm_oob_fraction": _oob_fraction(f, np.abs(lfm) ** 2),
         "lfm_beta2_closed": lfm_beta2,
         "lfm_beta2_numeric": lfm_beta2_numeric,
     }
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--sidelobes", action="store_true")
     ana.add_argument("--oracle", action="store_true",
                      help="add quadrature reference columns and reports")
-    ana.add_argument("--acf-n", type=_DELAYS, default=4096)
+    ana.add_argument("--acf-n", type=_DELAYS)
     ana.add_argument("--out", type=Path, default=Path("."))
     ana.set_defaults(func=cmd_analyze)
 
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     hgrp.add_argument("--h", type=_NONNEGATIVE)
     hgrp.add_argument("--tbp", type=_POSITIVE)
     scan.add_argument("--grid-n", type=_ALPHABET, default=64)
-    scan.add_argument("--acf-n", type=_DELAYS, default=4096)
+    scan.add_argument("--acf-n", type=_DELAYS)
     scan.add_argument("--out", type=Path, default=Path("."))
     scan.set_defaults(func=cmd_scan)
 

@@ -274,20 +274,25 @@ def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     return chi
 
 
-def acf_uniform(c: np.ndarray, T: float, n_tau: int = 4096):
+def acf_uniform(c: np.ndarray, T: float, n_tau: int | None = None):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
-    The grid includes tau = T, where R vanishes identically, and n_tau < 1
-    raises ValueError.  The two real harmonic sums of the module docstring
-    are binned by m mod n_tau and evaluated with one length-n_tau FFT each.
+    n_tau=None takes max(4096, 2 size), size = 2^bitlen(4M) the lag FFT's
+    length: steps of at most T / (4 (2M + 1)), a quarter of the resolution
+    of harmonics spanning (2M + 1) / T.  The grid includes tau = T, where R
+    vanishes, and n_tau < 1 raises ValueError.  The two real harmonic sums
+    of the module docstring are binned by m mod n_tau and evaluated with
+    one length-n_tau FFT each.
 
     Returns:
         (tau, R): arrays of length n_tau + 1.
     """
-    if n_tau < 1:
-        raise ValueError(f"n_tau must be at least 1, got {n_tau}")
     M = _order(c)
     size = 1 << (4 * M).bit_length()
+    if n_tau is None:
+        n_tau = max(4096, 2 * size)
+    if n_tau < 1:
+        raise ValueError(f"n_tau must be at least 1, got {n_tau}")
     P = _kernel_fft(M, np.zeros(1), size)
     u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
     bins = np.arange(-M, M + 1) % n_tau

@@ -78,7 +78,8 @@ def report_from_acf(tau_grid, acf_values) -> dict:
             "tau_max": float(tau[-1])}
 
 
-def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):
+def metric_surface(h: float, grid_n: int, n_tau: int | None = None, *,
+                   L: int = 2):
     """ISL and PSLR of every code of L phases from the uniform grid
     phi = -pi + 2 pi k / grid_n at T = 1, which serves any T: both are
     dimensionless and h does not depend on T.  The grid is the grid_n-PSK
@@ -86,6 +87,7 @@ def metric_surface(h: float, grid_n: int, n_tau: int = 4096, *, L: int = 2):
     is closed under phase negation mod 2 pi.  Returns (phis, isl_db,
     pslr_db): the grid and two arrays of shape (grid_n,) * L, computed in C
     order, whose entry [k_1, ..., k_L] is the code phis[[k_1, ..., k_L]].
+    n_tau=None takes acf_uniform's grid for each code's M.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")

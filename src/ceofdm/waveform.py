@@ -40,8 +40,6 @@ _EDGE_SLACK = 1e-12
 
 # the largest imaginary residue code_from_symbols accepts in alpha_l, beta_l
 _SYMBOL_TOL = 1e-10
-# points per block in _harmonic_sum
-_HARMONIC_CHUNK = 1 << 16
 
 
 class ZeroDcViolation(ValueError):
@@ -239,16 +237,15 @@ def random_psk_code(L: int, m_psk: int, seed: int) -> PskCode:
 
 def _harmonic_sum(code: PskCode, x, derivative: bool = False) -> np.ndarray:
     """sum_l gamma_l cos(l x + phi_l), or, with derivative=True, minus its
-    x-derivative sum_l l gamma_l sin(l x + phi_l); evaluated in
-    bounded-memory chunks."""
+    x-derivative sum_l l gamma_l sin(l x + phi_l).  One harmonic at a time,
+    in order of l: the temporaries are the size of x, and a point's value
+    does not depend on the other points of x."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ell = np.arange(1, code.L + 1, dtype=float)
     w, fn = (ell * code.gamma, np.sin) if derivative else (code.gamma, np.cos)
-    out = np.empty_like(x)
-    for i in range(0, len(x), _HARMONIC_CHUNK):
-        blk = x[i:i + _HARMONIC_CHUNK]
-        out[i:i + _HARMONIC_CHUNK] = np.sum(
-            w[:, None] * fn(np.outer(ell, blk) + code.phi[:, None]), axis=0)
+    out = w[0] * fn(ell[0] * x + code.phi[0])
+    for l in range(1, code.L):
+        out += w[l] * fn(ell[l] * x + code.phi[l])
     return out
 
 

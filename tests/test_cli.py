@@ -466,8 +466,8 @@ def test_manifest_lists_every_output(tmp_path, case):
     assert all(st["wall_s"] >= 0.0 for st in stages)
     # the grid kernels count the points they evaluated
     assert {st["stage"]: st["points"] for st in stages if "points" in st} \
-        == {"gen": {}, "analyze": {"spectrum": 1025, "af": 9},
-            "analyze-oracle": {"spectrum": 1025, "af": 9},
+        == {"gen": {}, "analyze": {"spectrum": 1025, "acf": 65, "af": 9},
+            "analyze-oracle": {"spectrum": 1025, "acf": 65, "af": 9},
             "scan": {"scan": 4}, "compare-lfm": {"ce_spectrum": 4001}}[case]
     # and the stage that computes the coefficients gives their order M
     orders = {st["stage"]: st["M"] for st in stages if "M" in st}
@@ -556,6 +556,52 @@ def test_compare_lfm_outputs(tmp_path):
     np.testing.assert_allclose((ce["re"] + 1j * ce["im"])[::8],
                                spectrum_numeric(spec, oracle_fs(spec), f),
                                rtol=0, atol=1e-4)
+
+
+def test_compare_lfm_fractions_do_not_move_with_band_edge_rounding(
+        tmp_path):
+    # |f| <= delta_f / 2 dropped a band edge node at --tbp 333.3, not at
+    # 333.4, and the fractions differed by 2.1e-2 (relative)
+    fractions = []
+    for tbp in (333.3, 333.4):
+        out = tmp_path / str(tbp)
+        assert _run("compare-lfm", "--tbp", tbp, "--L", 24, "--out", out) == 0
+        fractions.append(json.loads((out / "comparison.json").read_text()))
+    for key in ("ce_oob_fraction", "lfm_oob_fraction"):
+        assert fractions[0][key] == pytest.approx(fractions[1][key],
+                                                  rel=1e-3)
+
+
+@pytest.mark.parametrize("T", [1.0, 1.3, 2.5])
+def test_oob_band_holds_1001_nodes(T):
+    # compare-lfm's grid; with a unit density the in-band integral is the
+    # band's width, delta_f: 1000 steps of delta_f / 1000, so 1001 nodes
+    delta_f = 200.0 / T
+    f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, 4001)
+    inband = 1.0 - cli._oob_fraction(f, np.ones_like(f))
+    assert inband == pytest.approx(delta_f, rel=1e-12)
+
+
+def test_default_acf_grid_resolves_a_large_tbp_mainlobe(tmp_path):
+    # at TBP 2000, M = 4765: a fixed 4096-step grid read PSLR -21.58 dB
+    out, rep = tmp_path / "g", tmp_path / "r"
+    _run("gen", "--L", 24, "--tbp", 2000, "--seed", 0, "--out", out)
+    assert _run("analyze", "--spec", out / "spec.json", "--acf",
+                "--sidelobes", "--oracle", "--out", rep) == 0
+    M = len(compute_coefficients(load_spec(out / "spec.json"))) // 2
+    side = json.loads((rep / "sidelobes.json").read_text())
+    n_tau = side["n_tau"]
+    assert n_tau >= 4 * (2 * M + 1)
+    # the report of a 2^20-step grid
+    assert side["pslr_db"] == pytest.approx(-20.186004, abs=0.005)
+    assert side["isl_db"] == pytest.approx(0.144903, abs=0.005)
+    data = np.genfromtxt(rep / "acf.csv", delimiter=",", names=True)
+    assert len(data) == n_tau + 1
+    assert data["abs_err"].max() < 1e-6
+    manifest = json.loads((rep / "manifest.json").read_text())
+    assert manifest["parameters"]["acf_n"] is None
+    assert [st["points"] for st in manifest["stages"]
+            if st["stage"] == "acf"] == [n_tau + 1]
 
 
 def test_unknown_command_is_usage_error():

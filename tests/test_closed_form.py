@@ -207,6 +207,19 @@ def test_acf_uniform_rejects_empty_delay_grid():
             acf_uniform(c, spec.T, n_tau=n_tau)
 
 
+def test_acf_uniform_default_grid_follows_the_order():
+    # max(4096, 2 size): 4096 up to M = 511, then the power of two at or
+    # above 4 (2M + 1)
+    rng = np.random.default_rng(0)
+    for M, n_tau in ((1, 4096), (314, 4096), (484, 4096), (511, 4096),
+                     (512, 8192), (968, 8192), (1024, 16384), (4765, 65536)):
+        c = rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1)
+        tau, R = acf_uniform(c, 1.3)
+        ref_tau, ref = acf_uniform(c, 1.3, n_tau)
+        assert tau.tobytes() == ref_tau.tobytes()
+        assert R.tobytes() == ref.tobytes()
+
+
 def test_acf_mainlobe_narrows_with_modulation_index():
     code = random_psk_code(2, 32, 10)
     widths = []

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ceofdm import waveform
 from ceofdm.closed_form import acf_uniform
 from ceofdm.gbf import compute_coefficients
 from ceofdm.waveform import (ComplexSymbolVector, NonRealCoefficients,
@@ -185,6 +187,38 @@ def test_freq_mod_is_phase_derivative():
     num = (phase_at(spec, t + dt) - phase_at(spec, t - dt)) / (2 * dt)
     np.testing.assert_allclose(freq_mod_at(spec, t) * 2 * np.pi, num,
                                atol=1e-4)
+
+
+def test_harmonic_sum_of_a_point_does_not_depend_on_the_others():
+    # the terms are added in order of l, as numpy's axis-0 sum of the
+    # (L, n) table of terms adds them for n >= 2; a table of one point was
+    # summed pairwise instead, which moved its last bits
+    x = np.linspace(-np.pi, np.pi, 1001)
+    for L in (1, 2, 24, 400):
+        code = random_psk_code(L, 32, L)
+        ell = np.arange(1, L + 1, dtype=float)
+        for derivative, w, fn in ((False, code.gamma, np.cos),
+                                  (True, ell * code.gamma, np.sin)):
+            got = waveform._harmonic_sum(code, x, derivative)
+            table = w[:, None] * fn(np.outer(ell, x) + code.phi[:, None])
+            assert got.tobytes() == np.sum(table, axis=0).tobytes()
+            alone = [waveform._harmonic_sum(code, x[i:i + 1], derivative)
+                     for i in range(0, len(x), 50)]
+            assert np.concatenate(alone).tobytes() == got[::50].tobytes()
+
+
+def test_harmonic_sum_memory_does_not_grow_with_L():
+    # the temporaries are the size of t (128 KB); a table of all L terms
+    # of 2^14 points is 52 MB
+    spec = _spec(L=400, h=0.01, seed=0)
+    t = np.linspace(-0.5, 0.5, 1 << 14)
+    tracemalloc.start()
+    try:
+        phase_at(spec, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_support_enforced():
