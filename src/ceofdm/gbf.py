@@ -45,9 +45,7 @@ def _coefficients_at_order(spec: WaveformSpec, M: int, g_prev=None):
     """(c, residual, g), g the phase-factor samples.  When the FFT size
     doubles, g_prev's samples are bitwise the even ones (2 pi 2i / 2n
     rounds as 2 pi i / n), so only the odd ones are evaluated."""
-    nfft = 1
-    while nfft < 4 * (2 * M + 1):
-        nfft *= 2
+    nfft = 1 << (4 * (2 * M + 1) - 1).bit_length()
     odd = g_prev is not None and 2 * len(g_prev) == nfft
     theta = 2.0 * np.pi * np.arange(int(odd), nfft, 1 + odd) / nfft
     g = np.exp(1j * (2.0 * np.pi * spec.h * _harmonic_sum(spec.code, theta)))

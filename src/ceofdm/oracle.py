@@ -11,9 +11,8 @@ Grid registration: the nodes over a window of width W are spaced W / N with
 N = round(fs W), so the window is covered exactly.  Integrands that are
 full-period trigonometric polynomials (the squared frequency deviation) are
 then integrated to machine precision; odd moments carrying a bare t factor
-converge as O(1/fs^4).
-
-Simpson is waveform.simpson: scipy.integrate.simpson's arithmetic in-package.
+converge as O(1/fs^4).  Simpson is waveform.simpson, the uniform-step rule
+that the ISL metric also uses.
 """
 
 from __future__ import annotations
@@ -51,12 +50,6 @@ def _nodes(a: float, b: float, fs: float, midpoint: bool = False):
     return np.linspace(a, b, n + 1), width / n
 
 
-def _integrate(y: np.ndarray, t: np.ndarray):
-    if np.iscomplexobj(y):
-        return simpson(y.real, t) + 1j * simpson(y.imag, t)
-    return simpson(y, t)
-
-
 def _dft(s: np.ndarray, t: np.ndarray, d: float, f) -> np.ndarray:
     """d sum_n s_n exp(-j 2 pi f t_n) at each frequency f: the Fourier
     integral of samples s on midpoint nodes t with spacing d, summed
@@ -87,13 +80,13 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
         half = (T - abs(tau)) / 2.0
         if half <= 0.0:
             continue
-        t, _ = _nodes(-half, half, fs)
+        t, d = _nodes(-half, half, fs)
         u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
                          - phase_at(spec, t + tau / 2.0))) / T
         for j, nu in enumerate(nus):
             # the Doppler factor is exactly 1 at nu = 0
             y = u if nu == 0.0 else u * np.exp(2j * np.pi * nu * t)
-            out[i, j] = _integrate(y, t)
+            out[i, j] = simpson(y, d)
     return out
 
 
@@ -135,13 +128,13 @@ def eoa_numeric(spec: WaveformSpec, fs: float) -> dict:
     the support and |s|^2 = 1/T, to (2 pi / T) int t phi'(t) dt.
     """
     T = spec.T
-    t, _ = _nodes(-T / 2.0, T / 2.0, fs)
+    t, d = _nodes(-T / 2.0, T / 2.0, fs)
     pd = TWO_PI * freq_mod_at(spec, t)
-    first = _integrate(pd ** 2, t) / T
-    second = _integrate(pd, t) / T
+    first = simpson(pd ** 2, d) / T
+    second = simpson(pd, d) / T
     return {"beta2": float(first - second ** 2),
-            "tau2": float(4.0 * np.pi ** 2 * _integrate(t ** 2 / T, t)),
-            "rho": float((TWO_PI / T) * _integrate(t * pd, t))}
+            "tau2": float(4.0 * np.pi ** 2 * simpson(t ** 2 / T, d)),
+            "rho": float((TWO_PI / T) * simpson(t * pd, d))}
 
 
 def spectrum_numeric(spec: WaveformSpec, fs: float, f_grid) -> np.ndarray:

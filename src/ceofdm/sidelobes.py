@@ -16,11 +16,10 @@ are recognizable as degenerate rather than trusted.
 
 PSLR is the largest sampled |R|^2 at or beyond delta_tau (the mainlobe peak
 is |R(0)|^2 = 1).  ISL is the sidelobe-to-mainlobe energy ratio with both
-areas taken by composite Simpson on the stored grid, split at the interior
-grid node nearest the refined null.  Simpson is waveform.simpson, which
-reproduces scipy.integrate.simpson bit for bit, including its Cartwright
-correction of the last interval when a part has an even number of nodes.
-Ratios of zero are floored at -300 dB.
+areas taken by waveform.simpson, the uniform-step Simpson rule, on the
+stored grid, split at the interior grid node nearest the refined null; a
+part with an even number of nodes takes Cartwright's correction of its last
+interval.  Ratios of zero are floored at -300 dB.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ DB_FLOOR = -300.0
 
 
 def report_from_acf(tau_grid, acf_values) -> dict:
-    """The sidelobe report of an ACF R sampled on an ascending delay grid of
-    at least 3 points; R may be complex or real, and the metrics use
-    |R|^2.  Returns the dict sidelobes.json holds: delta_tau, pslr_db,
-    isl_db, null_found, n_tau (the number of delay steps) and tau_max (the
-    last delay)."""
+    """The sidelobe report of an ACF R sampled on an ascending, uniform
+    delay grid of at least 3 points, as acf_uniform returns it; R may be
+    complex or real, and the metrics use |R|^2.  Returns the dict
+    sidelobes.json holds: delta_tau, pslr_db, isl_db, null_found, n_tau (the
+    number of delay steps) and tau_max (the last delay)."""
     tau = np.asarray(tau_grid, dtype=float)
     y = np.asarray(np.abs(acf_values) ** 2, dtype=float)
     if len(tau) < 3:
@@ -69,8 +68,9 @@ def report_from_acf(tau_grid, acf_values) -> dict:
     else:
         split = int(np.argmin(np.abs(tau - delta_tau)))
         split = min(max(split, 1), len(tau) - 2)
-        main = float(simpson(y[:split + 1], tau[:split + 1]))
-        side = float(simpson(y[split:], tau[split:]))
+        # both areas share one step, which cancels in their ratio
+        main = float(simpson(y[:split + 1], 1.0))
+        side = float(simpson(y[split:], 1.0))
         isl_db = 10.0 * np.log10(max(side, floor * main) / main)
 
     return {"delta_tau": delta_tau, "pslr_db": pslr_db, "isl_db": isl_db,

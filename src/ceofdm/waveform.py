@@ -67,37 +67,23 @@ def wrap_phase(phi):
     return out
 
 
-def simpson(y, x):
-    """Composite Simpson integral of the samples y over the 1-d nodes x.
+def simpson(y, dx):
+    """Composite Simpson integral of the samples y on nodes a step dx apart.
 
-    The arithmetic is that of scipy.integrate.simpson, so results agree bit
-    for bit: Simpson's rule for unequal spacings over each pair of
-    intervals and, for an even number of samples, Cartwright's correction
-    for the last interval (the trapezoid for two samples).  x must be
-    strictly increasing.
+    An odd number of samples takes the arithmetic of scipy.integrate.simpson
+    with dx=, so the two agree bit for bit.  An even number adds Cartwright's
+    correction for the last interval, dx/12 (5 y[-1] + 8 y[-2] - y[-3]); two
+    samples take the trapezoid.
     """
     y = np.asarray(y)
-    x = np.asarray(x, dtype=float)
     n = len(y)
-    h = np.diff(x)
     if n == 2:
-        return 0.5 * h[-1] * (y[-1] + y[-2])
-    stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    result = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                  + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                  + y[2:stop + 2:2] * (2.0 - ratio)))
+        return 0.5 * dx * (y[0] + y[1])
+    k = n if n % 2 else n - 1
+    result = np.sum(y[0:k - 2:2] + 4.0 * y[1:k - 1:2] + y[2:k:2]) * (dx / 3.0)
     if n % 2:
         return result
-    # Length-1 slices, not scalars: a float64 scalar cube can round
-    # differently from an array cube.
-    a, b = h[-2:-1], h[-1:]
-    alpha = (2 * b ** 2 + 3 * a * b) / (6 * (b + a))
-    beta = (b ** 2 + 3.0 * a * b) / (6 * a)
-    eta = (1 * b ** 3) / (6 * a * (a + b))
-    return (result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0]
+    return result + dx / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ def test_star_import_binds_exactly_the_export_list():
     # the kernels take the coefficient array and T and return bare arrays,
     # and the reports are the dicts their JSON files hold, so the
     # coefficient and result records and the spec wrappers are gone, and so
-    # are the single-metric sidelobe helpers behind report_from_acf
-    for module, name in ((oracle, "af_numeric"), (gbf, "resynthesize"),
+    # are the single-metric sidelobe helpers behind report_from_acf and the
+    # oracle's real/imaginary Simpson split
+    for module, name in ((oracle, "af_numeric"), (oracle, "_integrate"),
+                         (gbf, "resynthesize"),
                          (closed_form, "SpectrumSamples"),
                          (closed_form, "AmbiguitySurface"),
                          (sidelobes, "MetricSurface"),
