@@ -17,7 +17,10 @@ aliased tail sits below the truncation residual being measured.
 Truncation order schedule: start at M0 = ceil(e pi h L (L+1) / 2) + 8 (a
 safety factor of e/2 over the peak harmonic extent 2 pi h L(L+1)/2 of the
 phase derivative), then double until the Parseval residual 1 - sum |c_m|^2
-drops below TOL, failing at M > 2^20.
+drops below TOL, failing at M > 2^20.  M and the FFT size double together
+(4 (2M + 1) is never a power of two), so a rebuild evaluates only the odd
+samples: the even ones are bitwise the previous grid's (2 pi 2i / 2n rounds
+as 2 pi i / n), interleaved with the new ones.
 """
 
 from __future__ import annotations
@@ -41,23 +44,6 @@ def _initial_order(spec: WaveformSpec) -> int:
     return math.ceil(math.e * math.pi * spec.h * L * (L + 1) / 2.0) + 8
 
 
-def _coefficients_at_order(spec: WaveformSpec, M: int, g_prev=None):
-    """(c, residual, g), g the phase-factor samples.  When the FFT size
-    doubles, g_prev's samples are bitwise the even ones (2 pi 2i / 2n
-    rounds as 2 pi i / n), so only the odd ones are evaluated."""
-    nfft = 1 << (4 * (2 * M + 1) - 1).bit_length()
-    odd = g_prev is not None and 2 * len(g_prev) == nfft
-    theta = 2.0 * np.pi * np.arange(int(odd), nfft, 1 + odd) / nfft
-    g = np.exp(1j * (2.0 * np.pi * spec.h * _harmonic_sum(spec.code, theta)))
-    if odd:
-        g = np.stack([g_prev, g], axis=1).ravel()
-    G = np.fft.fft(g) / nfft
-    m = np.arange(-M, M + 1)
-    c = G[m % nfft]
-    residual = float(1.0 - np.sum(np.abs(c) ** 2))
-    return c, residual, g
-
-
 def compute_coefficients(spec: WaveformSpec) -> np.ndarray:
     """The read-only array c_{-M}..c_M at the smallest scheduled order M
     meeting TOL; M = len(c) // 2.
@@ -72,14 +58,21 @@ def compute_coefficients(spec: WaveformSpec) -> np.ndarray:
     deterministic: fixed FFT sizes, fixed schedule.
     """
     M = _initial_order(spec)
+    nfft = 1 << (4 * (2 * M + 1) - 1).bit_length()
     g = None
     while True:
         if M > M_CAP:
             raise TruncationFailure(
                 f"truncation order {M} exceeds cap {M_CAP} before reaching tol {TOL}")
-        c, residual, g = _coefficients_at_order(spec, M, g)
-        edge = max(abs(c[0]), abs(c[-1]))
-        if residual < TOL and edge <= TOL:
+        odd = g is not None
+        theta = 2.0 * np.pi * np.arange(int(odd), nfft, 1 + odd) / nfft
+        new = np.exp(1j * (2.0 * np.pi * spec.h * _harmonic_sum(spec.code, theta)))
+        g = np.stack([g, new], axis=1).ravel() if odd else new
+        G = np.fft.fft(g)
+        c = np.concatenate((G[-M:], G[:M + 1])) / nfft
+        residual = 1.0 - np.sum(np.abs(c) ** 2)
+        if residual < TOL and max(abs(c[0]), abs(c[-1])) <= TOL:
             c.setflags(write=False)
             return c
         M *= 2
+        nfft *= 2

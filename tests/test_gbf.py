@@ -95,6 +95,15 @@ def test_doubled_order_reuses_samples_bit_for_bit(case, monkeypatch):
         assert sizes == [sizes[0], sizes[0]]
 
 
+def test_fft_size_doubles_with_the_order():
+    # the engine doubles M and its FFT size together, so the power of two
+    # >= 4 (2M + 1) must double with M: 4 (2M + 1) is never a power of two
+    def nfft(M):
+        return 1 << (4 * (2 * M + 1) - 1).bit_length()
+
+    assert all(nfft(2 * M) == 2 * nfft(M) for M in range(1, gbf.M_CAP + 1))
+
+
 def test_parseval_residual_below_tol():
     for seed in range(5):
         spec = _spec(L=8, h=0.4, seed=seed)
@@ -144,7 +153,8 @@ def test_truncation_order_grows_with_h():
 def test_truncation_cap_enforced():
     code = PskCode(phi=np.zeros(100))
     spec = WaveformSpec(T=1.0, h=25.0, code=code)
-    with pytest.raises(TruncationFailure):
+    with pytest.raises(TruncationFailure,
+                       match=r"truncation order \d+ exceeds cap 1048576"):
         compute_coefficients(spec)
 
 

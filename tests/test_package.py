@@ -17,9 +17,11 @@ def test_star_import_binds_exactly_the_export_list():
     # and the reports are the dicts their JSON files hold, so the
     # coefficient and result records and the spec wrappers are gone, and so
     # are the single-metric sidelobe helpers behind report_from_acf and the
-    # oracle's real/imaginary Simpson split
+    # oracle's real/imaginary Simpson split, and the coefficient engine's
+    # per-order helper is merged into its one loop
     for module, name in ((oracle, "af_numeric"), (oracle, "_integrate"),
                          (gbf, "resynthesize"),
+                         (gbf, "_coefficients_at_order"),
                          (closed_form, "SpectrumSamples"),
                          (closed_form, "AmbiguitySurface"),
                          (sidelobes, "MetricSurface"),
