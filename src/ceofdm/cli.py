@@ -1,12 +1,13 @@
 """Command-line front end: generate, analyze, scan, compare-lfm.
 
 main creates --out, runs one command and then writes manifest.json there.  A
-command appends the name of each data file to main's list before writing it,
-prints one line and returns its spec file; the manifest lists the names.  Its
-stages list gives the wall time of each step main and the command took, in
-order.  A step is one layer: a computation, its oracle check, or the writing
-of its CSV file (named <step>_csv); a kernel step on a grid also gives the
-number of points it evaluated.  Data files are pure functions of the inputs,
+command names each data file through main's run object before writing it,
+prints one line and returns its spec file; the manifest lists the names, and
+a failed command's cleanup removes them.  Its stages list gives the wall time
+of each step main and the command took, in order.  A step is one layer: a
+computation, its oracle check, or the writing of its CSV file, which the run
+object names <step>_csv; a kernel step on a grid also gives the number of
+points it evaluated.  Data files are pure functions of the inputs,
 so re-running a command reproduces them byte for byte; only the manifest's
 timestamp and stage times change.  Each numeric flag's argparse type checks
 its range, so a value outside it is a usage error that names the flag (exit
@@ -72,19 +73,31 @@ def write_csv(path, header: str, columns) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-class _Stages:
-    """Wall times of consecutive steps, each from the end of the previous,
-    plus any counts a step reports, such as the points a kernel evaluated."""
+class _Run:
+    """One command's --out directory, the files it names there in order, and
+    its stages: wall times of consecutive steps, each from the end of the
+    previous, plus any counts a step reports, such as the points a kernel
+    evaluated."""
 
     def __init__(self) -> None:
-        self.times: list[dict] = []
+        self.out = Path(".")
+        self.files: list[str] = []
+        self.stages: list[dict] = []
         self._last = time.perf_counter()
 
     def done(self, name: str, **counts) -> None:
         now = time.perf_counter()
-        self.times.append({"stage": name, "wall_s": now - self._last,
-                           **counts})
+        self.stages.append({"stage": name, "wall_s": now - self._last,
+                            **counts})
         self._last = now
+
+    def path(self, name: str) -> Path:
+        self.files.append(name)
+        return self.out / name
+
+    def csv(self, name: str, header: str, columns) -> None:
+        write_csv(self.path(name), header, columns)
+        self.done(Path(name).stem + "_csv")
 
 
 def _parameters(args) -> dict:
@@ -92,7 +105,7 @@ def _parameters(args) -> dict:
             for key, val in sorted(vars(args).items()) if key != "func"}
 
 
-def cmd_gen(args, stages: _Stages, outputs: list[str]) -> Path:
+def cmd_gen(args, run: _Run) -> Path:
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     if args.phi_file is not None:
         try:
@@ -115,35 +128,24 @@ def cmd_gen(args, stages: _Stages, outputs: list[str]) -> Path:
         code = PskCode(phi=np.zeros(args.L), m_psk=args.mpsk)
     spec = WaveformSpec(T=args.T, h=h, code=code)
 
-    spec_path = args.out / "spec.json"
-    outputs.append(spec_path.name)
+    spec_path = run.path("spec.json")
     save_spec(spec, spec_path)
-    stages.done("spec")
+    run.done("spec")
 
     t, s = sample(spec, 2.0 * oversample_floor(spec))
-    stages.done("samples")
-    samples_path = args.out / "samples.csv"
-    outputs.append(samples_path.name)
-    write_csv(samples_path, "t,re,im", [t, s.real, s.imag])
-    stages.done("samples_csv")
+    run.done("samples")
+    run.csv("samples.csv", "t,re,im", [t, s.real, s.imag])
 
-    print(f"wrote {spec_path} (h = {h:.6g}) and {samples_path}")
+    print(f"wrote {spec_path} (h = {h:.6g}) and {args.out / 'samples.csv'}")
     return spec_path
 
 
-def cmd_analyze(args, stages: _Stages, outputs: list[str]) -> Path:
+def cmd_analyze(args, run: _Run) -> Path:
     spec = load_spec(args.spec)
     c = compute_coefficients(spec)
     M = len(c) // 2
-    stages.done("coefficients", M=M)
-
-    def out(name: str) -> Path:
-        outputs.append(name)
-        return args.out / name
-
-    write_csv(out("coefficients.csv"), "m,re,im,abs2",
-              [np.arange(-M, M + 1), c])
-    stages.done("coefficients_csv")
+    run.done("coefficients", M=M)
+    run.csv("coefficients.csv", "m,re,im,abs2", [np.arange(-M, M + 1), c])
 
     fs = oracle_fs(spec) if args.oracle else None
 
@@ -151,46 +153,42 @@ def cmd_analyze(args, stages: _Stages, outputs: list[str]) -> Path:
         f_max = (2.0 * spec.L + 8.0) / spec.T
         f = np.linspace(-f_max, f_max, 1025)
         S = spectrum(c, spec.T, f)
-        stages.done("spectrum", points=S.size)
-        write_csv(out("spectrum.csv"), "f,re,im,abs2", [f, S])
-        stages.done("spectrum_csv")
+        run.done("spectrum", points=S.size)
+        run.csv("spectrum.csv", "f,re,im,abs2", [f, S])
 
     if args.acf or args.sidelobes:
         tau, R = acf_uniform(c, spec.T, n_tau=args.acf_n)
-        stages.done("acf", points=len(tau))
+        run.done("acf", points=len(tau))
 
     if args.acf:
         if fs is None:
-            write_csv(out("acf.csv"), "tau,re,im,abs2", [tau, R])
+            run.csv("acf.csv", "tau,re,im,abs2", [tau, R])
         else:
             ref = acf_numeric(spec, len(tau) - 1, fs)
-            stages.done("acf_oracle")
+            run.done("acf_oracle")
             err = R - ref
-            write_csv(out("acf.csv"),
-                      "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
-                      [tau, R, ref.real, ref.imag,
-                       np.hypot(err.real, err.imag)])
-        stages.done("acf_csv")
+            run.csv("acf.csv", "tau,re,im,abs2,oracle_re,oracle_im,abs_err",
+                    [tau, R, ref.real, ref.imag,
+                     np.hypot(err.real, err.imag)])
 
     if args.af is not None:
         tau_n, nu_n = args.af
         taus = np.linspace(-0.9 * spec.T, 0.9 * spec.T, tau_n)
         nus = np.linspace(-10.0 / spec.T, 10.0 / spec.T, nu_n)
         chi = af_surface(c, spec.T, taus, nus)
-        stages.done("af", points=chi.size)
-        write_csv(out("af.csv"), "tau,nu,re,im,abs2",
-                  [*np.meshgrid(taus, nus, indexing="ij"), chi])
-        stages.done("af_csv")
+        run.done("af", points=chi.size)
+        run.csv("af.csv", "tau,nu,re,im,abs2",
+                [*np.meshgrid(taus, nus, indexing="ij"), chi])
 
     if args.eoa:
         closed = eoa_closed_form(spec)
-        write_json(out("eoa.json"),
+        write_json(run.path("eoa.json"),
                    {**closed,
                     "rho_norm_max": rho_norm_max(spec.L),
                     "h": spec.h,
                     "L": spec.L,
                     "T": spec.T})
-        stages.done("eoa")
+        run.done("eoa")
         if fs is not None:
             rows = []
             for name, value in eoa_numeric(spec, fs).items():
@@ -199,28 +197,25 @@ def cmd_analyze(args, stages: _Stages, outputs: list[str]) -> Path:
                              "numeric": value, "abs_err": err,
                              "rel_err": err / max(abs(closed[name]), 1e-300),
                              "fs": fs, "rule": "simpson"})
-            write_json(out("oracle_eoa.json"), rows)
-            stages.done("eoa_oracle")
+            write_json(run.path("oracle_eoa.json"), rows)
+            run.done("eoa_oracle")
 
     if args.sidelobes:
-        write_json(out("sidelobes.json"), report_from_acf(tau, R))
-        stages.done("sidelobes")
+        write_json(run.path("sidelobes.json"), report_from_acf(tau, R))
+        run.done("sidelobes")
 
-    print(f"wrote {len(outputs)} files to {args.out}")
+    print(f"wrote {len(run.files)} files to {args.out}")
     return args.spec
 
 
-def cmd_scan(args, stages: _Stages, outputs: list[str]) -> None:
+def cmd_scan(args, run: _Run) -> None:
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)
-    stages.done("scan", points=isl.size)
-    path = args.out / "scan.csv"
-    outputs.append(path.name)
+    run.done("scan", points=isl.size)
     header = "".join(f"phi{l}," for l in range(1, args.L + 1))
-    write_csv(path, header + "isl_db,pslr_db",
-              [*np.meshgrid(*[phis] * args.L, indexing="ij"), isl, pslr])
-    stages.done("scan_csv")
-    print(f"wrote {path} ({isl.size} rows, h = {h:.6g})")
+    run.csv("scan.csv", header + "isl_db,pslr_db",
+            [*np.meshgrid(*[phis] * args.L, indexing="ij"), isl, pslr])
+    print(f"wrote {args.out / 'scan.csv'} ({isl.size} rows, h = {h:.6g})")
 
 
 def _oob_fraction(f, abs2) -> float:
@@ -232,7 +227,7 @@ def _oob_fraction(f, abs2) -> float:
     return 1.0 - float(np.trapezoid(abs2[band], f[band]))
 
 
-def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
+def cmd_compare_lfm(args, run: _Run) -> None:
     delta_f = args.tbp / args.T
     h = h_for_tbp(args.tbp, args.L)
     code = random_psk_code(args.L, args.mpsk, args.seed)
@@ -242,10 +237,8 @@ def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
     f = np.linspace(-2.0 * delta_f, 2.0 * delta_f, n_f)
     c = compute_coefficients(spec)
     ce = spectrum(c, spec.T, f)
-    stages.done("ce_spectrum", points=ce.size, M=len(c) // 2)
-    outputs.append("ce_spectrum.csv")
-    write_csv(args.out / "ce_spectrum.csv", "f,re,im,abs2", [f, ce])
-    stages.done("ce_spectrum_csv")
+    run.done("ce_spectrum", points=ce.size, M=len(c) // 2)
+    run.csv("ce_spectrum.csv", "f,re,im,abs2", [f, ce])
 
     # the unit-energy LFM chirp with sweep delta_f on the midpoint grid
     # t_n = (n + (1 - len(t)) / 2) d
@@ -254,10 +247,8 @@ def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
     lfm = d * chirp_z(f[0] * d, 4.0 * delta_f / (n_f - 1) * d,
                       (1 - len(t)) / 2, len(t), n_f)(
         np.exp(1j * np.pi * (delta_f / args.T) * t * t) / np.sqrt(args.T))
-    stages.done("lfm_spectrum")
-    outputs.append("lfm_spectrum.csv")
-    write_csv(args.out / "lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
-    stages.done("lfm_spectrum_csv")
+    run.done("lfm_spectrum")
+    run.csv("lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0
     lfm_beta2_numeric = float(
@@ -277,9 +268,8 @@ def cmd_compare_lfm(args, stages: _Stages, outputs: list[str]) -> None:
     }
     summary["oob_ratio"] = (summary["ce_oob_fraction"]
                             / max(summary["lfm_oob_fraction"], 1e-300))
-    outputs.append("comparison.json")
-    write_json(args.out / "comparison.json", summary)
-    stages.done("comparison")
+    write_json(run.path("comparison.json"), summary)
+    run.done("comparison")
 
     print(f"wrote comparison to {args.out} "
           f"(CE OOB {summary['ce_oob_fraction']:.4f}, "
@@ -378,20 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    stages = _Stages()
+    run = _Run()
     args = build_parser().parse_args(argv)
+    run.out = args.out
     created = not args.out.exists()
-    outputs: list[str] = []
     try:
         args.out.mkdir(parents=True, exist_ok=True)
-        stages.done("parse")
-        spec_file = args.func(args, stages, outputs)
+        run.done("parse")
+        spec_file = args.func(args, run)
         write_json(args.out / "manifest.json", {
             "command": args.command,
             "spec_file": None if spec_file is None else str(spec_file),
-            "outputs": sorted(outputs),
+            "outputs": sorted(run.files),
             "parameters": _parameters(args),
-            "stages": stages.times,
+            "stages": run.stages,
             "tool_version": __version__,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
@@ -401,7 +391,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         # a failed command leaves none of its files, and no empty directory
         # of its own, behind
-        for name in outputs:
+        for name in run.files:
             (args.out / name).unlink(missing_ok=True)
         if created and args.out.is_dir() and not any(args.out.iterdir()):
             args.out.rmdir()

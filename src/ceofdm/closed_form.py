@@ -66,9 +66,11 @@ kernel is imaginary and odd in k, so conj(p_{n-m}) = -p_{n-m} = p_{m-n} and
 
 So u - v = 2j Im u, and
 
-    R(tau) = A sum_m |c_m|^2 z_m + 2j sum_m Im(u_m) z_m,
+    R(tau) = A sum_m w_m z_m + 2j sum_m v_m z_m,
+    w_m = |c_m|^2,  v_m = Im u_m,
 
-two sums of real weights from one lag convolution.  On the grid
+two sums of real weights from one lag convolution, which lag_weights
+returns.  w is the line spectrum, |S(m / T)|^2 = T w_m.  On the grid
 tau_j = j T / N, z_m depends on m mod N alone, so after binning the
 harmonics each sum is one length-N FFT.  The binning is exact for any N.
 
@@ -274,30 +276,37 @@ def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     return chi
 
 
+def lag_weights(c: np.ndarray):
+    """(w, v) over m = -M..M, the real weights of R(tau) in the module
+    docstring: w_m = |c_m|^2 and v_m = Im u_m at nu = 0."""
+    M = _order(c)
+    size = 1 << (4 * M).bit_length()
+    P = _kernel_fft(M, np.zeros(1), size)
+    u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
+    return c.real ** 2 + c.imag ** 2, u.imag
+
+
 def acf_uniform(c: np.ndarray, T: float, n_tau: int | None = None):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
     n_tau=None takes max(4096, 2 size), size = 2^bitlen(4M) the lag FFT's
     length: steps of at most T / (4 (2M + 1)), a quarter of the resolution
     of harmonics spanning (2M + 1) / T.  The grid includes tau = T, where R
-    vanishes, and n_tau < 1 raises ValueError.  The two real harmonic sums
-    of the module docstring are binned by m mod n_tau and evaluated with
-    one length-n_tau FFT each.
+    vanishes, and n_tau < 1 raises ValueError.  The weights of lag_weights
+    are binned by m mod n_tau and evaluated with one length-n_tau FFT each.
 
     Returns:
         (tau, R): arrays of length n_tau + 1.
     """
     M = _order(c)
-    size = 1 << (4 * M).bit_length()
     if n_tau is None:
-        n_tau = max(4096, 2 * size)
+        n_tau = max(4096, 2 << (4 * M).bit_length())
     if n_tau < 1:
         raise ValueError(f"n_tau must be at least 1, got {n_tau}")
-    P = _kernel_fft(M, np.zeros(1), size)
-    u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
+    w, v = lag_weights(c)
     bins = np.arange(-M, M + 1) % n_tau
-    G = np.fft.fft(np.bincount(bins, c.real ** 2 + c.imag ** 2, n_tau))
-    U = np.fft.fft(np.bincount(bins, u.imag, n_tau))
+    G = np.fft.fft(np.bincount(bins, w, n_tau))
+    U = np.fft.fft(np.bincount(bins, v, n_tau))
     A = 1.0 - np.arange(n_tau) / n_tau
     tau = np.arange(n_tau + 1) * (T / n_tau)
     return tau, np.concatenate([A * G + 2j * U, [0.0]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ceofdm.closed_form import ambiguity
+from ceofdm.closed_form import ambiguity, lag_weights
 from ceofdm.eoa import (DegenerateEllipse, ellipse_contour, ellipse_tilt,
                         eoa_closed_form, h_for_tbp, max_coupling_code,
                         rho_norm_max)
@@ -47,14 +47,13 @@ _BETA2_REL = 1e-14
 
 
 def _beta2_from_coefficients(spec):
-    # (2 pi / T)^2 (sum m^2 |c_m|^2 - (sum m |c_m|^2)^2), the spectral
-    # variance of the line spectrum the coefficients give
-    c = compute_coefficients(spec)
-    M = len(c) // 2
+    # (2 pi / T)^2 (sum m^2 w_m - (sum m w_m)^2), the spectral variance of
+    # the line spectrum w_m = |c_m|^2 that the ACF's lag weights hold
+    w, _ = lag_weights(compute_coefficients(spec))
+    M = len(w) // 2
     m = np.arange(-M, M + 1, dtype=float)
-    p = np.abs(c) ** 2
     return ((2.0 * np.pi / spec.T) ** 2
-            * (np.sum(m * m * p) - np.sum(m * p) ** 2))
+            * (np.sum(m * m * w) - np.sum(m * w) ** 2))
 
 
 def test_bandwidth_from_coefficients_matches_closed_form():

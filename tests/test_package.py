@@ -2,7 +2,7 @@ import re
 from pathlib import Path
 
 import ceofdm
-from ceofdm import closed_form, eoa, gbf, oracle, sidelobes, waveform
+from ceofdm import cli, closed_form, eoa, gbf, oracle, sidelobes, waveform
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,8 +17,9 @@ def test_star_import_binds_exactly_the_export_list():
     # and the reports are the dicts their JSON files hold, so the
     # coefficient and result records and the spec wrappers are gone, and so
     # are the single-metric sidelobe helpers behind report_from_acf and the
-    # oracle's real/imaginary Simpson split, and the coefficient engine's
-    # per-order helper is merged into its one loop
+    # oracle's real/imaginary Simpson split, the coefficient engine's
+    # per-order helper is merged into its one loop, and the CLI's stage
+    # list is part of its run object
     for module, name in ((oracle, "af_numeric"), (oracle, "_integrate"),
                          (gbf, "resynthesize"),
                          (gbf, "_coefficients_at_order"),
@@ -32,7 +33,7 @@ def test_star_import_binds_exactly_the_export_list():
                          (sidelobes, "isl"),
                          (sidelobes, "SidelobeReport"),
                          (eoa, "EoaParameters"),
-                         (waveform, "sample_times")):
+                         (waveform, "sample_times"), (cli, "_Stages")):
         assert not hasattr(module, name)
         assert name not in ceofdm.__all__
 
