@@ -34,10 +34,11 @@ from . import __version__
 from .closed_form import acf_uniform, af_surface, chirp_z, spectrum
 from .eoa import eoa_closed_form, h_for_tbp, rho_norm_max
 from .gbf import compute_coefficients
-from .oracle import _nodes, acf_numeric, eoa_numeric, oracle_fs
+from .oracle import acf_numeric, eoa_numeric, oracle_fs
 from .sidelobes import metric_surface, report_from_acf
-from .waveform import (PskCode, WaveformSpec, load_spec, oversample_floor,
-                       random_psk_code, sample, save_spec, write_json)
+from .waveform import (PskCode, WaveformSpec, load_spec, midpoints,
+                       oversample_floor, random_psk_code, sample, save_spec,
+                       write_json)
 
 
 # write_csv formats blocks of this many rows with one string operation each;
@@ -133,7 +134,7 @@ def cmd_gen(args, run: _Run) -> Path:
     run.done("spec")
 
     t, s = sample(spec, 2.0 * oversample_floor(spec))
-    run.done("samples")
+    run.done("samples", points=len(t))
     run.csv("samples.csv", "t,re,im", [t, s.real, s.imag])
 
     print(f"wrote {spec_path} (h = {h:.6g}) and {args.out / 'samples.csv'}")
@@ -241,13 +242,13 @@ def cmd_compare_lfm(args, run: _Run) -> None:
     run.csv("ce_spectrum.csv", "f,re,im,abs2", [f, ce])
 
     # the unit-energy LFM chirp with sweep delta_f on the midpoint grid
-    # t_n = (n + (1 - len(t)) / 2) d
-    t, d = _nodes(-args.T / 2.0, args.T / 2.0,
-                  max(8.0 * delta_f, 64.0 / args.T), midpoint=True)
+    # t_n = (n + (1 - len(t)) / 2) d, at a rate of at least 64 nodes per T
+    t, d = midpoints(args.T, round(max(8.0 * delta_f, 64.0 / args.T)
+                                   * args.T))
     lfm = d * chirp_z(f[0] * d, 4.0 * delta_f / (n_f - 1) * d,
                       (1 - len(t)) / 2, len(t), n_f)(
         np.exp(1j * np.pi * (delta_f / args.T) * t * t) / np.sqrt(args.T))
-    run.done("lfm_spectrum")
+    run.done("lfm_spectrum", points=lfm.size)
     run.csv("lfm_spectrum.csv", "f,re,im,abs2", [f, lfm])
 
     lfm_beta2 = (np.pi * delta_f) ** 2 / 3.0

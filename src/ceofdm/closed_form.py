@@ -258,8 +258,7 @@ def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     M = _order(c)
     taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
-    if np.any(np.abs(taus) > T * (1.0 + 1e-12)):
-        raise OutOfSupport("tau grid extends beyond the pulse length")
+    OutOfSupport.check(taus, T, "tau")
     s = taus / T
     ds = (s[-1] - s[0]) / (len(s) - 1) if len(s) > 1 else 0.0
     # 20000 random np.linspace grids lay at most 7 ulps off s_0 + i ds

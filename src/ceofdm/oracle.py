@@ -3,8 +3,9 @@
 Everything here works from the waveform definition alone: the phase series
 and its derivative are evaluated analytically on quadrature grids and the
 defining integrals are approximated by the composite Simpson rule (a
-midpoint sum for the Fourier integral).  Nothing is shared with the
-coefficient-series route, so agreement between the two is a genuine check.
+midpoint sum over waveform.sample for the Fourier integral).  Nothing is
+shared with the coefficient-series route, so agreement between the two is a
+genuine check.
 Every function takes the node rate fs; the CLI uses oracle_fs.
 
 Grid registration: the nodes over a window of width W are spaced W / N with
@@ -22,7 +23,7 @@ import math
 import numpy as np
 
 from .waveform import (TWO_PI, OutOfSupport, WaveformSpec, freq_mod_at,
-                       oversample_floor, phase_at, simpson)
+                       oversample_floor, phase_at, sample, simpson)
 
 # _dft works on blocks of at most this many (frequency, node) pairs.
 _DFT_CHUNK = 1 << 20
@@ -35,16 +36,13 @@ def oracle_fs(spec: WaveformSpec) -> float:
     return float(2 ** math.ceil(math.log2(n))) / spec.T
 
 
-def _nodes(a: float, b: float, fs: float, midpoint: bool = False):
-    """(t, d): n midpoints of spacing d = (b - a) / n, n = round(fs (b - a)),
-    or by default the n + 1 Simpson nodes over [a, b] with n rounded up even."""
+def _nodes(a: float, b: float, fs: float):
+    """(t, d): the n + 1 Simpson nodes over [a, b], spaced d, with
+    n = round(fs (b - a)) rounded up even, and at least 4."""
     if not (np.isfinite(fs) and fs > 0):
         raise ValueError(f"fs must be positive, got {fs}")
     width = b - a
     n = max(int(round(fs * width)), 4)
-    if midpoint:
-        d = width / n
-        return a + (np.arange(n) + 0.5) * d, d
     if n % 2:
         n += 1
     return np.linspace(a, b, n + 1), width / n
@@ -73,8 +71,7 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
     T = spec.T
-    if np.any(np.abs(taus) > T * (1.0 + 1e-12)):
-        raise OutOfSupport("tau grid extends beyond the pulse length")
+    OutOfSupport.check(taus, T, "tau")
     out = np.zeros((len(taus), len(nus)), dtype=complex)
     for i, tau in enumerate(taus):
         half = (T - abs(tau)) / 2.0
@@ -141,11 +138,9 @@ def spectrum_numeric(spec: WaveformSpec, fs: float, f_grid) -> np.ndarray:
     """S(f) by quadrature of the Fourier integral at each frequency of f_grid.
 
     Equivalent to an unboundedly zero-padded DFT of the sampled waveform:
-    the transform of the midpoint-sampled pulse is evaluated directly at the
-    requested frequencies, so no spectral interpolation is needed.
+    the transform of sample(spec, fs), which raises Undersampled below the
+    floor, is evaluated directly at the requested frequencies.
     """
-    T = spec.T
+    t, s = sample(spec, fs)
     f = np.atleast_1d(np.asarray(f_grid, dtype=float))
-    t, d = _nodes(-T / 2.0, T / 2.0, fs, midpoint=True)
-    s = np.exp(1j * phase_at(spec, t)) / np.sqrt(T)
-    return _dft(s, t, d, f)
+    return _dft(s, t, spec.T / len(t), f)

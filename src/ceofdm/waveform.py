@@ -34,8 +34,8 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Time points handed to phase_at/freq_mod_at may overshoot the support edge
-# by rounding when callers build grids; allow that much and no more.
+# Times and delays may overshoot a support edge by rounding when callers build
+# grids; OutOfSupport.check allows that much of the half-width and no more.
 _EDGE_SLACK = 1e-12
 
 # the largest imaginary residue code_from_symbols accepts in alpha_l, beta_l
@@ -52,7 +52,14 @@ class NonRealCoefficients(ValueError):
 
 
 class OutOfSupport(ValueError):
-    """Requested time lies outside the pulse support [-T/2, T/2]."""
+    """A time outside the pulse's [-T/2, T/2], or a delay outside [-T, T]."""
+
+    @classmethod
+    def check(cls, x, half: float, name: str) -> None:
+        """Raise unless max |x| <= half (1 + _EDGE_SLACK); NaN fails it."""
+        worst = np.max(np.abs(x), initial=0.0)
+        if not worst <= half * (1.0 + _EDGE_SLACK):
+            raise cls(f"|{name}| = {worst} exceeds support half-width {half}")
 
 
 class Undersampled(ValueError):
@@ -235,21 +242,13 @@ def _harmonic_sum(code: PskCode, x, derivative: bool = False) -> np.ndarray:
     return out
 
 
-def _check_support(spec: WaveformSpec, t: np.ndarray):
-    half = spec.T / 2.0
-    bound = half * (1.0 + _EDGE_SLACK) + _EDGE_SLACK
-    if np.any(np.abs(t) > bound):
-        worst = float(np.max(np.abs(t)))
-        raise OutOfSupport(f"|t| = {worst} exceeds support half-width {half}")
-
-
 def phase_at(spec: WaveformSpec, t):
     """Phase phi(t) in radians at times t inside the support.
 
-    Accepts a scalar or array; raises OutOfSupport when any |t| > T/2.
+    Accepts a scalar or array; raises OutOfSupport unless every |t| <= T/2.
     """
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_support(spec, arr)
+    OutOfSupport.check(arr, spec.T / 2.0, "t")
     out = TWO_PI * spec.h * _harmonic_sum(spec.code, TWO_PI * arr / spec.T)
     return float(out[0]) if np.ndim(t) == 0 else out
 
@@ -257,10 +256,17 @@ def phase_at(spec: WaveformSpec, t):
 def freq_mod_at(spec: WaveformSpec, t):
     """Instantaneous frequency deviation m(t) = phi'(t)/(2 pi) in Hz."""
     arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_support(spec, arr)
+    OutOfSupport.check(arr, spec.T / 2.0, "t")
     out = -(TWO_PI * spec.h / spec.T) * _harmonic_sum(
         spec.code, TWO_PI * arr / spec.T, derivative=True)
     return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def midpoints(T: float, n: int) -> tuple[np.ndarray, float]:
+    """(t, d): the n midpoints t_k = -T/2 + (k + 1/2) d of [-T/2, T/2],
+    spaced d = T / n."""
+    d = T / n
+    return -T / 2.0 + (np.arange(n) + 0.5) * d, d
 
 
 def oversample_floor(spec: WaveformSpec) -> float:
@@ -269,26 +275,23 @@ def oversample_floor(spec: WaveformSpec) -> float:
     Eight times the peak instantaneous frequency deviation found on a dense
     4096-point grid, but never below 16 L / T.
     """
-    n = 4096
-    t = -spec.T / 2.0 + (np.arange(n) + 0.5) * (spec.T / n)
+    t, _ = midpoints(spec.T, 4096)
     peak = float(np.max(np.abs(freq_mod_at(spec, t))))
     return max(8.0 * peak, 16.0 * spec.L / spec.T)
 
 
 def sample(spec: WaveformSpec, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Complex baseband samples at rate fs: the pair (t, s) of the
-    N = round(fs T) instants t_n = -T/2 + (n + 1/2)/fs and the samples
-    s(t_n).  Every sample has modulus 1/sqrt(T), so sum |s_n|^2 / fs =
-    N / (fs T); that equals 1 to rounding only when fs T is integral, which
-    callers should prefer.
+    """Complex baseband samples at rate fs: (t, s), t = midpoints(T, N) with
+    N = round(fs T) and s = s(t), each of modulus 1/sqrt(T), so that
+    sum |s_n|^2 T / N = 1 to rounding.
 
     Raises:
-        Undersampled: if fs is below oversample_floor(spec) (>= 16 L / T).
+        Undersampled: unless fs is finite and >= oversample_floor(spec).
     """
     floor = oversample_floor(spec)
-    if fs < floor * (1.0 - 1e-12):
-        raise Undersampled(f"fs {fs} below oversampling floor {floor}")
-    t = -spec.T / 2.0 + (np.arange(int(round(fs * spec.T))) + 0.5) / fs
+    if not floor * (1.0 - 1e-12) <= fs < np.inf:
+        raise Undersampled(f"fs {fs} not finite or below floor {floor}")
+    t, _ = midpoints(spec.T, round(fs * spec.T))
     return t, np.exp(1j * phase_at(spec, t)) / np.sqrt(spec.T)
 
 

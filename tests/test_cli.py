@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import platform
@@ -17,10 +18,10 @@ from ceofdm.cli import main, write_csv
 from ceofdm.closed_form import acf_uniform, chirp_z
 from ceofdm.eoa import h_for_tbp
 from ceofdm.gbf import compute_coefficients
-from ceofdm.oracle import _dft, _nodes, oracle_fs, spectrum_numeric
+from ceofdm.oracle import _dft, oracle_fs, spectrum_numeric
 from ceofdm.sidelobes import report_from_acf
-from ceofdm.waveform import (PskCode, WaveformSpec, load_spec, random_psk_code,
-                             save_spec, wrap_phase)
+from ceofdm.waveform import (PskCode, WaveformSpec, load_spec, midpoints,
+                             random_psk_code, save_spec, wrap_phase)
 
 
 def _run(*argv):
@@ -37,6 +38,20 @@ def test_gen_resolves_h_from_tbp(tmp_path):
     samples = np.genfromtxt(out / "samples.csv", delimiter=",", names=True)
     np.testing.assert_allclose(samples["re"] ** 2 + samples["im"] ** 2, 1.0,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--L", 1, "--h", 0.58, "--T", 1.79, "--seed", 3],
+    ["--L", 24, "--tbp", 200, "--seed", 0]], ids=["L1", "L24"])
+def test_gen_samples_span_the_pulse_with_unit_energy(tmp_path, argv):
+    assert _run("gen", *argv, "--out", tmp_path) == 0
+    T = load_spec(tmp_path / "spec.json").T
+    samples = np.genfromtxt(tmp_path / "samples.csv", delimiter=",",
+                            names=True)
+    t = samples["t"]
+    assert abs(t[0] + t[-1]) <= 1e-15 * T
+    energy = np.sum(samples["re"] ** 2 + samples["im"] ** 2) * (t[1] - t[0])
+    assert energy == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gen_rejects_conflicting_h_flags(tmp_path):
@@ -466,9 +481,11 @@ def test_manifest_lists_every_output(tmp_path, case):
     assert all(st["wall_s"] >= 0.0 for st in stages)
     # the grid kernels count the points they evaluated
     assert {st["stage"]: st["points"] for st in stages if "points" in st} \
-        == {"gen": {}, "analyze": {"spectrum": 1025, "acf": 65, "af": 9},
+        == {"gen": {"samples": 143},
+            "analyze": {"spectrum": 1025, "acf": 65, "af": 9},
             "analyze-oracle": {"spectrum": 1025, "acf": 65, "af": 9},
-            "scan": {"scan": 4}, "compare-lfm": {"ce_spectrum": 4001}}[case]
+            "scan": {"scan": 4},
+            "compare-lfm": {"ce_spectrum": 4001, "lfm_spectrum": 4001}}[case]
     # and the stage that computes the coefficients gives their order M
     orders = {st["stage"]: st["M"] for st in stages if "M" in st}
     if command == "analyze":
@@ -499,11 +516,20 @@ def test_scan_small_grid_symmetry(tmp_path):
                                               abs=1e-9)
 
 
+def test_cli_imports_nothing_private_from_the_oracle():
+    # the product path shares no helper with its reference: compare-lfm's
+    # nodes come from waveform.midpoints, not from the oracle's lattice
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+             for alias in node.names}
+    assert names and not any(name.startswith("_") for name in names)
+
+
 def _lfm_chirp(tbp, T):
     # the unit-energy chirp of compare-lfm on its midpoint nodes
     delta_f = tbp / T
-    t, d = _nodes(-T / 2.0, T / 2.0, max(8.0 * delta_f, 64.0 / T),
-                  midpoint=True)
+    t, d = midpoints(T, round(max(8.0 * delta_f, 64.0 / T) * T))
     return np.exp(1j * np.pi * (delta_f / T) * t * t) / np.sqrt(T), t, d
 
 

@@ -157,8 +157,12 @@ def test_ambiguity_support_boundary():
         for tau in (-spec.T, spec.T):
             for nu in (0.0, 3.0, -2.5 / spec.T, 7.3):
                 assert ambiguity(c, spec.T, tau, nu) == 0
+    for tau in (1.5 * spec.T, np.nan):
+        with pytest.raises(OutOfSupport):
+            ambiguity(c, spec.T, tau, 0.0)
+    # a NaN delay is refused, not spread into the other rows of the surface
     with pytest.raises(OutOfSupport):
-        ambiguity(c, spec.T, 1.5 * spec.T, 0.0)
+        af_surface(c, spec.T, [-0.5 * spec.T, np.nan, 0.5 * spec.T], [0.0])
 
 
 def test_af_surface_layout_and_hash():

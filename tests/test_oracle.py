@@ -49,8 +49,9 @@ def test_af_zero_overlap_and_support():
     fs = 1024.0
     assert af_numeric_grid(spec, [spec.T], [2.0], fs)[0, 0] == 0
     assert af_numeric_grid(spec, [-spec.T], [0.0], fs)[0, 0] == 0
-    with pytest.raises(OutOfSupport):
-        af_numeric_grid(spec, [1.1 * spec.T], [0.0], fs)
+    for tau in (1.1 * spec.T, np.nan):
+        with pytest.raises(OutOfSupport):
+            af_numeric_grid(spec, [tau], [0.0], fs)
 
 
 def test_af_grid_matches_pointwise():

@@ -18,8 +18,9 @@ def test_star_import_binds_exactly_the_export_list():
     # coefficient and result records and the spec wrappers are gone, and so
     # are the single-metric sidelobe helpers behind report_from_acf and the
     # oracle's real/imaginary Simpson split, the coefficient engine's
-    # per-order helper is merged into its one loop, and the CLI's stage
-    # list is part of its run object
+    # per-order helper is merged into its one loop, the CLI's stage
+    # list is part of its run object, and OutOfSupport.check is the one
+    # support check
     for module, name in ((oracle, "af_numeric"), (oracle, "_integrate"),
                          (gbf, "resynthesize"),
                          (gbf, "_coefficients_at_order"),
@@ -33,7 +34,8 @@ def test_star_import_binds_exactly_the_export_list():
                          (sidelobes, "isl"),
                          (sidelobes, "SidelobeReport"),
                          (eoa, "EoaParameters"),
-                         (waveform, "sample_times"), (cli, "_Stages")):
+                         (waveform, "sample_times"), (cli, "_Stages"),
+                         (waveform, "_check_support")):
         assert not hasattr(module, name)
         assert name not in ceofdm.__all__
 

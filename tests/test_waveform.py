@@ -12,9 +12,10 @@ from ceofdm.gbf import compute_coefficients
 from ceofdm.waveform import (ComplexSymbolVector, NonRealCoefficients,
                              OutOfSupport, PskCode, Undersampled,
                              WaveformSpec, ZeroDcViolation, code_from_symbols,
-                             freq_mod_at, load_spec, oversample_floor,
-                             phase_at, psk_alphabet, random_psk_code, sample,
-                             save_spec, simpson, spec_digest, wrap_phase)
+                             freq_mod_at, load_spec, midpoints,
+                             oversample_floor, phase_at, psk_alphabet,
+                             random_psk_code, sample, save_spec, simpson,
+                             spec_digest, wrap_phase)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1, m_psk=32):
@@ -227,6 +228,11 @@ def test_support_enforced():
         phase_at(spec, 0.5000001)
     with pytest.raises(OutOfSupport):
         freq_mod_at(spec, np.array([0.0, -0.51]))
+    for evaluate in (phase_at, freq_mod_at):  # NaN is no time on the pulse
+        with pytest.raises(OutOfSupport):
+            evaluate(spec, np.nan)
+        with pytest.raises(OutOfSupport):
+            evaluate(spec, np.array([0.0, np.nan]))
     assert np.isfinite(phase_at(spec, 0.5))  # boundary included
 
 
@@ -262,9 +268,20 @@ def test_sample_times_midpoint_registration():
 def test_undersampling_rejected():
     spec = _spec(L=8, h=2.0)
     floor = oversample_floor(spec)
-    with pytest.raises(Undersampled):
-        sample(spec, 0.5 * floor)
+    for fs in (0.5 * floor, np.inf, np.nan):
+        with pytest.raises(Undersampled):
+            sample(spec, fs)
     sample(spec, 1.01 * floor)  # at or above the floor is accepted
+
+
+@pytest.mark.parametrize("T, n", [(1.0, 4096), (2.5, 4096), (1.0, 1600),
+                                  (2.5, 458)])
+def test_midpoints_is_the_midpoint_rule(T, n):
+    # the oversampling floor's grid, and compare-lfm's at --tbp 200 and at
+    # --tbp 57.3 --T 2.5
+    t, d = midpoints(T, n)
+    np.testing.assert_array_equal(t, -T / 2 + (np.arange(n) + 0.5) * (T / n))
+    assert d * n == T
 
 
 def test_spec_json_round_trip(tmp_path):
