@@ -99,7 +99,7 @@ def _order(c: np.ndarray) -> int:
 
 
 def spectrum(c: np.ndarray, T: float, f_grid) -> np.ndarray:
-    """S(f) on f_grid (Hz), a complex array of f_grid's shape.
+    """S(f) on the finite f_grid (Hz), a complex array of f_grid's shape.
 
     The reciprocals are formed in one reused buffer of 2 * _BLOCK reals, or
     one row if that is longer, and each value is a sum over its own row in
@@ -108,7 +108,7 @@ def spectrum(c: np.ndarray, T: float, f_grid) -> np.ndarray:
     """
     M = _order(c)
     m = np.arange(-M, M + 1)
-    x = T * np.asarray(f_grid, dtype=float).ravel()
+    x = T * OutOfSupport.check(f_grid, np.inf, "f").ravel()
     n = np.rint(x)
     r = x - n
     on = r == 0.0
@@ -238,7 +238,7 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
 def ambiguity(c: np.ndarray, T: float, tau: float, nu: float) -> complex:
     """chi(tau, nu) at a single delay/Doppler point.
 
-    Raises OutOfSupport for |tau| > T; chi(+-T, nu) = 0 exactly.
+    Raises OutOfSupport for |tau| > T or a non-finite nu; chi(+-T, nu) = 0.
     """
     return complex(af_surface(c, T, [tau], [nu])[0, 0])
 
@@ -256,18 +256,16 @@ def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     Results repeat bit for bit across runs, but not across grid shapes.
     """
     M = _order(c)
-    taus = np.atleast_1d(np.asarray(tau_grid, dtype=float))
-    nus = np.atleast_1d(np.asarray(nu_grid, dtype=float))
-    OutOfSupport.check(taus, T, "tau")
+    taus = OutOfSupport.check(tau_grid, T, "tau")
+    nuT = OutOfSupport.check(nu_grid, np.inf, "nu") * T
     s = taus / T
     ds = (s[-1] - s[0]) / (len(s) - 1) if len(s) > 1 else 0.0
     # 20000 random np.linspace grids lay at most 7 ulps off s_0 + i ds
     if ds < 0.0 or np.any(np.abs(s - (s[:1] + ds * np.arange(len(s))))
                           > 16.0 * np.spacing(np.max(np.abs(s), initial=0.0))):
         raise ValueError("tau_grid must be ascending and uniformly spaced")
-    nuT = nus * T
     neg = s < 0
-    chi = np.empty((len(taus), len(nus)), dtype=complex)
+    chi = np.empty((len(taus), len(nuT)), dtype=complex)
     if not neg.all():
         chi[~neg] = _chi_causal(c, M, s[~neg], ds, nuT)
     if neg.any():

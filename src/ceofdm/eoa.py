@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .waveform import PskCode, WaveformSpec
+from .waveform import PskCode, WaveformSpec, _count
 
 
 class DegenerateEllipse(ValueError):
@@ -62,14 +62,13 @@ def eoa_closed_form(spec: WaveformSpec) -> dict:
 
 def rho_norm_max(L: int) -> float:
     """Largest attainable |rho_norm| over unit-amplitude codes."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
+    L = _count(L, 1, "L")
     return (6.0 / np.pi) * L / math.sqrt(_poly(L))
 
 
 def max_coupling_code(L: int) -> PskCode:
     """Alternating binary code phi_l = pi (odd l), 0 (even l)."""
-    phi = np.where(np.arange(1, L + 1) % 2 == 1, np.pi, 0.0)
+    phi = np.where(np.arange(1, _count(L, 1, "L") + 1) % 2, np.pi, 0.0)
     return PskCode(phi=phi, m_psk=2)
 
 
@@ -79,9 +78,9 @@ def h_for_tbp(tbp: float, L: int) -> float:
     Inverts beta_rms = pi delta_f / sqrt(3) (the LFM-equivalent RMS
     bandwidth for sweep delta_f) at the given L; T cancels.
     """
-    if tbp <= 0 or L < 1:
-        raise ValueError("tbp must be positive and L >= 1")
-    return tbp / (2.0 * np.pi * math.sqrt(_poly(L)))
+    if not 0 < tbp < np.inf:  # NaN fails too
+        raise ValueError(f"tbp must be finite and positive, got {tbp}")
+    return tbp / (2.0 * np.pi * math.sqrt(_poly(_count(L, 1, "L"))))
 
 
 def ellipse_tilt(params: dict) -> float:

@@ -68,10 +68,9 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
     over the overlap window, with the phase evaluated analytically at the
     nodes; it is exactly 0 at |tau| = T, and |tau| > T raises OutOfSupport.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    nus = np.atleast_1d(np.asarray(nus, dtype=float))
     T = spec.T
-    OutOfSupport.check(taus, T, "tau")
+    taus = OutOfSupport.check(taus, T, "tau")
+    nus = OutOfSupport.check(nus, np.inf, "nu")
     out = np.zeros((len(taus), len(nus)), dtype=complex)
     for i, tau in enumerate(taus):
         half = (T - abs(tau)) / 2.0
@@ -141,6 +140,6 @@ def spectrum_numeric(spec: WaveformSpec, fs: float, f_grid) -> np.ndarray:
     the transform of sample(spec, fs), which raises Undersampled below the
     floor, is evaluated directly at the requested frequencies.
     """
+    f = OutOfSupport.check(f_grid, np.inf, "f")
     t, s = sample(spec, fs)
-    f = np.atleast_1d(np.asarray(f_grid, dtype=float))
     return _dft(s, t, spec.T / len(t), f)

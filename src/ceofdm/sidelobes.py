@@ -28,7 +28,7 @@ import numpy as np
 
 from .closed_form import acf_uniform
 from .gbf import compute_coefficients
-from .waveform import PskCode, WaveformSpec, simpson
+from .waveform import PskCode, WaveformSpec, _count, simpson
 
 DB_FLOOR = -300.0
 
@@ -89,8 +89,7 @@ def metric_surface(h: float, grid_n: int, n_tau: int | None = None, *,
     order, whose entry [k_1, ..., k_L] is the code phis[[k_1, ..., k_L]].
     n_tau=None takes acf_uniform's grid for each code's M.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    grid_n = _count(grid_n, 2, "grid_n")
     phis = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
     isl_db = np.empty((grid_n,) * L)
     pslr_db = np.empty((grid_n,) * L)

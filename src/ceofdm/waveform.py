@@ -52,18 +52,31 @@ class NonRealCoefficients(ValueError):
 
 
 class OutOfSupport(ValueError):
-    """A time outside the pulse's [-T/2, T/2], or a delay outside [-T, T]."""
+    """A time outside the pulse's [-T/2, T/2], a delay outside [-T, T], or a
+    time, delay, Doppler or frequency that is not finite."""
 
     @classmethod
-    def check(cls, x, half: float, name: str) -> None:
-        """Raise unless max |x| <= half (1 + _EDGE_SLACK); NaN fails it."""
+    def check(cls, x, half: float, name: str) -> np.ndarray:
+        """x as a float array of at least 1 dimension, once every |x| is finite
+        and <= half (1 + _EDGE_SLACK); Dopplers and frequencies pass inf."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         worst = np.max(np.abs(x), initial=0.0)
+        if not np.isfinite(worst):
+            raise cls(f"|{name}| = {worst} is not finite")
         if not worst <= half * (1.0 + _EDGE_SLACK):
             raise cls(f"|{name}| = {worst} exceeds support half-width {half}")
+        return x
 
 
 class Undersampled(ValueError):
     """Requested sample rate falls below the oversampling floor."""
+
+
+def _count(n, low: int, name: str) -> int:
+    """n as an int, if it is a Python or numpy integer >= low; else raise."""
+    if not (isinstance(n, (int, np.integer)) and n >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
+    return int(n)
 
 
 def wrap_phase(phi):
@@ -124,8 +137,7 @@ class PskCode:
         if np.any(gamma < 0):
             raise ValueError("gamma must be nonnegative")
         if self.m_psk is not None:
-            if self.m_psk < 2:
-                raise ValueError(f"m_psk must be >= 2, got {self.m_psk}")
+            object.__setattr__(self, "m_psk", _count(self.m_psk, 2, "m_psk"))
             if np.max(np.abs(gamma - 1.0)) > 1e-12:
                 raise ValueError("gamma must be all 1 when m_psk is set")
         phi = wrap_phase(phi)
@@ -210,8 +222,7 @@ def code_from_symbols(symbols: ComplexSymbolVector) -> PskCode:
 
 def psk_alphabet(m_psk: int) -> np.ndarray:
     """Phase alphabet {2 pi k / M : k = 0..M-1} wrapped to (-pi, pi]."""
-    if m_psk < 2:
-        raise ValueError(f"m_psk must be >= 2, got {m_psk}")
+    m_psk = _count(m_psk, 2, "m_psk")
     return wrap_phase(TWO_PI * np.arange(m_psk) / m_psk)
 
 
@@ -232,8 +243,7 @@ def _harmonic_sum(code: PskCode, x, derivative: bool = False) -> np.ndarray:
     """sum_l gamma_l cos(l x + phi_l), or, with derivative=True, minus its
     x-derivative sum_l l gamma_l sin(l x + phi_l).  One harmonic at a time,
     in order of l: the temporaries are the size of x, and a point's value
-    does not depend on the other points of x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    does not depend on the other points of x, a float array."""
     ell = np.arange(1, code.L + 1, dtype=float)
     w, fn = (ell * code.gamma, np.sin) if derivative else (code.gamma, np.cos)
     out = w[0] * fn(ell[0] * x + code.phi[0])
@@ -247,16 +257,14 @@ def phase_at(spec: WaveformSpec, t):
 
     Accepts a scalar or array; raises OutOfSupport unless every |t| <= T/2.
     """
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    OutOfSupport.check(arr, spec.T / 2.0, "t")
+    arr = OutOfSupport.check(t, spec.T / 2.0, "t")
     out = TWO_PI * spec.h * _harmonic_sum(spec.code, TWO_PI * arr / spec.T)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def freq_mod_at(spec: WaveformSpec, t):
     """Instantaneous frequency deviation m(t) = phi'(t)/(2 pi) in Hz."""
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    OutOfSupport.check(arr, spec.T / 2.0, "t")
+    arr = OutOfSupport.check(t, spec.T / 2.0, "t")
     out = -(TWO_PI * spec.h / spec.T) * _harmonic_sum(
         spec.code, TWO_PI * arr / spec.T, derivative=True)
     return float(out[0]) if np.ndim(t) == 0 else out

@@ -6,6 +6,11 @@ import warnings
 # would surface inside a pytest hookwrapper as INTERNALERROR, hiding the
 # falsifying example and stopping the session.  Importing it once here, with
 # only that warning category ignored, leaves the cached module for the hook.
+# The module is private: a hypothesis without it has a hook that cannot
+# import it either, so there is nothing to import ahead.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass

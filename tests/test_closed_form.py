@@ -1,5 +1,6 @@
 import ast
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -163,6 +164,14 @@ def test_ambiguity_support_boundary():
     # a NaN delay is refused, not spread into the other rows of the surface
     with pytest.raises(OutOfSupport):
         af_surface(c, spec.T, [-0.5 * spec.T, np.nan, 0.5 * spec.T], [0.0])
+    # so is a non-finite Doppler, before any cast or product can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfSupport, match=r"\|nu\| = \w+ is not fin"):
+                ambiguity(c, spec.T, 0.2 * spec.T, nu)
+            with pytest.raises(OutOfSupport, match=r"\|nu\| = \w+ is not fin"):
+                af_surface(c, spec.T, [0.0, 0.5 * spec.T], [0.0, nu, 2.0])
 
 
 def test_af_surface_layout_and_hash():

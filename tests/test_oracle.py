@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,12 @@ def test_af_zero_overlap_and_support():
     for tau in (1.1 * spec.T, np.nan):
         with pytest.raises(OutOfSupport):
             af_numeric_grid(spec, [tau], [0.0], fs)
+    # a non-finite Doppler is refused before the quadrature can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfSupport, match=r"\|nu\| = \w+ is not fin"):
+                af_numeric_grid(spec, [0.0, 0.5 * spec.T], [0.0, nu], fs)
 
 
 def test_af_grid_matches_pointwise():
@@ -194,6 +201,20 @@ def test_spectrum_numeric_converges_with_rate():
         return np.max(np.abs(spectrum_numeric(spec, fs, f) - sc))
 
     assert worst(32768.0) < worst(2048.0) / 10.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["closed_form", "oracle"])
+def test_spectrum_refuses_non_finite_frequencies(route, bad):
+    spec = _spec()
+    f = [0.0, bad, 1.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfSupport, match=r"\|f\| = \w+ is not finite"):
+            if route == "closed_form":
+                spectrum(compute_coefficients(spec), spec.T, f)
+            else:
+                spectrum_numeric(spec, 4096.0, f)
 
 
 def test_oracle_imports_only_waveform():

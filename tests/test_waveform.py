@@ -1,14 +1,18 @@
 import dataclasses
+import inspect
 import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ceofdm import waveform
 from ceofdm.closed_form import acf_uniform
+from ceofdm.eoa import h_for_tbp, max_coupling_code, rho_norm_max
 from ceofdm.gbf import compute_coefficients
+from ceofdm.sidelobes import metric_surface
 from ceofdm.waveform import (ComplexSymbolVector, NonRealCoefficients,
                              OutOfSupport, PskCode, Undersampled,
                              WaveformSpec, ZeroDcViolation, code_from_symbols,
@@ -151,6 +155,43 @@ def test_psk_alphabet_and_seeded_codes():
     np.testing.assert_array_equal(a.phi, wrap_phase(2.0 * np.pi * k / 32))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: psk_alphabet(2.5), "m_psk"),
+    (lambda: random_psk_code(3, 2.5, 0), "m_psk"),
+    (lambda: PskCode(phi=[0.1], m_psk=2.5), "m_psk"),
+    (lambda: PskCode(phi=[0.1], m_psk=4.0), "m_psk"),
+    (lambda: max_coupling_code(2.5), "L"),
+    (lambda: rho_norm_max(2.5), "L"),
+    (lambda: h_for_tbp(100.0, 2.5), "L"),
+    (lambda: h_for_tbp(np.nan, 2), "tbp"),
+    (lambda: h_for_tbp(np.inf, 2), "tbp"),
+    (lambda: metric_surface(1.0, 2.5), "grid_n"),
+], ids=["psk_alphabet", "random_psk_code", "PskCode", "PskCode-float",
+        "max_coupling_code", "rho_norm_max", "h_for_tbp-L", "h_for_tbp-nan",
+        "h_for_tbp-inf", "metric_surface"])
+def test_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted(tmp_path):
+    four = np.int64(4)
+    np.testing.assert_array_equal(psk_alphabet(four), psk_alphabet(4))
+    code = random_psk_code(3, four, 0)
+    np.testing.assert_array_equal(code.phi, random_psk_code(3, 4, 0).phi)
+    # stored as a Python int, so the spec file can hold it
+    assert type(code.m_psk) is int and code.m_psk == 4
+    save_spec(WaveformSpec(T=1.0, h=0.5, code=code), tmp_path / "s.json")
+    assert load_spec(tmp_path / "s.json").code.m_psk == 4
+    np.testing.assert_array_equal(max_coupling_code(np.int64(5)).phi,
+                                  max_coupling_code(5).phi)
+    assert rho_norm_max(np.int64(24)) == rho_norm_max(24)
+    assert h_for_tbp(200.0, np.int64(24)) == h_for_tbp(200.0, 24)
+    for a, b in zip(metric_surface(1.0, np.int64(2), L=1),
+                    metric_surface(1.0, 2, L=1)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_phase_matches_conjugate_exponential_series():
     # phi(t) = 2 pi h sum_l Re(c_l e^{-j 2 pi l t / T}) for the code built
     # from conjugate-symmetric symbols c
@@ -234,6 +275,16 @@ def test_support_enforced():
         with pytest.raises(OutOfSupport):
             evaluate(spec, np.array([0.0, np.nan]))
     assert np.isfinite(phase_at(spec, 0.5))  # boundary included
+
+
+def test_grid_rule_is_the_only_grid_conversion():
+    # every time, delay, Doppler and frequency grid is converted and checked
+    # by OutOfSupport.check, and no function converts one on its own
+    pattern = "np.atleast_1d(np.asarray("
+    hits = {path.name: path.read_text().count(pattern)
+            for path in Path(waveform.__file__).parent.glob("*.py")}
+    assert sum(hits.values()) == 1 and hits["waveform.py"] == 1
+    assert pattern in inspect.getsource(OutOfSupport.check)
 
 
 def test_scalar_and_array_evaluation_agree():
