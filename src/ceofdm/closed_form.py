@@ -86,8 +86,8 @@ import numpy as np
 from .waveform import OutOfSupport
 
 # af_surface builds the kernels of as many Dopplers at a time as fit in
-# _BLOCK complex elements; spectrum forms its reciprocals in one buffer of
-# 2 * _BLOCK reals.
+# _BLOCK complex elements; spectrum forms the reciprocals of as many
+# frequencies at a time as fit in 2 * _BLOCK reals.
 _BLOCK = 1 << 14
 
 
@@ -99,16 +99,16 @@ def _order(c: np.ndarray) -> int:
 
 
 def spectrum(c: np.ndarray, T: float, f_grid) -> np.ndarray:
-    """S(f) on the finite f_grid (Hz), a complex array of f_grid's shape.
+    """S(f) on f_grid (Hz), |f T| <= 2^52, a complex array of its shape.
 
-    The reciprocals are formed in one reused buffer of 2 * _BLOCK reals, or
-    one row if that is longer, and each value is a sum over its own row in
-    a fixed order.  So a single frequency equals its entry in any grid, bit
-    for bit, whatever the buffer size or the machine's thread settings.
+    The reciprocals are formed in blocks of 2 * _BLOCK reals, a row at a
+    time beyond 8192 columns, and each value is a sum over its own row in a
+    fixed order.  So a single frequency equals its entry in any grid, bit
+    for bit, whatever the block size or the machine's thread settings.
     """
     M = _order(c)
     m = np.arange(-M, M + 1)
-    x = T * OutOfSupport.check(f_grid, np.inf, "f").ravel()
+    x = T * OutOfSupport.check(f_grid, OutOfSupport.CYCLES / T, "f").ravel()
     n = np.rint(x)
     r = x - n
     on = r == 0.0
@@ -121,14 +121,11 @@ def spectrum(c: np.ndarray, T: float, f_grid) -> np.ndarray:
     # rows with r = 0 are set below; 0.5 keeps their reciprocals finite
     x = np.where(on, 0.5, x)
     vals = np.empty(len(x), dtype=complex)
-    buf = np.empty(max(2 * _BLOCK, len(m)))
     # einsum sums a row longer than its iterator's 8192-element buffer in
     # pieces whose order depends on the other rows, so those go one by one
-    step = len(buf) // len(m) if len(m) <= 8192 else 1
+    step = max(1, 2 * _BLOCK // len(m)) if len(m) <= 8192 else 1
     for i in range(0, len(x), step):
-        rows = x[i:i + step]
-        inv = buf[:len(rows) * len(m)].reshape(len(rows), len(m))
-        np.subtract.outer(rows, m, out=inv)
+        inv = np.subtract.outer(x[i:i + step], m)
         np.divide(1.0, inv, out=inv)
         # einsum without optimize sums each row on its own, never in BLAS
         row_scale = scale[i:i + step]
@@ -238,7 +235,7 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
 def ambiguity(c: np.ndarray, T: float, tau: float, nu: float) -> complex:
     """chi(tau, nu) at a single delay/Doppler point.
 
-    Raises OutOfSupport for |tau| > T or a non-finite nu; chi(+-T, nu) = 0.
+    Raises OutOfSupport unless |tau| <= T and |nu T| <= 2^52; chi(+-T, nu) = 0.
     """
     return complex(af_surface(c, T, [tau], [nu])[0, 0])
 
@@ -257,7 +254,7 @@ def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     """
     M = _order(c)
     taus = OutOfSupport.check(tau_grid, T, "tau")
-    nuT = OutOfSupport.check(nu_grid, np.inf, "nu") * T
+    nuT = OutOfSupport.check(nu_grid, OutOfSupport.CYCLES / T, "nu") * T
     s = taus / T
     ds = (s[-1] - s[0]) / (len(s) - 1) if len(s) > 1 else 0.0
     # 20000 random np.linspace grids lay at most 7 ulps off s_0 + i ds

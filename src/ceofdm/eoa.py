@@ -110,8 +110,8 @@ def ellipse_contour(params: dict, xi: float,
         DegenerateEllipse: when |rho_norm| >= 1 - 1e-9 and the form stops
             being positive definite to working precision.
     """
-    if xi <= 0:
-        raise ValueError(f"xi must be positive, got {xi}")
+    if not 0 < xi < np.inf:  # NaN fails too
+        raise ValueError(f"xi must be finite and positive, got {xi}")
     rho_norm, rho = abs(params["rho_norm"]), params["rho"]
     if rho_norm >= 1.0 - 1e-9:
         raise DegenerateEllipse(
@@ -120,6 +120,7 @@ def ellipse_contour(params: dict, xi: float,
     w, V = np.linalg.eigh(Q)
     if np.any(w <= 0):
         raise DegenerateEllipse("quadratic form is not positive definite")
+    n_points = _count(n_points, 1, "n_points")
     ang = 2.0 * np.pi * np.arange(n_points) / n_points
     unit = np.stack([np.cos(ang), np.sin(ang)])
     pts = V @ (unit * np.sqrt(xi / w)[:, None])

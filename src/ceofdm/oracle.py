@@ -6,7 +6,8 @@ defining integrals are approximated by the composite Simpson rule (a
 midpoint sum over waveform.sample for the Fourier integral).  Nothing is
 shared with the coefficient-series route, so agreement between the two is a
 genuine check.
-Every function takes the node rate fs; the CLI uses oracle_fs.
+Every function takes the node rate fs and refuses, by Undersampled.check,
+a rate below the floor waveform.sample keeps; the CLI uses oracle_fs.
 
 Grid registration: the nodes over a window of width W are spaced W / N with
 N = round(fs W), so the window is covered exactly.  Integrands that are
@@ -22,8 +23,9 @@ import math
 
 import numpy as np
 
-from .waveform import (TWO_PI, OutOfSupport, WaveformSpec, freq_mod_at,
-                       oversample_floor, phase_at, sample, simpson)
+from .waveform import (TWO_PI, OutOfSupport, Undersampled, WaveformSpec,
+                       _count, freq_mod_at, oversample_floor, phase_at, sample,
+                       simpson)
 
 # _dft works on blocks of at most this many (frequency, node) pairs.
 _DFT_CHUNK = 1 << 20
@@ -39,8 +41,6 @@ def oracle_fs(spec: WaveformSpec) -> float:
 def _nodes(a: float, b: float, fs: float):
     """(t, d): the n + 1 Simpson nodes over [a, b], spaced d, with
     n = round(fs (b - a)) rounded up even, and at least 4."""
-    if not (np.isfinite(fs) and fs > 0):
-        raise ValueError(f"fs must be positive, got {fs}")
     width = b - a
     n = max(int(round(fs * width)), 4)
     if n % 2:
@@ -70,7 +70,8 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
     """
     T = spec.T
     taus = OutOfSupport.check(taus, T, "tau")
-    nus = OutOfSupport.check(nus, np.inf, "nu")
+    nus = OutOfSupport.check(nus, OutOfSupport.CYCLES / T, "nu")
+    fs = Undersampled.check(spec, fs)
     out = np.zeros((len(taus), len(nus)), dtype=complex)
     for i, tau in enumerate(taus):
         half = (T - abs(tau)) / 2.0
@@ -97,8 +98,8 @@ def acf_numeric(spec: WaveformSpec, n_tau: int, fs: float) -> np.ndarray:
     - x_{N-2k} conj(x_N)]: af_numeric_grid at fs = N / T, to rounding.  R(T)
     is exactly 0, so the lags read stay below N: 2N points hold them.
     """
-    if not (n_tau >= 1 and np.isfinite(fs) and fs > 0):
-        raise ValueError(f"need n_tau >= 1 and fs > 0, got {n_tau}, {fs}")
+    n_tau = _count(n_tau, 1, "n_tau")
+    fs = Undersampled.check(spec, fs)
     # integer arithmetic: fs T may land an ulp off the integer it stands for
     N = max(-(-int(round(fs * spec.T)) // (2 * n_tau)), 1) * (2 * n_tau)
     t = np.linspace(-spec.T / 2.0, spec.T / 2.0, N + 1)
@@ -124,7 +125,7 @@ def eoa_numeric(spec: WaveformSpec, fs: float) -> dict:
     the support and |s|^2 = 1/T, to (2 pi / T) int t phi'(t) dt.
     """
     T = spec.T
-    t, d = _nodes(-T / 2.0, T / 2.0, fs)
+    t, d = _nodes(-T / 2.0, T / 2.0, Undersampled.check(spec, fs))
     pd = TWO_PI * freq_mod_at(spec, t)
     first = simpson(pd ** 2, d) / T
     second = simpson(pd, d) / T
@@ -140,6 +141,6 @@ def spectrum_numeric(spec: WaveformSpec, fs: float, f_grid) -> np.ndarray:
     the transform of sample(spec, fs), which raises Undersampled below the
     floor, is evaluated directly at the requested frequencies.
     """
-    f = OutOfSupport.check(f_grid, np.inf, "f")
+    f = OutOfSupport.check(f_grid, OutOfSupport.CYCLES / spec.T, "f")
     t, s = sample(spec, fs)
     return _dft(s, t, spec.T / len(t), f)

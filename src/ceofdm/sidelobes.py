@@ -89,7 +89,7 @@ def metric_surface(h: float, grid_n: int, n_tau: int | None = None, *,
     order, whose entry [k_1, ..., k_L] is the code phis[[k_1, ..., k_L]].
     n_tau=None takes acf_uniform's grid for each code's M.
     """
-    grid_n = _count(grid_n, 2, "grid_n")
+    grid_n, L = _count(grid_n, 2, "grid_n"), _count(L, 1, "L")
     phis = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
     isl_db = np.empty((grid_n,) * L)
     pslr_db = np.empty((grid_n,) * L)

@@ -52,13 +52,16 @@ class NonRealCoefficients(ValueError):
 
 
 class OutOfSupport(ValueError):
-    """A time outside the pulse's [-T/2, T/2], a delay outside [-T, T], or a
-    time, delay, Doppler or frequency that is not finite."""
+    """A time outside the pulse's [-T/2, T/2], a delay outside [-T, T], a
+    Doppler or frequency beyond CYCLES / T, or a value that is not finite."""
+
+    # beyond this, nu T or f T keeps no fraction for the kernels' rint to see
+    CYCLES = 2.0 ** 52
 
     @classmethod
     def check(cls, x, half: float, name: str) -> np.ndarray:
         """x as a float array of at least 1 dimension, once every |x| is finite
-        and <= half (1 + _EDGE_SLACK); Dopplers and frequencies pass inf."""
+        and <= half (1 + _EDGE_SLACK)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         worst = np.max(np.abs(x), initial=0.0)
         if not np.isfinite(worst):
@@ -69,7 +72,15 @@ class OutOfSupport(ValueError):
 
 
 class Undersampled(ValueError):
-    """Requested sample rate falls below the oversampling floor."""
+    """A sample or node rate below oversample_floor, or not finite."""
+
+    @classmethod
+    def check(cls, spec: WaveformSpec, fs: float) -> float:
+        """fs, once it is finite and >= oversample_floor(spec)."""
+        floor = oversample_floor(spec)
+        if not floor * (1.0 - 1e-12) <= fs < np.inf:
+            raise cls(f"fs {fs} not finite or below floor {floor}")
+        return fs
 
 
 def _count(n, low: int, name: str) -> int:
@@ -235,7 +246,7 @@ def random_psk_code(L: int, m_psk: int, seed: int) -> PskCode:
     code.
     """
     rng = np.random.default_rng(seed)
-    phi = psk_alphabet(m_psk)[rng.integers(0, m_psk, size=L)]
+    phi = psk_alphabet(m_psk)[rng.integers(0, m_psk, size=_count(L, 1, "L"))]
     return PskCode(phi=phi, m_psk=m_psk)
 
 
@@ -296,10 +307,7 @@ def sample(spec: WaveformSpec, fs: float) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         Undersampled: unless fs is finite and >= oversample_floor(spec).
     """
-    floor = oversample_floor(spec)
-    if not floor * (1.0 - 1e-12) <= fs < np.inf:
-        raise Undersampled(f"fs {fs} not finite or below floor {floor}")
-    t, _ = midpoints(spec.T, round(fs * spec.T))
+    t, _ = midpoints(spec.T, round(Undersampled.check(spec, fs) * spec.T))
     return t, np.exp(1j * phase_at(spec, t)) / np.sqrt(spec.T)
 
 

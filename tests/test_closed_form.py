@@ -158,6 +158,16 @@ def test_ambiguity_support_boundary():
         for tau in (-spec.T, spec.T):
             for nu in (0.0, 3.0, -2.5 / spec.T, 7.3):
                 assert ambiguity(c, spec.T, tau, nu) == 0
+        # a finite Doppler beyond OutOfSupport.CYCLES / T is refused before
+        # nu T can overflow (T = 1.5) or leave the integers that k0 is cast
+        # to (1e19 at T = 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for nu in (1e19, 1e308, -1e308):
+                with pytest.raises(OutOfSupport, match=r"\|nu\| = .* exceed"):
+                    ambiguity(c, spec.T, 0.2 * spec.T, nu)
+                with pytest.raises(OutOfSupport, match=r"\|nu\| = .* exceed"):
+                    af_surface(c, spec.T, [0.0, 0.5 * spec.T], [0.0, nu])
     for tau in (1.5 * spec.T, np.nan):
         with pytest.raises(OutOfSupport):
             ambiguity(c, spec.T, tau, 0.0)
@@ -787,6 +797,19 @@ def test_closed_form_imports_neither_gbf_nor_the_spec():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names}
     assert imports == {("waveform", "OutOfSupport")}
+
+
+def test_no_support_check_is_unbounded():
+    # every time, delay, Doppler and frequency grid has a finite support
+    calls = [(path.name, node)
+             for path in Path(closed_form.__file__).parent.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "OutOfSupport.check"]
+    assert len(calls) >= 8
+    for name, call in calls:
+        for arg in call.args[1:] + [k.value for k in call.keywords]:
+            assert "inf" not in ast.unparse(arg), (name, ast.unparse(call))
 
 
 @pytest.mark.parametrize("c", [np.zeros(4, dtype=complex),

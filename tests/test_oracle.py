@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from ceofdm import oracle
-from ceofdm.closed_form import ambiguity, spectrum
+from ceofdm.closed_form import af_surface, ambiguity, spectrum
 from ceofdm.gbf import compute_coefficients
 from ceofdm.eoa import eoa_closed_form
 from ceofdm.eoa import h_for_tbp
 from ceofdm.oracle import (acf_numeric, af_numeric_grid, eoa_numeric,
                            oracle_fs, spectrum_numeric)
-from ceofdm.waveform import (OutOfSupport, PskCode, WaveformSpec,
-                             oversample_floor, phase_at, random_psk_code)
+from ceofdm.waveform import (OutOfSupport, PskCode, Undersampled,
+                             WaveformSpec, oversample_floor, phase_at,
+                             random_psk_code, sample)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1):
@@ -21,16 +22,21 @@ def _spec(L=2, h=0.5, T=1.0, seed=1):
 
 
 def test_config_validation():
-    spec = _spec()
-    for fs in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            eoa_numeric(spec, fs)
-        with pytest.raises(ValueError):
-            af_numeric_grid(spec, [0.1], [0.0], fs)
-        with pytest.raises(ValueError):
-            acf_numeric(spec, 16, fs)
-        with pytest.raises(ValueError):
-            spectrum_numeric(spec, fs, [0.0])
+    # every oracle refuses exactly the node rates that sample refuses
+    spec = WaveformSpec(T=1.0, h=0.5, code=random_psk_code(3, 8, 1))
+    floor = oversample_floor(spec)
+    calls = (lambda fs: sample(spec, fs),
+             lambda fs: eoa_numeric(spec, fs),
+             lambda fs: af_numeric_grid(spec, [0.3], [2.0], fs),
+             lambda fs: acf_numeric(spec, 4, fs),
+             lambda fs: spectrum_numeric(spec, fs, [0.0]))
+    for fs in (0.0, -1.0, np.inf, np.nan, 1e-3, floor / 4,
+               floor * (1.0 - 1e-11)):
+        for call in calls:
+            with pytest.raises(Undersampled):
+                call(fs)
+    for call in calls:
+        call(floor * (1.0 - 1e-13))
     for spec in (_spec(), _spec(L=1, h=0.0, T=0.3), _spec(L=24, h=0.1856),
                  _spec(L=2, h=5.81, T=2.0)):
         n = 2.0 ** round(np.log2(oracle_fs(spec) * spec.T))
@@ -59,6 +65,12 @@ def test_af_zero_overlap_and_support():
         for nu in (np.nan, np.inf, -np.inf):
             with pytest.raises(OutOfSupport, match=r"\|nu\| = \w+ is not fin"):
                 af_numeric_grid(spec, [0.0, 0.5 * spec.T], [0.0, nu], fs)
+        # and so is a finite one beyond OutOfSupport.CYCLES / T, before its
+        # product with the nodes can overflow
+        for spec in (spec, _spec(T=10.0)):
+            for nu in (1e19, 1e308, -1e308):
+                with pytest.raises(OutOfSupport, match=r"\|nu\| = .* exceed"):
+                    af_numeric_grid(spec, [0.0, 0.5 * spec.T], [0.0, nu], fs)
 
 
 def test_af_grid_matches_pointwise():
@@ -203,18 +215,43 @@ def test_spectrum_numeric_converges_with_rate():
     assert worst(32768.0) < worst(2048.0) / 10.0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# 1e308 Hz is finite, but T f overflows at T = 10
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
 @pytest.mark.parametrize("route", ["closed_form", "oracle"])
 def test_spectrum_refuses_non_finite_frequencies(route, bad):
-    spec = _spec()
+    spec = _spec(T=10.0)
     f = [0.0, bad, 1.5]
+    why = "exceeds" if np.isfinite(bad) else "is not finite"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OutOfSupport, match=r"\|f\| = \w+ is not finite"):
+        with pytest.raises(OutOfSupport, match=rf"\|f\| = \S+ {why}"):
             if route == "closed_form":
                 spectrum(compute_coefficients(spec), spec.T, f)
             else:
                 spectrum_numeric(spec, 4096.0, f)
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0])
+def test_every_kernel_and_oracle_runs_at_the_doppler_support_edge(T):
+    # at nu T = f T = +-2^52 the kernels' rint and integer index still hold
+    spec = _spec(T=T)
+    c = compute_coefficients(spec)
+    fs = oracle_fs(spec)
+    edge = OutOfSupport.CYCLES / T
+    x = [-edge, 0.0, edge]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in (af_surface(c, T, [-0.5 * T, 0.0, 0.5 * T], x),
+                    [ambiguity(c, T, 0.25 * T, v) for v in x],
+                    spectrum(c, T, x), spectrum_numeric(spec, fs, x),
+                    af_numeric_grid(spec, [-0.5 * T, 0.25 * T], x, fs)):
+            assert np.all(np.isfinite(out))
+        for kernel in (lambda x: af_surface(c, T, [0.0], x),
+                       lambda x: spectrum(c, T, x),
+                       lambda x: spectrum_numeric(spec, fs, x),
+                       lambda x: af_numeric_grid(spec, [0.0], x, fs)):
+            with pytest.raises(OutOfSupport):
+                kernel([2.0 * edge])
 
 
 def test_oracle_imports_only_waveform():

@@ -10,8 +10,10 @@ import pytest
 
 from ceofdm import waveform
 from ceofdm.closed_form import acf_uniform
-from ceofdm.eoa import h_for_tbp, max_coupling_code, rho_norm_max
+from ceofdm.eoa import (eoa_closed_form, ellipse_contour, h_for_tbp,
+                        max_coupling_code, rho_norm_max)
 from ceofdm.gbf import compute_coefficients
+from ceofdm.oracle import acf_numeric, oracle_fs
 from ceofdm.sidelobes import metric_surface
 from ceofdm.waveform import (ComplexSymbolVector, NonRealCoefficients,
                              OutOfSupport, PskCode, Undersampled,
@@ -166,9 +168,21 @@ def test_psk_alphabet_and_seeded_codes():
     (lambda: h_for_tbp(np.nan, 2), "tbp"),
     (lambda: h_for_tbp(np.inf, 2), "tbp"),
     (lambda: metric_surface(1.0, 2.5), "grid_n"),
+    (lambda: random_psk_code(2.5, 4, 0), "L"),
+    (lambda: random_psk_code(0, 4, 0), "L"),
+    (lambda: metric_surface(1.0, 2, L=2.0), "L"),
+    (lambda: metric_surface(1.0, 2, L=0), "L"),
+    (lambda: acf_numeric(_spec(), 2.5, oracle_fs(_spec())), "n_tau"),
+    (lambda: ellipse_contour(eoa_closed_form(_spec()), 0.02, 2.5),
+     "n_points"),
+    (lambda: ellipse_contour(eoa_closed_form(_spec()), np.nan), "xi"),
+    (lambda: ellipse_contour(eoa_closed_form(_spec()), np.inf), "xi"),
 ], ids=["psk_alphabet", "random_psk_code", "PskCode", "PskCode-float",
         "max_coupling_code", "rho_norm_max", "h_for_tbp-L", "h_for_tbp-nan",
-        "h_for_tbp-inf", "metric_surface"])
+        "h_for_tbp-inf", "metric_surface", "random_psk_code-L",
+        "random_psk_code-L0", "metric_surface-L", "metric_surface-L0",
+        "acf_numeric", "ellipse_contour", "ellipse_contour-nan",
+        "ellipse_contour-inf"])
 def test_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
@@ -187,9 +201,18 @@ def test_numpy_integer_counts_are_accepted(tmp_path):
                                   max_coupling_code(5).phi)
     assert rho_norm_max(np.int64(24)) == rho_norm_max(24)
     assert h_for_tbp(200.0, np.int64(24)) == h_for_tbp(200.0, 24)
-    for a, b in zip(metric_surface(1.0, np.int64(2), L=1),
+    for a, b in zip(metric_surface(1.0, np.int64(2), L=np.int64(1)),
                     metric_surface(1.0, 2, L=1)):
         np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(random_psk_code(np.int64(3), 4, 0).phi,
+                                  code.phi)
+    spec = _spec()
+    np.testing.assert_array_equal(
+        acf_numeric(spec, np.int64(16), oracle_fs(spec)),
+        acf_numeric(spec, 16, oracle_fs(spec)))
+    params = eoa_closed_form(spec)
+    np.testing.assert_array_equal(ellipse_contour(params, 0.02, np.int64(16)),
+                                  ellipse_contour(params, 0.02, 16))
 
 
 def test_phase_matches_conjugate_exponential_series():
