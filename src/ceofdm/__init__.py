@@ -4,9 +4,9 @@ import os
 
 # OpenBLAS reads this once, when numpy loads, and by default starts a worker
 # thread per core that spins before it sleeps.  No command makes a BLAS call
-# that gains from a second thread (the only ones left in the package are
-# ellipse_contour's 2x2 eigh and the matrix product in oracle._dft, the
-# direct Fourier sum behind spectrum_numeric), so one thread saves CPU time.
+# that gains from a second thread (the only one left in the package is the
+# matrix product in oracle._dft, the direct Fourier sum behind
+# spectrum_numeric), so one thread saves CPU time.
 # A value already in the environment wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .waveform import OutOfSupport
+from .waveform import OutOfSupport, _count, _fft_len
 
 # af_surface builds the kernels of as many Dopplers at a time as fit in
 # _BLOCK complex elements; spectrum forms the reciprocals of as many
@@ -185,7 +185,7 @@ def chirp_z(b: float, a: float, q: float, n_in: int, n_out: int):
         return np.exp(-1j * np.pi * r.sum(axis=(0, 1)))
 
     n, k = np.arange(n_in, dtype=float), np.arange(n_out, dtype=float)
-    size = 1 << (n_in + n_out - 2).bit_length()
+    size = _fft_len(n_in + n_out - 1)
     pre = turn(b, 2.0 * (q + n)) * turn(a, n * n)
     j = np.arange(1 - n_in, n_out, dtype=float)
     chirp = np.fft.fft(np.conj(turn(a, j * j)), size)
@@ -202,7 +202,7 @@ def _chi_causal(c: np.ndarray, M: int, s: np.ndarray, ds: float,
                 nuT: np.ndarray) -> np.ndarray:
     """chi at the delays s T >= 0, s = s_0 + i ds ascending, and the
     Dopplers nuT / T; one row per delay."""
-    size = 1 << (4 * M).bit_length()
+    size = _fft_len(4 * M + 1)
     F_conj = np.fft.fft(np.conj(c), size)
     # the FFT of conj(c) reversed turns _lag_conv into a lag correlation
     F_rev = np.fft.fft(np.conj(c[::-1]), size)
@@ -274,7 +274,7 @@ def lag_weights(c: np.ndarray):
     """(w, v) over m = -M..M, the real weights of R(tau) in the module
     docstring: w_m = |c_m|^2 and v_m = Im u_m at nu = 0."""
     M = _order(c)
-    size = 1 << (4 * M).bit_length()
+    size = _fft_len(4 * M + 1)
     P = _kernel_fft(M, np.zeros(1), size)
     u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
     return c.real ** 2 + c.imag ** 2, u.imag
@@ -283,20 +283,18 @@ def lag_weights(c: np.ndarray):
 def acf_uniform(c: np.ndarray, T: float, n_tau: int | None = None):
     """R(tau) on the uniform grid tau_j = j T / n_tau, j = 0..n_tau.
 
-    n_tau=None takes max(4096, 2 size), size = 2^bitlen(4M) the lag FFT's
-    length: steps of at most T / (4 (2M + 1)), a quarter of the resolution
-    of harmonics spanning (2M + 1) / T.  The grid includes tau = T, where R
-    vanishes, and n_tau < 1 raises ValueError.  The weights of lag_weights
-    are binned by m mod n_tau and evaluated with one length-n_tau FFT each.
+    n_tau=None takes max(4096, 2 size), size = _fft_len(4M + 1) the lag
+    FFT's length: steps of at most T / (4 (2M + 1)), a quarter of the
+    resolution of harmonics spanning (2M + 1) / T.  The grid includes
+    tau = T, where R vanishes.  The weights of lag_weights are binned by
+    m mod n_tau and evaluated with one length-n_tau FFT each.
 
     Returns:
         (tau, R): arrays of length n_tau + 1.
     """
     M = _order(c)
-    if n_tau is None:
-        n_tau = max(4096, 2 << (4 * M).bit_length())
-    if n_tau < 1:
-        raise ValueError(f"n_tau must be at least 1, got {n_tau}")
+    n_tau = _count(max(4096, 2 * _fft_len(4 * M + 1)) if n_tau is None
+                   else n_tau, 1, "n_tau")
     w, v = lag_weights(c)
     bins = np.arange(-M, M + 1) % n_tau
     G = np.fft.fft(np.bincount(bins, w, n_tau))

@@ -97,8 +97,10 @@ def ellipse_contour(params: dict, xi: float,
                     n_points: int = 256) -> np.ndarray:
     """Points (tau, nu) on beta2 tau^2 - 2 rho tau nu + tau2 nu^2 = xi.
 
-    Parameterized through the eigendecomposition of the quadratic form, so
-    every returned point satisfies the equation to rounding.
+    Parameterized by completing the square, beta2 (tau - rho nu / beta2)^2
+    + (D / beta2) nu^2 = xi with D = beta2 tau2 - rho^2, so every returned
+    point satisfies the equation to rounding at any T.  A rotation by
+    ellipse_tilt's angle does not once beta2 / tau2 spans many decades.
 
     The contour follows a level set of |chi|^2 only while the time-bandwidth
     product is large.  At small TBP the rect envelope's cusp at tau = 0
@@ -107,21 +109,19 @@ def ellipse_contour(params: dict, xi: float,
     points of the xi = 0.02 contour, as much as xi itself.
 
     Raises:
-        DegenerateEllipse: when |rho_norm| >= 1 - 1e-9 and the form stops
-            being positive definite to working precision.
+        DegenerateEllipse: when |rho_norm| >= 1 - 1e-9 or beta2 = 0 (h = 0),
+            and the form stops being positive definite to working precision.
     """
     if not 0 < xi < np.inf:  # NaN fails too
         raise ValueError(f"xi must be finite and positive, got {xi}")
-    rho_norm, rho = abs(params["rho_norm"]), params["rho"]
-    if rho_norm >= 1.0 - 1e-9:
+    beta2, rho = params["beta2"], params["rho"]
+    det = beta2 * params["tau2"] - rho ** 2
+    rho_norm = abs(params["rho_norm"])
+    if not (rho_norm < 1.0 - 1e-9 and beta2 > 0.0 and det > 0.0):
         raise DegenerateEllipse(
-            f"|rho_norm| = {rho_norm} leaves no open ellipse")
-    Q = np.array([[params["beta2"], -rho], [-rho, params["tau2"]]])
-    w, V = np.linalg.eigh(Q)
-    if np.any(w <= 0):
-        raise DegenerateEllipse("quadratic form is not positive definite")
+            f"|rho_norm| = {rho_norm}, beta2 = {beta2}: no open ellipse")
     n_points = _count(n_points, 1, "n_points")
     ang = 2.0 * np.pi * np.arange(n_points) / n_points
-    unit = np.stack([np.cos(ang), np.sin(ang)])
-    pts = V @ (unit * np.sqrt(xi / w)[:, None])
-    return pts.T
+    nu = math.sqrt(xi * beta2 / det) * np.sin(ang)
+    tau = math.sqrt(xi / beta2) * np.cos(ang) + (rho / beta2) * nu
+    return np.stack([tau, nu], axis=1)

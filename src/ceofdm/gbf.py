@@ -11,8 +11,8 @@ J_m the ordinary Bessel function (Jacobi-Anger); for L > 1 they are
 generalized multi-tone analogues.  They depend on h and the code, not on T,
 and with T they are the closed-form kernels' one input.  The engine computes
 them by FFT of the uniformly sampled phase factor, which aliases coefficients
-at |m| > N_fft - M; the FFT size is padded to at least 4 (2M + 1) so the
-aliased tail sits below the truncation residual being measured.
+at |m| > N_fft - M; the FFT size, waveform._fft_len(4 (2M + 1)), puts the
+aliased tail below the truncation residual being measured.
 
 Truncation order schedule: start at M0 = ceil(e pi h L (L+1) / 2) + 8 (a
 safety factor of e/2 over the peak harmonic extent 2 pi h L(L+1)/2 of the
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .waveform import WaveformSpec, _harmonic_sum
+from .waveform import WaveformSpec, _fft_len, _harmonic_sum
 
 M_CAP = 1 << 20
 TOL = 1e-12
@@ -58,7 +58,7 @@ def compute_coefficients(spec: WaveformSpec) -> np.ndarray:
     deterministic: fixed FFT sizes, fixed schedule.
     """
     M = _initial_order(spec)
-    nfft = 1 << (4 * (2 * M + 1) - 1).bit_length()
+    nfft = _fft_len(4 * (2 * M + 1))
     g = None
     while True:
         if M > M_CAP:

@@ -24,8 +24,8 @@ import math
 import numpy as np
 
 from .waveform import (TWO_PI, OutOfSupport, Undersampled, WaveformSpec,
-                       _count, freq_mod_at, oversample_floor, phase_at, sample,
-                       simpson)
+                       _count, _fft_len, freq_mod_at, oversample_floor,
+                       phase_at, sample, simpson)
 
 # _dft works on blocks of at most this many (frequency, node) pairs.
 _DFT_CHUNK = 1 << 20
@@ -38,13 +38,11 @@ def oracle_fs(spec: WaveformSpec) -> float:
     return float(2 ** math.ceil(math.log2(n))) / spec.T
 
 
-def _nodes(a: float, b: float, fs: float):
+def _nodes(a: float, b: float, fs: float, step: int = 2):
     """(t, d): the n + 1 Simpson nodes over [a, b], spaced d, with
-    n = round(fs (b - a)) rounded up even, and at least 4."""
+    n = round(fs (b - a)), at least 4, rounded up to a multiple of step."""
     width = b - a
-    n = max(int(round(fs * width)), 4)
-    if n % 2:
-        n += 1
+    n = -(-max(int(round(fs * width)), 4) // step) * step
     return np.linspace(a, b, n + 1), width / n
 
 
@@ -90,21 +88,20 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
 def acf_numeric(spec: WaveformSpec, n_tau: int, fs: float) -> np.ndarray:
     """R(j T / n_tau), j = 0..n_tau: one phase evaluation, one FFT correlation.
 
-    The nodes are t_n = -T/2 + n T / N, n = 0..N, with N = round(fs T)
-    rounded up to a multiple of 2 n_tau, so a delay is 2k lattice steps and
-    its shifted nodes t -/+ tau/2 are a prefix and a suffix of the lattice.
+    The nodes are _nodes' t_n = -T/2 + n T / N, n = 0..N, with N rounded up
+    to a multiple of 2 n_tau, so a delay is 2k lattice steps and its
+    shifted nodes t -/+ tau/2 are a prefix and a suffix of the lattice.
     With x_n = exp(j phi(t_n)) and a_n = 2 (n even) or 4 (n odd), its
     Simpson sum is (1 / 3N) [sum_n a_n x_n conj(x_{n+2k}) - x_0 conj(x_{2k})
     - x_{N-2k} conj(x_N)]: af_numeric_grid at fs = N / T, to rounding.  R(T)
     is exactly 0, so the lags read stay below N: 2N points hold them.
     """
     n_tau = _count(n_tau, 1, "n_tau")
-    fs = Undersampled.check(spec, fs)
-    # integer arithmetic: fs T may land an ulp off the integer it stands for
-    N = max(-(-int(round(fs * spec.T)) // (2 * n_tau)), 1) * (2 * n_tau)
-    t = np.linspace(-spec.T / 2.0, spec.T / 2.0, N + 1)
+    t, _ = _nodes(-spec.T / 2.0, spec.T / 2.0, Undersampled.check(spec, fs),
+                  2 * n_tau)
+    N = len(t) - 1
     x = np.exp(1j * phase_at(spec, t))
-    size = 1 << (2 * N - 1).bit_length()
+    size = _fft_len(2 * N)
     ax = np.where(np.arange(N + 1) % 2, 4.0, 2.0) * x
     xa = np.conj(np.fft.fft(ax, size))
     xa *= np.fft.fft(x, size)  # in place: one spectrum fewer held at once

@@ -84,10 +84,16 @@ class Undersampled(ValueError):
 
 
 def _count(n, low: int, name: str) -> int:
-    """n as an int, if it is a Python or numpy integer >= low; else raise."""
-    if not (isinstance(n, (int, np.integer)) and n >= low):
+    """n as an int, if it is a Python or numpy integer >= low, not a bool;
+    else raise."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
     return int(n)
+
+
+def _fft_len(n: int) -> int:
+    """The smallest power of two >= n, the one FFT length rule."""
+    return 1 << (n - 1).bit_length()
 
 
 def wrap_phase(phi):

@@ -226,7 +226,7 @@ def test_acf_uniform_rejects_empty_delay_grid():
     spec = _spec(L=2, h=0.5, seed=1)
     c = compute_coefficients(spec)
     for n_tau in (0, -4):
-        with pytest.raises(ValueError, match="n_tau"):
+        with pytest.raises(ValueError, match="^n_tau must be an integer >= 1"):
             acf_uniform(c, spec.T, n_tau=n_tau)
 
 
@@ -790,13 +790,14 @@ def test_kernels_work_in_a_bounded_buffer():
 
 
 def test_closed_form_imports_neither_gbf_nor_the_spec():
-    # the kernels read the pulse from (c, T) alone: the one package name
-    # they import is the exception for delays beyond the pulse
+    # the kernels read the pulse from (c, T) alone: the package names they
+    # import are the grid, count and FFT-length rules
     tree = ast.parse(Path(closed_form.__file__).read_text())
     imports = {(node.module, alias.name) for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names}
-    assert imports == {("waveform", "OutOfSupport")}
+    assert imports == {("waveform", "OutOfSupport"), ("waveform", "_count"),
+                       ("waveform", "_fft_len")}
 
 
 def test_no_support_check_is_unbounded():

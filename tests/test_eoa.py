@@ -203,6 +203,29 @@ def test_ellipse_points_satisfy_quadratic_form():
     np.testing.assert_allclose(q, xi, rtol=1e-9)
 
 
+@pytest.mark.parametrize("T", [1e-6, 1e-3, 1.0, 1e2, 1e4])
+def test_ellipse_points_satisfy_quadratic_form_at_any_duration(T):
+    # beta2 / tau2 spans 28 decades over these T.  Completing the square
+    # kept every point within 7e-16 of xi.  A rotation by ellipse_tilt's
+    # angle with the eigenvalues (beta2 + tau2) / 2 +- hypot(beta2 - tau2,
+    # 2 rho) / 2 found the smaller one 0 at T <= 1e-3 and was 2e-4 off at
+    # T = 1e4 (7e-11 with the smaller one as D over the larger).  The
+    # polygon's area is the ellipse's, pi xi / sqrt(D).
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        L = int(rng.integers(1, 25))
+        spec = WaveformSpec(T=T, h=h_for_tbp(rng.uniform(50.0, 2000.0), L),
+                            code=PskCode(phi=rng.uniform(-np.pi, np.pi, L)))
+        p = eoa_closed_form(spec)
+        tau, nu = ellipse_contour(p, 0.02, n_points=4096).T
+        q = (p["beta2"] * tau ** 2 - 2.0 * p["rho"] * tau * nu
+             + p["tau2"] * nu ** 2)
+        np.testing.assert_allclose(q, 0.02, rtol=4e-15)
+        area = 0.5 * abs(np.sum(tau * np.roll(nu, -1) - np.roll(tau, -1) * nu))
+        det = p["beta2"] * p["tau2"] - p["rho"] ** 2
+        assert area == pytest.approx(np.pi * 0.02 / np.sqrt(det), rel=1e-6)
+
+
 def test_ellipse_axes_without_coupling():
     params = dict(beta2=16.0, tau2=4.0, rho=0.0, rho_norm=0.0)
     pts = ellipse_contour(params, 1.0, n_points=512)
@@ -226,6 +249,12 @@ def test_degenerate_ellipse_rejected():
         ellipse_contour(params, 1.0)
     with pytest.raises(ValueError):
         ellipse_contour(eoa_closed_form(_spec()), -1.0)
+    # h = 0: beta2 = rho = 0, so the form's smaller eigenvalue is 0
+    params = eoa_closed_form(WaveformSpec(T=1.7, h=0.0,
+                                          code=PskCode(phi=[0.3])))
+    assert params["rho_norm"] == 0.0
+    with pytest.raises(DegenerateEllipse):
+        ellipse_contour(params, 0.02)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

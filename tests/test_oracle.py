@@ -126,6 +126,27 @@ def test_acf_numeric_evaluates_phase_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_acf_numeric_takes_the_node_count_of_its_own_lattice(monkeypatch):
+    # acf_numeric's nodes come from _nodes; their count is the one its own
+    # ceiling division gave, kept here as the reference
+    def old_count(spec, n_tau, fs):
+        return max(-(-int(round(fs * spec.T)) // (2 * n_tau)), 1) * (2 * n_tau)
+
+    seen = []
+
+    def spy(spec, t):
+        seen.append(len(t) - 1)
+        return phase_at(spec, t)
+
+    monkeypatch.setattr(oracle, "phase_at", spy)
+    for spec in _ACF_SPECS:
+        floor = oversample_floor(spec)
+        for fs in (floor, 1.37 * floor, 3.0 * floor + 0.5, oracle_fs(spec)):
+            for n_tau in (1, 2, 3, 128):
+                acf_numeric(spec, n_tau, fs)
+                assert seen.pop() == old_count(spec, n_tau, fs)
+
+
 @pytest.mark.parametrize("spec", _ACF_SPECS, ids=_ACF_IDS)
 def test_acf_numeric_is_one_at_zero_and_zero_at_T(spec):
     for n in (3, 4, 97, 4096):

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -47,3 +48,30 @@ def test_readme_programmatic_use_runs(capsys):
     exec(compile(block, str(README), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 and printed[0].startswith("{'beta2'")
+
+
+def _owners(tree, attr):
+    # the innermost function around each access of the attribute attr
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_fft_length_rule_and_no_linear_algebra():
+    # bit_length is called in waveform._fft_len alone, so every FFT length
+    # comes from that one rule; and no module reaches numpy's linalg
+    owners = []
+    for path in sorted(Path(ceofdm.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        owners += [(path.stem, name)
+                   for name in _owners(ast.parse(text), "bit_length")]
+        assert "linalg" not in text, path.name
+    assert owners == [("waveform", "_fft_len")]

@@ -177,15 +177,61 @@ def test_psk_alphabet_and_seeded_codes():
      "n_points"),
     (lambda: ellipse_contour(eoa_closed_form(_spec()), np.nan), "xi"),
     (lambda: ellipse_contour(eoa_closed_form(_spec()), np.inf), "xi"),
+    # a bool is not a count, even where the floor is 1
+    (lambda: random_psk_code(True, 4, 0), "L"),
+    (lambda: metric_surface(1.0, 2, L=True), "L"),
+    (lambda: rho_norm_max(True), "L"),
+    (lambda: max_coupling_code(True), "L"),
+    (lambda: h_for_tbp(100.0, True), "L"),
+    (lambda: acf_numeric(_spec(), True, oracle_fs(_spec())), "n_tau"),
+    (lambda: ellipse_contour(eoa_closed_form(_spec()), 0.02, True),
+     "n_points"),
+    (lambda: acf_uniform(compute_coefficients(_spec()), 1.0, True), "n_tau"),
+    # a float n_tau, too, is refused by the count rule, not by np.bincount
+    (lambda: acf_uniform(compute_coefficients(_spec()), 1.0, 2.5), "n_tau"),
+    (lambda: acf_uniform(compute_coefficients(_spec()), 1.0, np.float64(3.0)),
+     "n_tau"),
 ], ids=["psk_alphabet", "random_psk_code", "PskCode", "PskCode-float",
         "max_coupling_code", "rho_norm_max", "h_for_tbp-L", "h_for_tbp-nan",
         "h_for_tbp-inf", "metric_surface", "random_psk_code-L",
         "random_psk_code-L0", "metric_surface-L", "metric_surface-L0",
         "acf_numeric", "ellipse_contour", "ellipse_contour-nan",
-        "ellipse_contour-inf"])
+        "ellipse_contour-inf", "random_psk_code-True", "metric_surface-True",
+        "rho_norm_max-True", "max_coupling_code-True", "h_for_tbp-True",
+        "acf_numeric-True", "ellipse_contour-True", "acf_uniform-True",
+        "acf_uniform", "acf_uniform-np.float64"])
 def test_counts_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
+
+
+def test_fft_len_is_the_power_of_two_at_or_above():
+    n = np.arange(1, 2 ** 16 + 1)
+    got = np.array([waveform._fft_len(int(k)) for k in n])
+    assert np.all(got & (got - 1) == 0)
+    assert np.all((got >= n) & (got < 2 * n))
+
+
+def test_fft_len_gives_every_size_the_sites_wrote_out():
+    # the expressions gbf, closed_form and oracle.acf_numeric each wrote
+    # before they took their FFT lengths from _fft_len
+    fft_len = waveform._fft_len
+    rng = np.random.default_rng(11)
+    for M, N, n_in, n_out in rng.integers(1, 1 << 21, size=(2000, 4)):
+        M, N, n_in, n_out = int(M), int(N), int(n_in), int(n_out)
+        # gbf.compute_coefficients' starting size
+        assert (fft_len(4 * (2 * M + 1))
+                == 1 << (4 * (2 * M + 1) - 1).bit_length())
+        # closed_form._chi_causal and closed_form.lag_weights
+        assert fft_len(4 * M + 1) == 1 << (4 * M).bit_length()
+        # closed_form.acf_uniform's default grid
+        assert (max(4096, 2 * fft_len(4 * M + 1))
+                == max(4096, 2 << (4 * M).bit_length()))
+        # closed_form.chirp_z
+        assert (fft_len(n_in + n_out - 1)
+                == 1 << (n_in + n_out - 2).bit_length())
+        # oracle.acf_numeric
+        assert fft_len(2 * N) == 1 << (2 * N - 1).bit_length()
 
 
 def test_numpy_integer_counts_are_accepted(tmp_path):
@@ -210,6 +256,10 @@ def test_numpy_integer_counts_are_accepted(tmp_path):
     np.testing.assert_array_equal(
         acf_numeric(spec, np.int64(16), oracle_fs(spec)),
         acf_numeric(spec, 16, oracle_fs(spec)))
+    c = compute_coefficients(spec)
+    for a, b in zip(acf_uniform(c, 1.0, np.int64(16)),
+                    acf_uniform(c, 1.0, 16)):
+        np.testing.assert_array_equal(a, b)
     params = eoa_closed_form(spec)
     np.testing.assert_array_equal(ellipse_contour(params, 0.02, np.int64(16)),
                                   ellipse_contour(params, 0.02, 16))
