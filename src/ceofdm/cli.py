@@ -212,7 +212,7 @@ def cmd_analyze(args, run: _Run) -> Path:
 def cmd_scan(args, run: _Run) -> None:
     h = args.h if args.h is not None else h_for_tbp(args.tbp, args.L)
     phis, isl, pslr = metric_surface(h, args.grid_n, args.acf_n, L=args.L)
-    run.done("scan", points=isl.size)
+    run.done("scan", points=isl.size, orbits=isl.size // args.grid_n)
     header = "".join(f"phi{l}," for l in range(1, args.L + 1))
     run.csv("scan.csv", header + "isl_db,pslr_db",
             [*np.meshgrid(*[phis] * args.L, indexing="ij"), isl, pslr])

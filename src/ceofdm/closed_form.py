@@ -81,6 +81,8 @@ kernel returns the arrays it computes and no grid the caller passed in.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .waveform import OutOfSupport, _count, _fft_len
@@ -270,12 +272,20 @@ def af_surface(c: np.ndarray, T: float, tau_grid, nu_grid) -> np.ndarray:
     return chi
 
 
+@lru_cache(maxsize=1)
+def _acf_kernel(M: int, size: int) -> np.ndarray:
+    """_kernel_fft's read-only nu = 0 row; a scan's codes share their M."""
+    P = _kernel_fft(M, np.zeros(1), size)
+    P.setflags(write=False)
+    return P
+
+
 def lag_weights(c: np.ndarray):
     """(w, v) over m = -M..M, the real weights of R(tau) in the module
     docstring: w_m = |c_m|^2 and v_m = Im u_m at nu = 0."""
     M = _order(c)
     size = _fft_len(4 * M + 1)
-    P = _kernel_fft(M, np.zeros(1), size)
+    P = _acf_kernel(M, size)
     u = c * _lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
     return c.real ** 2 + c.imag ** 2, u.imag
 

@@ -20,6 +20,14 @@ areas taken by waveform.simpson, the uniform-step Simpson rule, on the
 stored grid, split at the interior grid node nearest the refined null; a
 part with an even number of nodes takes Cartwright's correction of its last
 interval.  Ratios of zero are floored at -300 dB.
+
+metric_surface scans codes by time-shift orbit.  Substituting theta ->
+theta + a in gbf's integral shows that the code phi_l + l a has the
+coefficients exp(j m a) c_m.  On the scan's grid, a = 2 pi j / N maps code
+k to k + j (1, ..., L) mod N, so the N^L codes fall into N^(L-1) orbits,
+one per code with k_1 = 0, whose codes share |c| and M.  The engine runs
+once per orbit, but every code gets its own ACF and report: the pulse
+window cuts each shifted phase elsewhere, so R differs along an orbit.
 """
 
 from __future__ import annotations
@@ -85,17 +93,22 @@ def metric_surface(h: float, grid_n: int, n_tau: int | None = None, *,
     dimensionless and h does not depend on T.  The grid is the grid_n-PSK
     alphabet, turned by pi for odd grid_n (which leaves |R| unchanged), and
     is closed under phase negation mod 2 pi.  Returns (phis, isl_db,
-    pslr_db): the grid and two arrays of shape (grid_n,) * L, computed in C
-    order, whose entry [k_1, ..., k_L] is the code phis[[k_1, ..., k_L]].
-    n_tau=None takes acf_uniform's grid for each code's M.
+    pslr_db): the grid and two C-order arrays of shape (grid_n,) * L, filled
+    orbit by orbit, whose entry [k_1, ..., k_L] is the code phis[[k_1, ...,
+    k_L]].  n_tau=None takes acf_uniform's grid for each code's M.
     """
     grid_n, L = _count(grid_n, 2, "grid_n"), _count(L, 1, "L")
     phis = -np.pi + 2.0 * np.pi * np.arange(grid_n) / grid_n
-    isl_db = np.empty((grid_n,) * L)
-    pslr_db = np.empty((grid_n,) * L)
-    for idx in np.ndindex(isl_db.shape):
-        code = PskCode(phi=phis[list(idx)])
+    omega = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+    ramp = np.arange(1, L + 1)
+    isl_db, pslr_db = np.empty((2,) + (grid_n,) * L)
+    for rep in np.ndindex((1,) + (grid_n,) * (L - 1)):
+        code = PskCode(phi=phis[list(rep)])
         c = compute_coefficients(WaveformSpec(T=1.0, h=h, code=code))
-        rep = report_from_acf(*acf_uniform(c, 1.0, n_tau))
-        isl_db[idx], pslr_db[idx] = rep["isl_db"], rep["pslr_db"]
+        m = np.arange(len(c)) - len(c) // 2
+        for j in range(grid_n):
+            idx = tuple((rep + j * ramp) % grid_n)
+            r = report_from_acf(*acf_uniform(c * omega[m * j % grid_n], 1.0,
+                                             n_tau))
+            isl_db[idx], pslr_db[idx] = r["isl_db"], r["pslr_db"]
     return phis, isl_db, pslr_db

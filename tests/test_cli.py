@@ -486,6 +486,10 @@ def test_manifest_lists_every_output(tmp_path, case):
             "analyze-oracle": {"spectrum": 1025, "acf": 65, "af": 9},
             "scan": {"scan": 4},
             "compare-lfm": {"ce_spectrum": 4001, "lfm_spectrum": 4001}}[case]
+    # the scan runs the coefficient engine once per time-shift orbit: the
+    # 2 x 2 scan's four codes fall into two orbits
+    assert {st["stage"]: st["orbits"] for st in stages if "orbits" in st} \
+        == ({"scan": 2} if command == "scan" else {})
     # and the stage that computes the coefficients gives their order M
     orders = {st["stage"]: st["M"] for st in stages if "M" in st}
     if command == "analyze":

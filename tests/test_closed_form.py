@@ -282,6 +282,27 @@ def test_lag_weights_of_an_unmodulated_pulse(L):
     assert np.abs(v).max() < 1e-17
 
 
+def test_lag_weights_keep_their_bits_with_the_kept_kernel():
+    # lag_weights keeps the nu = 0 kernel of the last order it saw; codes
+    # of alternating orders must each get their own kernel's weights, as
+    # when the kernel was built on every call
+    cs = [compute_coefficients(_spec(L=L, h=h, seed=4))
+          for L, h in ((2, 1.3), (3, 0.4), (2, 1.3), (1, 0.0))]
+    assert len({len(c) for c in cs}) == 3
+    for c in cs * 2:
+        M = len(c) // 2
+        size = 1 << (4 * M).bit_length()
+        P = closed_form._kernel_fft(M, np.zeros(1), size)
+        u = c * closed_form._lag_conv(P, np.fft.fft(np.conj(c), size), M)[0]
+        w, v = lag_weights(c)
+        assert _same_bits(w, c.real ** 2 + c.imag ** 2)
+        assert _same_bits(v, u.imag)
+    kernel = closed_form._acf_kernel(M, size)
+    assert not kernel.flags.writeable
+    with pytest.raises(ValueError):
+        kernel[0, 0] = 0.0
+
+
 @_PROPERTY
 @given(spec=_specs())
 def test_lag_weights_sum_to_the_pulse_energy_property(spec):
