@@ -32,10 +32,10 @@ _DFT_CHUNK = 1 << 20
 
 
 def oracle_fs(spec: WaveformSpec) -> float:
-    """Quadrature rate: fs T is the power of two at or above both 8192 and
-    twice the oversampling floor times T, so grids stay clean across reruns."""
+    """Quadrature rate: fs T is the _fft_len of 8192 or of twice the
+    oversampling floor times T, if larger, so grids stay clean across reruns."""
     n = max(2.0 * oversample_floor(spec) * spec.T, 8192.0)
-    return float(2 ** math.ceil(math.log2(n))) / spec.T
+    return _fft_len(math.ceil(n)) / spec.T
 
 
 def _nodes(a: float, b: float, fs: float, step: int = 2):
@@ -79,9 +79,7 @@ def af_numeric_grid(spec: WaveformSpec, taus, nus, fs: float) -> np.ndarray:
         u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
                          - phase_at(spec, t + tau / 2.0))) / T
         for j, nu in enumerate(nus):
-            # the Doppler factor is exactly 1 at nu = 0
-            y = u if nu == 0.0 else u * np.exp(2j * np.pi * nu * t)
-            out[i, j] = simpson(y, d)
+            out[i, j] = simpson(u * np.exp(2j * np.pi * nu * t), d)
     return out
 
 

@@ -34,8 +34,9 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-# Times and delays may overshoot a support edge by rounding when callers build
-# grids; OutOfSupport.check allows that much of the half-width and no more.
+# Grids and rates that callers build may miss an edge by rounding:
+# OutOfSupport.check allows that much over a half-width, Undersampled.check
+# that much under the floor, and no more.
 _EDGE_SLACK = 1e-12
 
 # the largest imaginary residue code_from_symbols accepts in alpha_l, beta_l
@@ -78,7 +79,7 @@ class Undersampled(ValueError):
     def check(cls, spec: WaveformSpec, fs: float) -> float:
         """fs, once it is finite and >= oversample_floor(spec)."""
         floor = oversample_floor(spec)
-        if not floor * (1.0 - 1e-12) <= fs < np.inf:
+        if not floor * (1.0 - _EDGE_SLACK) <= fs < np.inf:
             raise cls(f"fs {fs} not finite or below floor {floor}")
         return fs
 
@@ -123,7 +124,7 @@ def simpson(y, dx):
     return result + dx / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PskCode:
     """Per-subcarrier phases and amplitudes driving the phase series.
 
@@ -168,7 +169,7 @@ class PskCode:
         return len(self.phi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveformSpec:
     """Full waveform description: duration T, modulation index h, code."""
 
@@ -188,7 +189,7 @@ class WaveformSpec:
         return self.code.L
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexSymbolVector:
     """Symbols c_l, l = -L..L, stored as one array of length 2L + 1."""
 

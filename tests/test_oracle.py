@@ -1,4 +1,5 @@
 import ast
+import math
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,8 @@ from ceofdm.eoa import h_for_tbp
 from ceofdm.oracle import (acf_numeric, af_numeric_grid, eoa_numeric,
                            oracle_fs, spectrum_numeric)
 from ceofdm.waveform import (OutOfSupport, PskCode, Undersampled,
-                             WaveformSpec, oversample_floor, phase_at,
-                             random_psk_code, sample)
+                             WaveformSpec, _fft_len, oversample_floor,
+                             phase_at, random_psk_code, sample, simpson)
 
 
 def _spec(L=2, h=0.5, T=1.0, seed=1):
@@ -37,11 +38,56 @@ def test_config_validation():
                 call(fs)
     for call in calls:
         call(floor * (1.0 - 1e-13))
-    for spec in (_spec(), _spec(L=1, h=0.0, T=0.3), _spec(L=24, h=0.1856),
-                 _spec(L=2, h=5.81, T=2.0)):
-        n = 2.0 ** round(np.log2(oracle_fs(spec) * spec.T))
-        assert oracle_fs(spec) == n / spec.T
-        assert n >= 8192 and n >= 2.0 * oversample_floor(spec) * spec.T
+
+
+def _random_specs(rng, count, Ls=(1, 2, 3, 8, 24, 64, 256)):
+    # T = 1.3 and 1.9 are fixed: at 1.9, oracle_fs(spec) * T is an ulp off
+    # its lattice size
+    for k in range(count):
+        L = int(rng.choice(Ls))
+        tbp = rng.choice([0.0, 20.0, 200.0, 2000.0])
+        T = [1.3, 1.9, float(rng.uniform(0.05, 20.0))][k % 3]
+        h = 0.0 if tbp == 0.0 else h_for_tbp(tbp, L)
+        yield WaveformSpec(T=T, h=h, code=random_psk_code(L, 32, k))
+
+
+def test_oracle_fs_takes_its_lattice_size_from_fft_len():
+    # 2 ** ceil(log2(n)) is the reference; at L = 256 and h = 0 the floor
+    # term 2 oversample_floor(spec) T is 32 L = 8192, the 8192 bound itself
+    rng = np.random.default_rng(38)
+    specs = list(_random_specs(rng, 30)) + [
+        WaveformSpec(T=T, h=0.0, code=random_psk_code(256, 32, 0))
+        for T in (1.0, 1.3, 1.9)] + [
+        _spec(), _spec(L=1, h=0.0, T=0.3), _spec(L=24, h=0.1856),
+        _spec(L=2, h=5.81, T=2.0)]
+    for spec in specs:
+        n = max(2.0 * oversample_floor(spec) * spec.T, 8192.0)
+        size = _fft_len(math.ceil(n))
+        assert oracle_fs(spec) == size / spec.T
+        assert oracle_fs(spec) == 2.0 ** math.ceil(math.log2(n)) / spec.T
+        assert n <= size < 2 * n
+        assert oracle_fs(spec) * spec.T == pytest.approx(size, rel=1e-15)
+
+
+def test_af_oracle_zero_doppler_column_is_the_overlap_integral():
+    # every Doppler takes the one path u exp(j 2 pi nu t); at nu = 0 and -0
+    # that is u, so the column is the plain overlap integral simpson(u, d)
+    # bit for bit, |tau| = T included
+    rng = np.random.default_rng(380)
+    for spec in _random_specs(rng, 10, Ls=(1, 2, 3, 8, 24)):
+        T = spec.T
+        fs = oversample_floor(spec) * rng.uniform(1.0, 3.0)
+        taus = np.concatenate([[-T, T, 0.0], rng.uniform(-T, T, 6)])
+        grid = af_numeric_grid(spec, taus, [0.0, -0.0, 1.5 / T], fs)
+        for i, tau in enumerate(taus):
+            ref = 0j
+            half = (T - abs(tau)) / 2.0
+            if half > 0.0:
+                t, d = oracle._nodes(-half, half, fs)
+                u = np.exp(1j * (phase_at(spec, t - tau / 2.0)
+                                 - phase_at(spec, t + tau / 2.0))) / T
+                ref = simpson(u, d)
+            assert grid[i, :2].tobytes() == np.array([ref, ref]).tobytes()
 
 
 def test_af_origin_is_unity():

@@ -66,12 +66,13 @@ def _owners(tree, attr):
 
 
 def test_one_fft_length_rule_and_no_linear_algebra():
-    # bit_length is called in waveform._fft_len alone, so every FFT length
-    # comes from that one rule; and no module reaches numpy's linalg
+    # bit_length is called in waveform._fft_len alone and no module takes a
+    # log2, so every FFT length and the oracle's lattice size come from that
+    # one rule; and no module reaches numpy's linalg
     owners = []
     for path in sorted(Path(ceofdm.__file__).parent.glob("*.py")):
         text = path.read_text()
         owners += [(path.stem, name)
                    for name in _owners(ast.parse(text), "bit_length")]
-        assert "linalg" not in text, path.name
+        assert "linalg" not in text and "log2" not in text, path.name
     assert owners == [("waveform", "_fft_len")]

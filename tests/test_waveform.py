@@ -119,6 +119,26 @@ def test_psk_code_is_its_phases_amplitudes_and_alphabet():
         PskCode(phi=[0.1, 0.2], gamma=[[1.0, 1.0]])
 
 
+def test_records_compare_and_hash_by_identity():
+    # the records hold arrays, so a generated == would raise on two distinct
+    # records and a generated hash() on any; they compare and hash as
+    # objects, and spec_digest is their content identity
+    code = PskCode(phi=[0.1, 0.2])
+    spec = WaveformSpec(T=1.0, h=0.5, code=code)
+    symbols = ComplexSymbolVector(np.array([1j, -1j, 0.0, 1j, -1j]))
+    twin_spec = WaveformSpec(T=1.0, h=0.5, code=PskCode(phi=[0.1, 0.2]))
+    for a, b in ((code, PskCode(phi=[0.1, 0.2])), (spec, twin_spec),
+                 (symbols, ComplexSymbolVector(symbols.c))):
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2 and {a: 1, b: 2}[a] == 1
+    assert spec_digest(spec) == spec_digest(twin_spec)
+    assert [f.name for f in dataclasses.fields(PskCode)] == [
+        "phi", "gamma", "m_psk"]
+    for record, name in ((code, "phi"), (spec, "T"), (symbols, "c")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, None)
+
 def test_psk_code_validation():
     with pytest.raises(ValueError):
         PskCode(phi=np.zeros(2), gamma=np.ones(3))
